@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed (the report
-carries a witness), 2 unreadable or malformed input / bad usage.
+carries a witness), 2 unreadable or malformed input / bad usage, 3 a statement
+that holds on every valid input failed (``TheoremViolation``: a bug, not bad
+data).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .errors import (
     NotDoubleInverseError,
     OrderTooLargeError,
     ParseError,
+    TheoremViolation,
 )
 
 SCHEMA_VERSION = 1
@@ -131,13 +134,13 @@ def cmd_check(args, doc):
                 verdict = inverse.is_clifford(analysis)
                 _check_entry(doc, "clifford", verdict, verdict.witness)
         elif kind == "double":
-            cls = dbl.classify_double(d.hop, d.vop)
+            cls = d.classification
             _check_entry(
                 doc, "double-semigroup", cls.is_double_semigroup,
                 info=cls.as_json(),
             )
         elif kind == "double-inverse":
-            cls = dbl.classify_double(d.hop, d.vop)
+            cls = d.classification
             ok = _check_entry(
                 doc, "double-inverse-semigroup", cls.is_double_inverse_semigroup,
                 info=cls.as_json(),
@@ -163,17 +166,14 @@ def cmd_esn(args, doc):
         if args.format == "dot":
             doc["dot"] = esn.groupoid_dot(g)
         if args.roundtrip:
-            verdict = esn.semigroup_roundtrip(t)
+            verdict = esn.semigroup_roundtrip(t, g)
             _check_entry(doc, "roundtrip", verdict, verdict.witness)
     else:
         g = esn.groupoid_from_json(_load_json(args.path, doc))
-        rep = esn.validate_ig(g)
-        if not rep:
-            raise _InputError(f"invalid groupoid: {rep.summary()}")
-        t = esn.is_from_ig(g)
+        t = esn.is_from_ig(g)  # InvalidGroupoidError (exit 2) if g is invalid
         doc["artifact"] = {"kind": "cayley-table", "cay": tables.format_table(t)}
         if args.roundtrip:
-            verdict = esn.groupoid_roundtrip(g)
+            verdict = esn.groupoid_roundtrip(g, t)
             _check_entry(doc, "roundtrip", verdict, verdict.witness)
     return 0 if all(c["ok"] for c in doc["checks"]) else 1
 
@@ -189,9 +189,10 @@ def cmd_double(args, doc):
         if sub == "to-dig":
             doc["artifact"] = dbl.dig_to_json(g)
         else:
-            v1 = dbl.roundtrip_double(d)
+            back = dbl.dis_from_dig(g)
+            v1 = dbl.roundtrip_double(d, back)
             _check_entry(doc, "semigroup-roundtrip", v1, v1.witness)
-            v2 = dbl.roundtrip_dig(g)
+            v2 = dbl.roundtrip_dig(g, dbl.dig_from_dis(back))
             _check_entry(doc, "groupoid-roundtrip", v2, v2.witness)
     else:
         g = dbl.dig_from_json(_load_json(args.path, doc))
@@ -227,7 +228,7 @@ def cmd_decompose(args, doc):
         p, report = presheaf.decompose(d)
     except NotDoubleInverseError as exc:
         _check_entry(doc, "double-inverse-semigroup", False, info=str(exc))
-        doc["main_theorem"] = dbl.classify_double(d.hop, d.vop).as_json()
+        doc["main_theorem"] = d.classification.as_json()
         return 1
     doc["main_theorem"] = report.as_json()
     doc["artifact"] = presheaf.presheaf_to_json(p)
@@ -240,10 +241,7 @@ def cmd_decompose(args, doc):
 
 def cmd_compose(args, doc):
     p = presheaf.presheaf_from_json(_load_json(args.path, doc))
-    rep = presheaf.validate_presheaf(p)
-    if not rep:
-        raise _InputError(f"invalid presheaf: {rep.summary()}")
-    d = presheaf.compose(p)
+    d = presheaf.compose(p)  # InvalidPresheafError (exit 2) if p is invalid
     doc["artifact"] = {
         "kind": "double-semigroup",
         "cay": tables.format_double(d.hop, d.vop),
@@ -407,6 +405,9 @@ def main(argv=None, stream=None):
     start = time.monotonic()
     try:
         code = args.handler(args, doc)
+    except TheoremViolation as exc:
+        print(f"esnlab: theorem violated (a bug, not bad input): {exc}", file=sys.stderr)
+        return 3
     except (
         _InputError,
         ParseError,

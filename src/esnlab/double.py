@@ -6,23 +6,32 @@ vertical arrows, horizontal arrows, cells) with explicit identity-cell
 embeddings, instead of identifying everything the way the algebra allows. Cells
 carry two groupoid structures: the horizontal one is a groupoid over the
 vertical arrows (composition ``hcompose``, order ``leq``), the vertical one a
-groupoid over the horizontal arrows (``vcompose``, ``lesssim``).
+groupoid over the horizontal arrows (``vcompose``, ``lesssim``). Exchanging
+the two directions (``transpose``) maps double groupoids to double groupoids,
+so every axiom about one direction is stated once and also run on the
+transpose.
+
+Values are immutable; each keeps the result of its own check
+(``DoubleSemigroup.classification``, ``DoubleInductiveGroupoid.report``), so
+a value that one stage has checked is not checked again by the next.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import (
     EsnlabError,
     InvalidDigError,
     NotDoubleInverseError,
+    ParseError,
     TheoremViolation,
 )
 from .esn import InductiveGroupoid, validate_ig
-from .inverse import analyze_inverse
-from .report import ValidationReport, Verdict
-from .tables import CayleyTable, is_associative, is_commutative
+from .inverse import InverseSemigroupAnalysis, analyze_inverse
+from .report import ValidationReport, Verdict, computed_once
+from .tables import CayleyTable, is_associative
 
 
 @dataclass(frozen=True)
@@ -37,6 +46,11 @@ class DoubleSemigroup:
     @property
     def n(self):
         return self.hop.n
+
+    @computed_once
+    def classification(self) -> DoubleClassification:
+        """``classify_double`` of the two operations, computed once per value."""
+        return classify_double(self.hop, self.vop)
 
 
 def check_interchange(hop: CayleyTable, vop: CayleyTable) -> Verdict:
@@ -62,6 +76,9 @@ class DoubleClassification:
     interchange: Verdict
     hop_inverse_failure: str | None
     vop_inverse_failure: str | None
+    # the analyses behind the two inverse verdicts, None where one failed
+    hop_analysis: InverseSemigroupAnalysis | None
+    vop_analysis: InverseSemigroupAnalysis | None
 
     @property
     def is_double_semigroup(self):
@@ -100,29 +117,33 @@ class DoubleClassification:
         }
 
 
-def classify_double(hop: CayleyTable, vop: CayleyTable) -> DoubleClassification:
-    def inverse_failure(t):
-        try:
-            analyze_inverse(t)
-            return None
-        except EsnlabError as exc:  # not associative / no or non-unique inverse
-            return str(exc)
+def _analysis_or_failure(t):
+    try:
+        return analyze_inverse(t), None
+    except EsnlabError as exc:  # not associative / no or non-unique inverse
+        return None, str(exc)
 
+
+def classify_double(hop: CayleyTable, vop: CayleyTable) -> DoubleClassification:
+    hop_analysis, hop_failure = _analysis_or_failure(hop)
+    vop_analysis, vop_failure = _analysis_or_failure(vop)
     return DoubleClassification(
         hop_associative=is_associative(hop),
         vop_associative=is_associative(vop),
         interchange=check_interchange(hop, vop),
-        hop_inverse_failure=inverse_failure(hop),
-        vop_inverse_failure=inverse_failure(vop),
+        hop_inverse_failure=hop_failure,
+        vop_inverse_failure=vop_failure,
+        hop_analysis=hop_analysis,
+        vop_analysis=vop_analysis,
     )
 
 
 def is_double_semigroup(d: DoubleSemigroup) -> bool:
-    return classify_double(d.hop, d.vop).is_double_semigroup
+    return d.classification.is_double_semigroup
 
 
 def is_double_inverse_semigroup(d: DoubleSemigroup) -> bool:
-    return classify_double(d.hop, d.vop).is_double_inverse_semigroup
+    return d.classification.is_double_inverse_semigroup
 
 
 def is_proper(d: DoubleSemigroup) -> Verdict:
@@ -132,22 +153,6 @@ def is_proper(d: DoubleSemigroup) -> Verdict:
             if d.hop.product(a, b) != d.vop.product(a, b):
                 return Verdict(True, (a, b))
     return Verdict(False)
-
-
-def commutativity_report(d: DoubleSemigroup) -> dict:
-    """Both operations of a double inverse semigroup must commute; a failure here
-    is a theorem violation, not a property of the input."""
-    cls = classify_double(d.hop, d.vop)
-    if not cls.is_double_inverse_semigroup:
-        raise NotDoubleInverseError(cls.failure_reason())
-    hc = is_commutative(d.hop)
-    vc = is_commutative(d.vop)
-    if not (hc and vc):
-        raise TheoremViolation(
-            f"double inverse semigroup with a non-commutative operation, witness "
-            f"{(hc or vc).witness}"
-        )
-    return {"hop_commutative": True, "vop_commutative": True}
 
 
 @dataclass(frozen=True)
@@ -184,6 +189,51 @@ class DoubleInductiveGroupoid:
     def obj_cell(self, o):
         return self.ver_cell[self.obj_ver[o]]
 
+    @computed_once
+    def report(self) -> ValidationReport:
+        """``validate_dig`` of this value, computed once; treat it as read-only."""
+        return validate_dig(self)
+
+
+# Every field of DoubleInductiveGroupoid, paired with its twin in the transpose,
+# and its sorts: the sorts of the key, ":", the sort of the value, where o is an
+# object, v a vertical arrow, h a horizontal arrow and c a cell. A single sort
+# is a carrier; two sorts without ":" are a relation on cells. The twin's sorts
+# are the same with v and h exchanged.
+_TWINS = (
+    ("objects", "objects", "o"),
+    ("ver_arrows", "hor_arrows", "v"),
+    ("cells", "cells", "c"),
+    ("obj_ver", "obj_hor", "o:v"),
+    ("ver_cell", "hor_cell", "v:c"),
+    ("ver_src", "hor_src", "v:o"),
+    ("ver_dst", "hor_dst", "v:o"),
+    ("hdom", "vdom", "c:v"),
+    ("hcod", "vcod", "c:v"),
+    ("hcompose", "vcompose", "cc:c"),
+    ("hinv", "vinv", "c:c"),
+    ("leq", "lesssim", "cc"),
+    ("meet_h", "meet_v", "vv:v"),
+    ("h_restrict", "v_restrict", "vc:c"),
+    ("h_corestrict", "v_corestrict", "cv:c"),
+)
+_SWAP = str.maketrans("vh", "hv")
+_FIELDS = dict(
+    entry
+    for field, twin, sorts in _TWINS
+    for entry in ((field, sorts), (twin, sorts.translate(_SWAP)))
+)
+_TWIN = dict(entry for field, twin, _ in _TWINS for entry in ((field, twin), (twin, field)))
+_CARRIER = {"o": "objects", "v": "ver_arrows", "h": "hor_arrows", "c": "cells"}
+_EMBEDDINGS = ("obj_ver", "obj_hor", "ver_cell", "hor_cell")
+
+
+def transpose(g: DoubleInductiveGroupoid) -> DoubleInductiveGroupoid:
+    """g with the horizontal and vertical directions exchanged: its horizontal
+    view is the vertical view of g, and each axiom of (iii)-(ix) read on it is
+    the twin axiom read on g."""
+    return DoubleInductiveGroupoid(**{_TWIN[name]: getattr(g, name) for name in _FIELDS})
+
 
 class _Eval:
     """Definedness-guarded expression evaluation over one groupoid.
@@ -200,6 +250,9 @@ class _Eval:
         self.ver_cells = tuple(sorted(g.ver_cell[e] for e in g.ver_arrows))
         self.hor_cells = tuple(sorted(g.hor_cell[f] for f in g.hor_arrows))
         self.obj_cells = tuple(sorted(g.obj_cell(o) for o in g.objects))
+        # the ranges of axiom variables, by the sort letters of _AXIOMS
+        self.carriers = {"c": g.cells, "v": self.ver_cells, "h": self.hor_cells,
+                         "o": self.obj_cells}
 
     def hdom(self, a):
         return None if a is None else self.g.ver_cell[self.g.hdom[a]]
@@ -274,7 +327,8 @@ class _Eval:
 
 
 def _horizontal_view(g: DoubleInductiveGroupoid) -> InductiveGroupoid:
-    """The groupoid over the vertical arrows, transported to cell ids."""
+    """The groupoid over the vertical arrows, transported to cell ids; the
+    vertical view is the horizontal view of ``transpose(g)``."""
     vc = g.ver_cell
     objects = tuple(sorted(vc[e] for e in g.ver_arrows))
     return InductiveGroupoid(
@@ -294,89 +348,58 @@ def _horizontal_view(g: DoubleInductiveGroupoid) -> InductiveGroupoid:
     )
 
 
-def _vertical_view(g: DoubleInductiveGroupoid) -> InductiveGroupoid:
-    hc = g.hor_cell
-    objects = tuple(sorted(hc[f] for f in g.hor_arrows))
-    return InductiveGroupoid(
-        objects=objects,
-        arrows=g.cells,
-        dom={a: hc[g.vdom[a]] for a in g.cells},
-        cod={a: hc[g.vcod[a]] for a in g.cells},
-        compose=dict(g.vcompose),
-        inv=dict(g.vinv),
-        identity={o: o for o in objects},
-        leq=g.lesssim,
-        object_meet={
-            (hc[e], hc[f]): hc[m] for (e, f), m in g.meet_v.items()
-        },
-        restriction={(hc[e], a): b for (e, a), b in g.v_restrict.items()},
-        corestriction={(a, hc[e]): b for (a, e), b in g.v_corestrict.items()},
-    )
-
-
 def _check_embeddings(g: DoubleInductiveGroupoid, rep: ValidationReport) -> bool:
+    """Each check is stated for the vertical arrows and run again on the
+    transpose, where it covers the horizontal arrows under the twin tag."""
     cells = set(g.cells)
+    sides = ((g, "ver", "h", "horizontal"), (transpose(g), "hor", "v", "vertical"))
     ok = True
-    for name, mapping, domain, codomain in (
-        ("obj_ver", g.obj_ver, g.objects, set(g.ver_arrows)),
-        ("obj_hor", g.obj_hor, g.objects, set(g.hor_arrows)),
-        ("ver_cell", g.ver_cell, g.ver_arrows, cells),
-        ("hor_cell", g.hor_cell, g.hor_arrows, cells),
-    ):
-        seen = set()
-        for x in domain:
-            y = mapping.get(x)
-            if y not in codomain:
-                rep.add(f"emb.{name}", (x,), "embedding leaves its codomain")
-                ok = False
-            elif y in seen:
-                rep.add(f"emb.{name}", (x,), "embedding not injective")
-                ok = False
-            seen.add(y)
+    for t, arrow, _, _ in sides:
+        for name, mapping, domain, codomain in (
+            (f"obj_{arrow}", t.obj_ver, t.objects, set(t.ver_arrows)),
+            (f"{arrow}_cell", t.ver_cell, t.ver_arrows, cells),
+        ):
+            seen = set()
+            for x in domain:
+                y = mapping.get(x)
+                if y not in codomain:
+                    rep.add(f"emb.{name}", (x,), "embedding leaves its codomain")
+                    ok = False
+                elif y in seen:
+                    rep.add(f"emb.{name}", (x,), "embedding not injective")
+                    ok = False
+                seen.add(y)
     if not ok:
         return False
-    for e in g.ver_arrows:
-        c = g.ver_cell[e]
-        if g.hdom.get(c) != e or g.hcod.get(c) != e:
-            rep.add("emb.ver-identity", (e,), "identity cell must be a horizontal loop")
-            ok = False
-    for f in g.hor_arrows:
-        c = g.hor_cell[f]
-        if g.vdom.get(c) != f or g.vcod.get(c) != f:
-            rep.add("emb.hor-identity", (f,), "identity cell must be a vertical loop")
-            ok = False
     for o in g.objects:
-        if g.ver_cell[g.obj_ver[o]] != g.hor_cell[g.obj_hor[o]]:
+        if g.obj_cell(o) != g.hor_cell[g.obj_hor[o]]:
             rep.add("emb.object-cell", (o,), "the two identity cells of an object differ")
             ok = False
-        if g.ver_src.get(g.obj_ver[o]) != o or g.ver_dst.get(g.obj_ver[o]) != o:
-            rep.add("emb.object-ver-loop", (o,))
-            ok = False
-        if g.hor_src.get(g.obj_hor[o]) != o or g.hor_dst.get(g.obj_hor[o]) != o:
-            rep.add("emb.object-hor-loop", (o,))
-            ok = False
     objset = set(g.objects)
-    for e in g.ver_arrows:
-        if g.ver_src.get(e) not in objset or g.ver_dst.get(e) not in objset:
-            rep.add("emb.ver-endpoints", (e,))
-            ok = False
-    for f in g.hor_arrows:
-        if g.hor_src.get(f) not in objset or g.hor_dst.get(f) not in objset:
-            rep.add("emb.hor-endpoints", (f,))
-            ok = False
-    verset = set(g.ver_arrows)
-    horset = set(g.hor_arrows)
-    for a in g.cells:
-        if g.hdom.get(a) not in verset or g.hcod.get(a) not in verset:
-            rep.add("emb.cell-hboundary", (a,))
-            ok = False
-        if g.vdom.get(a) not in horset or g.vcod.get(a) not in horset:
-            rep.add("emb.cell-vboundary", (a,))
-            ok = False
+    for t, arrow, edge, loop in sides:
+        for e in t.ver_arrows:
+            c = t.ver_cell[e]
+            if t.hdom.get(c) != e or t.hcod.get(c) != e:
+                rep.add(f"emb.{arrow}-identity", (e,), f"identity cell must be a {loop} loop")
+                ok = False
+        for o in t.objects:
+            if t.ver_src.get(t.obj_ver[o]) != o or t.ver_dst.get(t.obj_ver[o]) != o:
+                rep.add(f"emb.object-{arrow}-loop", (o,))
+                ok = False
+        for e in t.ver_arrows:
+            if t.ver_src.get(e) not in objset or t.ver_dst.get(e) not in objset:
+                rep.add(f"emb.{arrow}-endpoints", (e,))
+                ok = False
+        arrows = set(t.ver_arrows)
+        for a in t.cells:
+            if t.hdom.get(a) not in arrows or t.hcod.get(a) not in arrows:
+                rep.add(f"emb.cell-{edge}boundary", (a,))
+                ok = False
     return ok
 
 
-def _check_boundaries(g: DoubleInductiveGroupoid, ev: _Eval, rep: ValidationReport):
+def _check_boundaries(sides, rep: ValidationReport):
+    g = sides[0][0]
     for a in g.cells:
         l, r = g.hdom[a], g.hcod[a]
         t, b = g.vdom[a], g.vcod[a]
@@ -390,30 +413,22 @@ def _check_boundaries(g: DoubleInductiveGroupoid, ev: _Eval, rep: ValidationRepo
             if via_edge != via_other:
                 rep.add("boundary.corner", (a, idx), "edge endpoints disagree at a corner")
     # transverse edges of composites: the top edge of a horizontal composite is
-    # the horizontal composite of the top edges, and dually everywhere else
-    for (a, b), c in g.hcompose.items():
-        for tag, edge in (("boundary.hcomp-vdom", ev.vdom), ("boundary.hcomp-vcod", ev.vcod)):
-            lhs = ev.hcomp(edge(a), edge(b))
-            rep.bump(tag, True)
-            if lhs != edge(c):
-                rep.add(tag, (a, b), "undefined" if lhs is None else "")
-    for (a, b), c in g.vcompose.items():
-        for tag, edge in (("boundary.vcomp-hdom", ev.hdom), ("boundary.vcomp-hcod", ev.hcod)):
-            lhs = ev.vcomp(edge(a), edge(b))
-            rep.bump(tag, True)
-            if lhs != edge(c):
-                rep.add(tag, (a, b), "undefined" if lhs is None else "")
-    # identity-cell families are closed under the transverse composition
-    for x in ev.ver_cells:
-        for y in ev.ver_cells:
-            c = ev.vcomp(x, y)
-            if c is not None and c not in ev.cell_ver:
-                rep.add("boundary.ver-closed", (x, y))
-    for x in ev.hor_cells:
-        for y in ev.hor_cells:
-            c = ev.hcomp(x, y)
-            if c is not None and c not in ev.cell_hor:
-                rep.add("boundary.hor-closed", (x, y))
+    # the horizontal composite of the top edges, and dually on the transpose;
+    # the identity cells of horizontal arrows are closed under hcompose
+    tags = (("boundary.hcomp-vdom", "boundary.hcomp-vcod", "boundary.hor-closed"),
+            ("boundary.vcomp-hdom", "boundary.vcomp-hcod", "boundary.ver-closed"))
+    for (side, ev), (dom_tag, cod_tag, closed_tag) in zip(sides, tags):
+        for (a, b), c in side.hcompose.items():
+            for tag, edge in ((dom_tag, ev.vdom), (cod_tag, ev.vcod)):
+                lhs = ev.hcomp(edge(a), edge(b))
+                rep.bump(tag, True)
+                if lhs != edge(c):
+                    rep.add(tag, (a, b), "undefined" if lhs is None else "")
+        for x in ev.hor_cells:
+            for y in ev.hor_cells:
+                c = ev.hcomp(x, y)
+                if c is not None and c not in ev.cell_hor:
+                    rep.add(closed_tag, (x, y))
 
 
 def _check_cell_interchange(g: DoubleInductiveGroupoid, ev: _Eval, rep: ValidationReport):
@@ -448,205 +463,106 @@ def _guarded(rep, tag, lhs, rhs, witness=()):
             rep.add(tag, witness)
 
 
-def _check_axiom_families(g, ev: _Eval, rep: ValidationReport, strict_ix: bool):
-    cells = g.cells
-    vcs = ev.ver_cells
-    hcs = ev.hor_cells
-    ocs = ev.obj_cells
-
+# The compatibility axioms (iii)-(ix), one row per identity lhs = rhs:
+# (tag, tag of the transposed identity or None, sorts of the variables, lhs,
+#  rhs, witness order). Both sides are functions of an _Eval and the variables;
+# the variables range over _Eval.carriers in nested-loop order, and the witness
+# lists them in the given order (as they are when None). A row with a
+# transposed tag runs again on transpose(g) under that tag.
+_AXIOMS = (
     # (iii) composition against (co)restriction in the transverse direction
-    for a in cells:
-        for b in cells:
-            for f in vcs:
-                for gg in vcs:
-                    ab = ev.vcomp(a, b)
-                    fg = ev.vcomp(f, gg)
-                    lhs = ev.hcorestrict(ab, fg)
-                    rhs = ev.vcomp(ev.hcorestrict(a, f), ev.hcorestrict(b, gg))
-                    if lhs is None or rhs is None:
-                        rep.bump("iii.a", False)
-                    else:
-                        rep.bump("iii.a", True)
-                        if lhs != rhs:
-                            rep.add("iii.a", (a, b, f, gg))
-                    lhs = ev.hrestrict(fg, ab)
-                    rhs = ev.vcomp(ev.hrestrict(f, a), ev.hrestrict(gg, b))
-                    if lhs is None or rhs is None:
-                        rep.bump("iii.c", False)
-                    else:
-                        rep.bump("iii.c", True)
-                        if lhs != rhs:
-                            rep.add("iii.c", (f, gg, a, b))
-            for f in hcs:
-                for gg in hcs:
-                    ab = ev.hcomp(a, b)
-                    fg = ev.hcomp(f, gg)
-                    lhs = ev.vcorestrict(ab, fg)
-                    rhs = ev.hcomp(ev.vcorestrict(a, f), ev.vcorestrict(b, gg))
-                    if lhs is None or rhs is None:
-                        rep.bump("iii.b", False)
-                    else:
-                        rep.bump("iii.b", True)
-                        if lhs != rhs:
-                            rep.add("iii.b", (a, b, f, gg))
-                    lhs = ev.vrestrict(fg, ab)
-                    rhs = ev.hcomp(ev.vrestrict(f, a), ev.vrestrict(gg, b))
-                    if lhs is None or rhs is None:
-                        rep.bump("iii.d", False)
-                    else:
-                        rep.bump("iii.d", True)
-                        if lhs != rhs:
-                            rep.add("iii.d", (f, gg, a, b))
-
+    ("iii.a", "iii.b", "ccvv",
+     lambda e, a, b, f, g: e.hcorestrict(e.vcomp(a, b), e.vcomp(f, g)),
+     lambda e, a, b, f, g: e.vcomp(e.hcorestrict(a, f), e.hcorestrict(b, g)), None),
+    ("iii.c", "iii.d", "ccvv",
+     lambda e, a, b, f, g: e.hrestrict(e.vcomp(f, g), e.vcomp(a, b)),
+     lambda e, a, b, f, g: e.vcomp(e.hrestrict(f, a), e.hrestrict(g, b)), (2, 3, 0, 1)),
     # (iv) composition against the transverse meet
-    for e in hcs:
-        for f in hcs:
-            for gg in hcs:
-                for h in hcs:
-                    lhs = ev.hcomp(ev.meet_v(e, f), ev.meet_v(gg, h))
-                    rhs = ev.meet_v(ev.hcomp(e, gg), ev.hcomp(f, h))
-                    if lhs is None or rhs is None:
-                        rep.bump("iv.a", False)
-                    else:
-                        rep.bump("iv.a", True)
-                        if lhs != rhs:
-                            rep.add("iv.a", (e, f, gg, h))
-    for e in vcs:
-        for f in vcs:
-            for gg in vcs:
-                for h in vcs:
-                    lhs = ev.vcomp(ev.meet_h(e, f), ev.meet_h(gg, h))
-                    rhs = ev.meet_h(ev.vcomp(e, gg), ev.vcomp(f, h))
-                    if lhs is None or rhs is None:
-                        rep.bump("iv.b", False)
-                    else:
-                        rep.bump("iv.b", True)
-                        if lhs != rhs:
-                            rep.add("iv.b", (e, f, gg, h))
-
+    ("iv.a", "iv.b", "hhhh",
+     lambda e, p, q, r, s: e.hcomp(e.meet_v(p, q), e.meet_v(r, s)),
+     lambda e, p, q, r, s: e.meet_v(e.hcomp(p, r), e.hcomp(q, s)), None),
     # (v) meet against (co)restriction in the transverse direction
-    for f in ocs:
-        for h in ocs:
-            for e in hcs:
-                for gg in hcs:
-                    lhs = ev.meet_v(ev.hcorestrict(e, f), ev.hcorestrict(gg, h))
-                    rhs = ev.hcorestrict(ev.meet_v(e, gg), ev.meet_v(f, h))
-                    if lhs is None or rhs is None:
-                        rep.bump("v.a", False)
-                    else:
-                        rep.bump("v.a", True)
-                        if lhs != rhs:
-                            rep.add("v.a", (e, f, gg, h))
-                    lhs = ev.meet_v(ev.hrestrict(f, e), ev.hrestrict(h, gg))
-                    rhs = ev.hrestrict(ev.meet_v(f, h), ev.meet_v(e, gg))
-                    if lhs is None or rhs is None:
-                        rep.bump("v.c", False)
-                    else:
-                        rep.bump("v.c", True)
-                        if lhs != rhs:
-                            rep.add("v.c", (f, e, h, gg))
-            for e in vcs:
-                for gg in vcs:
-                    lhs = ev.meet_h(ev.vcorestrict(e, f), ev.vcorestrict(gg, h))
-                    rhs = ev.vcorestrict(ev.meet_h(e, gg), ev.meet_h(f, h))
-                    if lhs is None or rhs is None:
-                        rep.bump("v.b", False)
-                    else:
-                        rep.bump("v.b", True)
-                        if lhs != rhs:
-                            rep.add("v.b", (e, f, gg, h))
-                    lhs = ev.meet_h(ev.vrestrict(f, e), ev.vrestrict(h, gg))
-                    rhs = ev.vrestrict(ev.meet_h(f, h), ev.meet_h(e, gg))
-                    if lhs is None or rhs is None:
-                        rep.bump("v.d", False)
-                    else:
-                        rep.bump("v.d", True)
-                        if lhs != rhs:
-                            rep.add("v.d", (f, e, h, gg))
-
+    ("v.a", "v.b", "oohh",
+     lambda e, f, h, p, q: e.meet_v(e.hcorestrict(p, f), e.hcorestrict(q, h)),
+     lambda e, f, h, p, q: e.hcorestrict(e.meet_v(p, q), e.meet_v(f, h)), (2, 0, 3, 1)),
+    ("v.c", "v.d", "oohh",
+     lambda e, f, h, p, q: e.meet_v(e.hrestrict(f, p), e.hrestrict(h, q)),
+     lambda e, f, h, p, q: e.hrestrict(e.meet_v(f, h), e.meet_v(p, q)), (0, 2, 1, 3)),
     # (vi) the two (co)restriction families against each other
-    for a in cells:
-        for f in hcs:
-            for gg in vcs:
-                x = ev.meet_h(ev.hcod(f), ev.vcod(gg))
-                lhs = ev.hcorestrict(ev.vcorestrict(a, f), ev.vcorestrict(gg, x))
-                rhs = ev.vcorestrict(ev.hcorestrict(a, gg), ev.hcorestrict(f, x))
-                for tag in ("vi.a", "vi.b"):
-                    if lhs is None or rhs is None:
-                        rep.bump(tag, False)
-                    else:
-                        rep.bump(tag, True)
-                        if lhs != rhs:
-                            rep.add(tag, (a, f, gg))
-                x = ev.meet_h(ev.hdom(f), ev.vdom(gg))
-                lhs = ev.hrestrict(ev.vrestrict(x, gg), ev.vrestrict(f, a))
-                rhs = ev.vrestrict(ev.hrestrict(x, f), ev.hrestrict(gg, a))
-                for tag in ("vi.c", "vi.d"):
-                    if lhs is None or rhs is None:
-                        rep.bump(tag, False)
-                    else:
-                        rep.bump(tag, True)
-                        if lhs != rhs:
-                            rep.add(tag, (a, f, gg))
-
-    # (vii) the two meets against each other
-    for e in ocs:
-        for f in ocs:
-            for gg in ocs:
-                for h in ocs:
-                    lhs = ev.meet_v(ev.meet_h(e, f), ev.meet_h(gg, h))
-                    rhs = ev.meet_h(ev.meet_v(e, gg), ev.meet_v(f, h))
-                    if lhs is None or rhs is None:
-                        rep.bump("vii", False)
-                    else:
-                        rep.bump("vii", True)
-                        if lhs != rhs:
-                            rep.add("vii", (e, f, gg, h))
-
+    ("vi.a", "vi.b", "chv",
+     lambda e, a, f, g: e.hcorestrict(
+         e.vcorestrict(a, f), e.vcorestrict(g, e.meet_h(e.hcod(f), e.vcod(g)))),
+     lambda e, a, f, g: e.vcorestrict(
+         e.hcorestrict(a, g), e.hcorestrict(f, e.meet_h(e.hcod(f), e.vcod(g)))), None),
+    ("vi.c", "vi.d", "chv",
+     lambda e, a, f, g: e.hrestrict(
+         e.vrestrict(e.meet_h(e.hdom(f), e.vdom(g)), g), e.vrestrict(f, a)),
+     lambda e, a, f, g: e.vrestrict(
+         e.hrestrict(e.meet_h(e.hdom(f), e.vdom(g)), f), e.hrestrict(g, a)), None),
+    # (vii) the two meets against each other; its own transpose
+    ("vii", None, "oooo",
+     lambda e, p, q, r, s: e.meet_v(e.meet_h(p, q), e.meet_h(r, s)),
+     lambda e, p, q, r, s: e.meet_h(e.meet_v(p, r), e.meet_v(q, s)), None),
     # (viii) (co)domains are functorial for the transverse meet
-    for e in vcs:
-        for f in vcs:
-            _guarded(rep, "viii.a", ev.vdom(ev.meet_h(e, f)),
-                     ev.meet_h(ev.vdom(e), ev.vdom(f)), (e, f))
-            _guarded(rep, "viii.b", ev.vcod(ev.meet_h(e, f)),
-                     ev.meet_h(ev.vcod(e), ev.vcod(f)), (e, f))
-    for e in hcs:
-        for f in hcs:
-            _guarded(rep, "viii.c", ev.hdom(ev.meet_v(e, f)),
-                     ev.meet_v(ev.hdom(e), ev.hdom(f)), (e, f))
-            _guarded(rep, "viii.d", ev.hcod(ev.meet_v(e, f)),
-                     ev.meet_v(ev.hcod(e), ev.hcod(f)), (e, f))
+    ("viii.a", "viii.c", "vv",
+     lambda e, p, q: e.vdom(e.meet_h(p, q)),
+     lambda e, p, q: e.meet_h(e.vdom(p), e.vdom(q)), None),
+    ("viii.b", "viii.d", "vv",
+     lambda e, p, q: e.vcod(e.meet_h(p, q)),
+     lambda e, p, q: e.meet_h(e.vcod(p), e.vcod(q)), None),
+    # (ix) (co)domains are functorial for the transverse (co)restrictions; the
+    # transpose of (ix.c) is the pattern-consistent reading of (ix.g), which
+    # runs only under strict_ix
+    ("ix.a", "ix.e", "cv",
+     lambda e, a, c: e.vdom(e.hcorestrict(a, c)),
+     lambda e, a, c: e.hcorestrict(e.vdom(a), e.vdom(c)), None),
+    ("ix.b", "ix.f", "cv",
+     lambda e, a, c: e.vcod(e.hcorestrict(a, c)),
+     lambda e, a, c: e.hcorestrict(e.vcod(a), e.vcod(c)), None),
+    ("ix.c", "ix.g-strict", "cv",
+     lambda e, a, c: e.vdom(e.hrestrict(c, a)),
+     lambda e, a, c: e.hrestrict(e.vdom(c), e.vdom(a)), (1, 0)),
+    ("ix.d", "ix.h", "cv",
+     lambda e, a, c: e.vcod(e.hrestrict(c, a)),
+     lambda e, a, c: e.hrestrict(e.vcod(c), e.vcod(a)), (1, 0)),
+    # (ix.g) as printed restricts by the *vertical* domain of e; the pattern of
+    # (e), (f), (h) suggests the horizontal one instead
+    ("ix.g", None, "ch",
+     lambda e, a, c: e.hdom(e.vrestrict(c, a)),
+     lambda e, a, c: e.vrestrict(e.vdom(c), e.hdom(a)), (1, 0)),
+)
 
-    # (ix) (co)domains are functorial for the transverse (co)restrictions
-    for a in cells:
-        for ec in vcs:
-            _guarded(rep, "ix.a", ev.vdom(ev.hcorestrict(a, ec)),
-                     ev.hcorestrict(ev.vdom(a), ev.vdom(ec)), (a, ec))
-            _guarded(rep, "ix.b", ev.vcod(ev.hcorestrict(a, ec)),
-                     ev.hcorestrict(ev.vcod(a), ev.vcod(ec)), (a, ec))
-            _guarded(rep, "ix.c", ev.vdom(ev.hrestrict(ec, a)),
-                     ev.hrestrict(ev.vdom(ec), ev.vdom(a)), (ec, a))
-            _guarded(rep, "ix.d", ev.vcod(ev.hrestrict(ec, a)),
-                     ev.hrestrict(ev.vcod(ec), ev.vcod(a)), (ec, a))
-        for ec in hcs:
-            _guarded(rep, "ix.e", ev.hdom(ev.vcorestrict(a, ec)),
-                     ev.vcorestrict(ev.hdom(a), ev.hdom(ec)), (a, ec))
-            _guarded(rep, "ix.f", ev.hcod(ev.vcorestrict(a, ec)),
-                     ev.vcorestrict(ev.hcod(a), ev.hcod(ec)), (a, ec))
-            # (ix.g) as printed restricts by the *vertical* domain of e; the
-            # pattern of (e), (f), (h) suggests the horizontal one instead.
-            lhs = ev.hdom(ev.vrestrict(ec, a))
-            literal = ev.vrestrict(ev.vdom(ec), ev.hdom(a))
-            _guarded(rep, "ix.g", lhs, literal, (ec, a))
-            if strict_ix:
+
+def _check_identity(ev: _Eval, rep: ValidationReport, tag, sorts, lhs, rhs, order):
+    substantive = vacuous = 0
+    for args in product(*(ev.carriers[s] for s in sorts)):
+        left = lhs(ev, *args)
+        right = None if left is None else rhs(ev, *args)
+        if right is None:
+            vacuous += 1
+            continue
+        substantive += 1
+        if left != right:
+            rep.add(tag, args if order is None else tuple(args[i] for i in order))
+    rep.bump(tag, True, substantive)
+    rep.bump(tag, False, vacuous)
+
+
+def _check_axiom_families(sides, rep: ValidationReport, strict_ix: bool):
+    (g, ev), (_, transposed) = sides
+    for tag, twin, sorts, lhs, rhs, order in _AXIOMS:
+        _check_identity(ev, rep, tag, sorts, lhs, rhs, order)
+        if twin is not None and (strict_ix or twin != "ix.g-strict"):
+            _check_identity(transposed, rep, twin, sorts, lhs, rhs, order)
+    if strict_ix:
+        for a in g.cells:
+            for ec in ev.hor_cells:
+                literal = ev.vrestrict(ev.vdom(ec), ev.hdom(a))
                 patterned = ev.vrestrict(ev.hdom(ec), ev.hdom(a))
-                _guarded(rep, "ix.g-strict", lhs, patterned, (ec, a))
                 if literal is not None and patterned is not None and literal != patterned:
                     rep.notes.append(
                         f"ix.g readings disagree at cell {a}, horizontal arrow cell {ec}"
                     )
-            _guarded(rep, "ix.h", ev.hcod(ev.vrestrict(ec, a)),
-                     ev.vrestrict(ev.hcod(ec), ev.hcod(a)), (ec, a))
 
 
 def validate_dig(g: DoubleInductiveGroupoid, strict_ix=False) -> ValidationReport:
@@ -658,222 +574,168 @@ def validate_dig(g: DoubleInductiveGroupoid, strict_ix=False) -> ValidationRepor
         return rep
     if not _check_embeddings(g, rep):
         return rep
-    ev = _Eval(g)
+    t = transpose(g)
+    sides = ((g, _Eval(g)), (t, _Eval(t)))
     rep.merge(validate_ig(_horizontal_view(g)), prefix="i.")
-    rep.merge(validate_ig(_vertical_view(g)), prefix="ii.")
-    _check_boundaries(g, ev, rep)
-    _check_cell_interchange(g, ev, rep)
-    _check_axiom_families(g, ev, rep, strict_ix)
+    rep.merge(validate_ig(_horizontal_view(t)), prefix="ii.")
+    _check_boundaries(sides, rep)
+    _check_cell_interchange(g, sides[0][1], rep)
+    _check_axiom_families(sides, rep, strict_ix)
     return rep
 
 
-def dig_from_dis(d: DoubleSemigroup, check=True) -> DoubleInductiveGroupoid:
+def _horizontal_fields(op, a, other, b, obj_ids) -> dict:
+    """The fields of ``dig_from_dis`` that belong to the horizontal structure,
+    for the horizontal operation op with analysis a; with the two operations
+    exchanged it gives the vertical fields, under their twin names."""
+    idems = a.idempotent_set
+    ids = {x: i + 1 for i, x in enumerate(idems)}
+    cells = tuple(op.elements())
+
+    def endpoint(x):
+        if x not in obj_ids:
+            raise TheoremViolation(f"arrow endpoint {x} is not a shared idempotent")
+        return obj_ids[x]
+
+    dom = {c: ids[op.product(c, a.inverse(c))] for c in cells}
+    cod = {c: ids[op.product(a.inverse(c), c)] for c in cells}
+    return {
+        "ver_arrows": tuple(range(1, len(idems) + 1)),
+        "obj_ver": {obj_ids[x]: ids[x] for x in obj_ids},
+        "ver_cell": {ids[x]: x for x in idems},
+        "ver_src": {ids[x]: endpoint(other.product(x, b.inverse(x))) for x in idems},
+        "ver_dst": {ids[x]: endpoint(other.product(b.inverse(x), x)) for x in idems},
+        "hdom": dom,
+        "hcod": cod,
+        "hcompose": {
+            (x, y): op.product(x, y) for x in cells for y in cells if cod[x] == dom[y]
+        },
+        "hinv": {c: a.inverse(c) for c in cells},
+        "leq": a.leq,
+        "meet_h": {(ids[e], ids[f]): ids[op.product(e, f)] for e in idems for f in idems},
+        "h_restrict": {
+            (ids[e], c): op.product(e, c)
+            for e in idems
+            for c in cells
+            if a.leq_holds(e, op.product(c, a.inverse(c)))
+        },
+        "h_corestrict": {
+            (c, ids[e]): op.product(c, e)
+            for e in idems
+            for c in cells
+            if a.leq_holds(e, op.product(a.inverse(c), c))
+        },
+    }
+
+
+def dig_from_dis(d: DoubleSemigroup) -> DoubleInductiveGroupoid:
     """Objects are the shared idempotents, vertical arrows the hop-idempotents,
     horizontal arrows the vop-idempotents, cells the elements; boundaries,
     orders, meets and (co)restrictions all come from the two products."""
-    cls = classify_double(d.hop, d.vop)
+    cls = d.classification
     if not cls.is_double_inverse_semigroup:
         raise NotDoubleInverseError(cls.failure_reason())
-    hop, vop = d.hop, d.vop
-    ah = analyze_inverse(hop)
-    av = analyze_inverse(vop)
-    ver_elems = ah.idempotent_set
-    hor_elems = av.idempotent_set
-    obj_elems = tuple(sorted(set(ver_elems) & set(hor_elems)))
+    ah, av = cls.hop_analysis, cls.vop_analysis
+    obj_elems = sorted(set(ah.idempotent_set) & set(av.idempotent_set))
     if not obj_elems:
         raise TheoremViolation("the idempotent sets of a double inverse semigroup intersect")
-    ver_ids = {x: i + 1 for i, x in enumerate(ver_elems)}
-    hor_ids = {x: i + 1 for i, x in enumerate(hor_elems)}
     obj_ids = {x: i + 1 for i, x in enumerate(obj_elems)}
-    cells = tuple(hop.elements())
-
-    def require_obj(x, what):
-        if x not in obj_ids:
-            raise TheoremViolation(f"{what} {x} is not a shared idempotent")
-        return obj_ids[x]
-
-    hdom = {a: ver_ids[hop.product(a, ah.inverse(a))] for a in cells}
-    hcod = {a: ver_ids[hop.product(ah.inverse(a), a)] for a in cells}
-    vdom = {a: hor_ids[vop.product(a, av.inverse(a))] for a in cells}
-    vcod = {a: hor_ids[vop.product(av.inverse(a), a)] for a in cells}
+    fields = _horizontal_fields(d.hop, ah, d.vop, av, obj_ids)
+    vertical = _horizontal_fields(d.vop, av, d.hop, ah, obj_ids)
+    fields.update((_TWIN[name], value) for name, value in vertical.items())
     g = DoubleInductiveGroupoid(
-        objects=tuple(range(1, len(obj_elems) + 1)),
-        ver_arrows=tuple(range(1, len(ver_elems) + 1)),
-        hor_arrows=tuple(range(1, len(hor_elems) + 1)),
-        cells=cells,
-        obj_ver={obj_ids[x]: ver_ids[x] for x in obj_elems},
-        obj_hor={obj_ids[x]: hor_ids[x] for x in obj_elems},
-        ver_cell={ver_ids[x]: x for x in ver_elems},
-        hor_cell={hor_ids[x]: x for x in hor_elems},
-        ver_src={
-            ver_ids[x]: require_obj(vop.product(x, av.inverse(x)), "vertical-arrow endpoint")
-            for x in ver_elems
-        },
-        ver_dst={
-            ver_ids[x]: require_obj(vop.product(av.inverse(x), x), "vertical-arrow endpoint")
-            for x in ver_elems
-        },
-        hor_src={
-            hor_ids[x]: require_obj(hop.product(x, ah.inverse(x)), "horizontal-arrow endpoint")
-            for x in hor_elems
-        },
-        hor_dst={
-            hor_ids[x]: require_obj(hop.product(ah.inverse(x), x), "horizontal-arrow endpoint")
-            for x in hor_elems
-        },
-        hdom=hdom,
-        hcod=hcod,
-        vdom=vdom,
-        vcod=vcod,
-        hcompose={
-            (a, b): hop.product(a, b)
-            for a in cells
-            for b in cells
-            if hcod[a] == hdom[b]
-        },
-        vcompose={
-            (a, b): vop.product(a, b)
-            for a in cells
-            for b in cells
-            if vcod[a] == vdom[b]
-        },
-        hinv={a: ah.inverse(a) for a in cells},
-        vinv={a: av.inverse(a) for a in cells},
-        leq=ah.leq,
-        lesssim=av.leq,
-        meet_h={
-            (ver_ids[e], ver_ids[f]): ver_ids[hop.product(e, f)]
-            for e in ver_elems
-            for f in ver_elems
-        },
-        meet_v={
-            (hor_ids[e], hor_ids[f]): hor_ids[vop.product(e, f)]
-            for e in hor_elems
-            for f in hor_elems
-        },
-        h_restrict={
-            (ver_ids[e], a): hop.product(e, a)
-            for e in ver_elems
-            for a in cells
-            if ah.leq_holds(e, hop.product(a, ah.inverse(a)))
-        },
-        h_corestrict={
-            (a, ver_ids[e]): hop.product(a, e)
-            for e in ver_elems
-            for a in cells
-            if ah.leq_holds(e, hop.product(ah.inverse(a), a))
-        },
-        v_restrict={
-            (hor_ids[e], a): vop.product(e, a)
-            for e in hor_elems
-            for a in cells
-            if av.leq_holds(e, vop.product(a, av.inverse(a)))
-        },
-        v_corestrict={
-            (a, hor_ids[e]): vop.product(a, e)
-            for e in hor_elems
-            for a in cells
-            if av.leq_holds(e, vop.product(av.inverse(a), a))
-        },
+        objects=tuple(range(1, len(obj_elems) + 1)), cells=tuple(d.hop.elements()), **fields
     )
-    if check:
-        rep = validate_dig(g)
-        if not rep:
-            raise TheoremViolation(
-                f"construction produced an invalid double groupoid: {rep.summary()}"
-            )
-        # every cell has all four corner objects equal
-        for a in cells:
-            corners = {
-                g.ver_src[hdom[a]],
-                g.ver_src[hcod[a]],
-                g.ver_dst[hdom[a]],
-                g.ver_dst[hcod[a]],
-            }
-            if len(corners) != 1:
-                raise TheoremViolation(f"cell {a} has unequal corners {sorted(corners)}")
+    if not g.report:
+        raise TheoremViolation(
+            f"construction produced an invalid double groupoid: {g.report.summary()}"
+        )
+    # every cell has all four corner objects equal
+    for a in g.cells:
+        corners = {
+            g.ver_src[g.hdom[a]],
+            g.ver_src[g.hcod[a]],
+            g.ver_dst[g.hdom[a]],
+            g.ver_dst[g.hcod[a]],
+        }
+        if len(corners) != 1:
+            raise TheoremViolation(f"cell {a} has unequal corners {sorted(corners)}")
     return g
 
 
-def dis_from_dig(g: DoubleInductiveGroupoid, check=True) -> DoubleSemigroup:
+def _pseudo_product_table(g: DoubleInductiveGroupoid, which: str) -> CayleyTable:
+    """The horizontal pseudo-product of g as a table; on ``transpose(g)`` it is
+    the vertical one."""
+    ev = _Eval(g)
+    rows = []
+    for a in g.cells:
+        row = []
+        for b in g.cells:
+            c = ev.hprod(a, b)
+            if c is None:
+                rep = ValidationReport()
+                rep.add("product.partial", (a, b), f"{which} pseudo-product undefined")
+                raise InvalidDigError(rep)
+            row.append(c)
+        rows.append(tuple(row))
+    return CayleyTable(tuple(rows))
+
+
+def dis_from_dig(g: DoubleInductiveGroupoid) -> DoubleSemigroup:
     """Both pseudo-products, rebuilt from composition, meets and (co)restrictions;
     the result is re-proved to be a double inverse semigroup instance by instance."""
-    if check:
-        rep = validate_dig(g)
-        if not rep:
-            raise InvalidDigError(rep)
-    ev = _Eval(g)
-    n = len(g.cells)
-    hrows = []
-    vrows = []
-    for a in g.cells:
-        hrow = []
-        vrow = []
-        for b in g.cells:
-            h = ev.hprod(a, b)
-            v = ev.vprod(a, b)
-            if h is None or v is None:
-                raise InvalidDigError(_partiality_report(a, b, h, v))
-            hrow.append(h)
-            vrow.append(v)
-        hrows.append(tuple(hrow))
-        vrows.append(tuple(vrow))
-    d = DoubleSemigroup(CayleyTable(tuple(hrows)), CayleyTable(tuple(vrows)))
-    if check:
-        cls = classify_double(d.hop, d.vop)
-        if not cls.is_double_inverse_semigroup:
-            raise TheoremViolation(
-                f"pseudo-products of a valid double groupoid must form a double "
-                f"inverse semigroup: {cls.failure_reason()}"
-            )
+    if not g.report:
+        raise InvalidDigError(g.report)
+    d = DoubleSemigroup(
+        _pseudo_product_table(g, "horizontal"),
+        _pseudo_product_table(transpose(g), "vertical"),
+    )
+    if not d.classification.is_double_inverse_semigroup:
+        raise TheoremViolation(
+            f"pseudo-products of a valid double groupoid must form a double "
+            f"inverse semigroup: {d.classification.failure_reason()}"
+        )
     return d
 
 
-def _partiality_report(a, b, h, v):
-    rep = ValidationReport()
-    which = "horizontal" if h is None else "vertical"
-    rep.add("product.partial", (a, b), f"{which} pseudo-product undefined")
-    return rep
-
-
 def skeleton(g: DoubleInductiveGroupoid) -> dict:
-    """Everything about g transported to cell ids, for structural comparison."""
-    vc, hc = g.ver_cell, g.hor_cell
-    oc = {o: g.obj_cell(o) for o in g.objects}
-    return {
-        "objects": frozenset(oc.values()),
-        "ver": frozenset(vc.values()),
-        "hor": frozenset(hc.values()),
-        "hdom": {a: vc[g.hdom[a]] for a in g.cells},
-        "hcod": {a: vc[g.hcod[a]] for a in g.cells},
-        "vdom": {a: hc[g.vdom[a]] for a in g.cells},
-        "vcod": {a: hc[g.vcod[a]] for a in g.cells},
-        "ver_src": {vc[e]: oc[g.ver_src[e]] for e in g.ver_arrows},
-        "ver_dst": {vc[e]: oc[g.ver_dst[e]] for e in g.ver_arrows},
-        "hor_src": {hc[f]: oc[g.hor_src[f]] for f in g.hor_arrows},
-        "hor_dst": {hc[f]: oc[g.hor_dst[f]] for f in g.hor_arrows},
-        "hcompose": dict(g.hcompose),
-        "vcompose": dict(g.vcompose),
-        "hinv": dict(g.hinv),
-        "vinv": dict(g.vinv),
-        "leq": g.leq,
-        "lesssim": g.lesssim,
-        "meet_h": {(vc[e], vc[f]): vc[m] for (e, f), m in g.meet_h.items()},
-        "meet_v": {(hc[e], hc[f]): hc[m] for (e, f), m in g.meet_v.items()},
-        "h_restrict": {(vc[e], a): b for (e, a), b in g.h_restrict.items()},
-        "h_corestrict": {(a, vc[e]): b for (a, e), b in g.h_corestrict.items()},
-        "v_restrict": {(hc[e], a): b for (e, a), b in g.v_restrict.items()},
-        "v_corestrict": {(a, hc[e]): b for (a, e), b in g.v_corestrict.items()},
-    }
+    """Everything about g transported to cell ids, for structural comparison:
+    objects and arrows become their identity cells, so the embeddings and the
+    cell carrier drop out."""
+    to_cell = {"o": {o: g.obj_cell(o) for o in g.objects}, "v": g.ver_cell, "h": g.hor_cell}
+
+    def move(sort, x):
+        return to_cell[sort][x] if sort in to_cell else x
+
+    out = {}
+    for name, sorts in _FIELDS.items():
+        if name in _EMBEDDINGS or name == "cells":
+            continue
+        value = getattr(g, name)
+        keys, _, val = sorts.partition(":")
+        if len(sorts) == 1:
+            out[name] = frozenset(move(sorts, x) for x in value)
+        elif not val:
+            out[name] = value
+        elif len(keys) == 1:
+            out[name] = {move(keys, k): move(val, v) for k, v in value.items()}
+        else:
+            out[name] = {
+                (move(keys[0], k[0]), move(keys[1], k[1])): move(val, v)
+                for k, v in value.items()
+            }
+    return out
 
 
 def dig_equal(g1: DoubleInductiveGroupoid, g2: DoubleInductiveGroupoid) -> bool:
     return g1.cells == g2.cells and skeleton(g1) == skeleton(g2)
 
 
-def roundtrip_double(d: DoubleSemigroup) -> Verdict:
-    """dis_from_dig(dig_from_dis(d)) must reproduce both tables entrywise."""
-    back = dis_from_dig(dig_from_dis(d))
+def roundtrip_double(d: DoubleSemigroup, back: DoubleSemigroup | None = None) -> Verdict:
+    """back = dis_from_dig(dig_from_dis(d)) must reproduce both tables entrywise;
+    a caller that already built back passes it in."""
+    if back is None:
+        back = dis_from_dig(dig_from_dis(d))
     if back.hop.rows == d.hop.rows and back.vop.rows == d.vop.rows:
         return Verdict(True)
     for a in d.hop.elements():
@@ -885,9 +747,13 @@ def roundtrip_double(d: DoubleSemigroup) -> Verdict:
     return Verdict(False, ())
 
 
-def roundtrip_dig(g: DoubleInductiveGroupoid) -> Verdict:
-    """dig_from_dis(dis_from_dig(g)) must reproduce g up to the cell skeleton."""
-    back = dig_from_dis(dis_from_dig(g))
+def roundtrip_dig(
+    g: DoubleInductiveGroupoid, back: DoubleInductiveGroupoid | None = None
+) -> Verdict:
+    """back = dig_from_dis(dis_from_dig(g)) must reproduce g up to the cell
+    skeleton; a caller that already built back passes it in."""
+    if back is None:
+        back = dig_from_dis(dis_from_dig(g))
     if dig_equal(back, g):
         return Verdict(True)
     s1, s2 = skeleton(g), skeleton(back)
@@ -902,9 +768,8 @@ def verify_interchange_identities(g: DoubleInductiveGroupoid) -> ValidationRepor
     the law itself on every cell quadruple, the two composite-splitting
     identities, and the four meet-transport identities, each checked wherever
     its expressions are defined."""
-    rep = validate_dig(g)
-    if not rep.ok:
-        return rep
+    if not g.report:
+        return g.report
     rep = ValidationReport()
     ev = _Eval(g)
     cells = g.cells
@@ -989,73 +854,45 @@ def verify_interchange_identities(g: DoubleInductiveGroupoid) -> ValidationRepor
 
 
 def dig_to_json(g: DoubleInductiveGroupoid) -> dict:
-    return {
-        "schema_version": 1,
-        "kind": "double-inductive-groupoid",
-        "objects": len(g.objects),
-        "ver_arrows": len(g.ver_arrows),
-        "hor_arrows": len(g.hor_arrows),
-        "cells": len(g.cells),
-        "obj_ver": [g.obj_ver[o] for o in g.objects],
-        "obj_hor": [g.obj_hor[o] for o in g.objects],
-        "ver_cell": [g.ver_cell[e] for e in g.ver_arrows],
-        "hor_cell": [g.hor_cell[f] for f in g.hor_arrows],
-        "ver_src": [g.ver_src[e] for e in g.ver_arrows],
-        "ver_dst": [g.ver_dst[e] for e in g.ver_arrows],
-        "hor_src": [g.hor_src[f] for f in g.hor_arrows],
-        "hor_dst": [g.hor_dst[f] for f in g.hor_arrows],
-        "hdom": [g.hdom[a] for a in g.cells],
-        "hcod": [g.hcod[a] for a in g.cells],
-        "vdom": [g.vdom[a] for a in g.cells],
-        "vcod": [g.vcod[a] for a in g.cells],
-        "hcompose": sorted([a, b, c] for (a, b), c in g.hcompose.items()),
-        "vcompose": sorted([a, b, c] for (a, b), c in g.vcompose.items()),
-        "hinv": [g.hinv[a] for a in g.cells],
-        "vinv": [g.vinv[a] for a in g.cells],
-        "leq": sorted([a, b] for (a, b) in g.leq),
-        "lesssim": sorted([a, b] for (a, b) in g.lesssim),
-        "meet_h": sorted([e, f, m] for (e, f), m in g.meet_h.items()),
-        "meet_v": sorted([e, f, m] for (e, f), m in g.meet_v.items()),
-        "h_restrict": sorted([e, a, b] for (e, a), b in g.h_restrict.items()),
-        "h_corestrict": sorted([a, e, b] for (a, e), b in g.h_corestrict.items()),
-        "v_restrict": sorted([e, a, b] for (e, a), b in g.v_restrict.items()),
-        "v_corestrict": sorted([a, e, b] for (a, e), b in g.v_corestrict.items()),
-    }
+    doc = {"schema_version": 1, "kind": "double-inductive-groupoid"}
+    for name, sorts in _FIELDS.items():
+        value = getattr(g, name)
+        keys, _, val = sorts.partition(":")
+        if len(sorts) == 1:
+            doc[name] = len(value)
+        elif not val:
+            doc[name] = sorted(list(k) for k in value)
+        elif len(keys) == 1:
+            doc[name] = [value[i] for i in getattr(g, _CARRIER[keys])]
+        else:
+            doc[name] = sorted([*k, v] for k, v in value.items())
+    return doc
 
 
 def dig_from_json(doc: dict) -> DoubleInductiveGroupoid:
-    objects = tuple(range(1, int(doc["objects"]) + 1))
-    ver = tuple(range(1, int(doc["ver_arrows"]) + 1))
-    hor = tuple(range(1, int(doc["hor_arrows"]) + 1))
-    cells = tuple(range(1, int(doc["cells"]) + 1))
-    pos = lambda seq, ids: {i: seq[i - 1] for i in ids}
-    return DoubleInductiveGroupoid(
-        objects=objects,
-        ver_arrows=ver,
-        hor_arrows=hor,
-        cells=cells,
-        obj_ver=pos(doc["obj_ver"], objects),
-        obj_hor=pos(doc["obj_hor"], objects),
-        ver_cell=pos(doc["ver_cell"], ver),
-        hor_cell=pos(doc["hor_cell"], hor),
-        ver_src=pos(doc["ver_src"], ver),
-        ver_dst=pos(doc["ver_dst"], ver),
-        hor_src=pos(doc["hor_src"], hor),
-        hor_dst=pos(doc["hor_dst"], hor),
-        hdom=pos(doc["hdom"], cells),
-        hcod=pos(doc["hcod"], cells),
-        vdom=pos(doc["vdom"], cells),
-        vcod=pos(doc["vcod"], cells),
-        hcompose={(a, b): c for a, b, c in doc["hcompose"]},
-        vcompose={(a, b): c for a, b, c in doc["vcompose"]},
-        hinv=pos(doc["hinv"], cells),
-        vinv=pos(doc["vinv"], cells),
-        leq=frozenset((a, b) for a, b in doc["leq"]),
-        lesssim=frozenset((a, b) for a, b in doc["lesssim"]),
-        meet_h={(e, f): m for e, f, m in doc["meet_h"]},
-        meet_v={(e, f): m for e, f, m in doc["meet_v"]},
-        h_restrict={(e, a): b for e, a, b in doc["h_restrict"]},
-        h_corestrict={(a, e): b for a, e, b in doc["h_corestrict"]},
-        v_restrict={(e, a): b for e, a, b in doc["v_restrict"]},
-        v_corestrict={(a, e): b for a, e, b in doc["v_corestrict"]},
-    )
+    """The inverse of ``dig_to_json``. Every declared carrier size must match
+    the per-id lists indexed by that carrier, which is checked before anything
+    is allocated; the structure itself is left to ``validate_dig``."""
+    sizes = {sort: int(doc[carrier]) for sort, carrier in _CARRIER.items()}
+    for name, sorts in _FIELDS.items():
+        keys, _, val = sorts.partition(":")
+        if val and len(keys) == 1:
+            seq = doc[name]
+            if not isinstance(seq, list) or len(seq) != sizes[keys]:
+                raise ParseError(
+                    f"{name} must list one entry per id of {_CARRIER[keys]} "
+                    f"({sizes[keys]} declared)"
+                )
+    ids = {sort: tuple(range(1, n + 1)) for sort, n in sizes.items()}
+    values = {}
+    for name, sorts in _FIELDS.items():
+        keys, _, val = sorts.partition(":")
+        if len(sorts) == 1:
+            values[name] = ids[sorts]
+        elif not val:
+            values[name] = frozenset((a, b) for a, b in doc[name])
+        elif len(keys) == 1:
+            values[name] = dict(zip(ids[keys], doc[name]))
+        else:
+            values[name] = {(a, b): c for a, b, c in doc[name]}
+    return DoubleInductiveGroupoid(**values)

@@ -4,16 +4,17 @@ Objects are identified with their identity arrows: an object *is* the id of its
 identity arrow, so roundtrips can demand literal equality instead of hunting for
 isomorphisms. Arrows are always 1..m. Partial tables (compose, restriction,
 corestriction) store exactly their defined cells; reading an undefined cell is a
-KeyError, never a sentinel.
+KeyError, never a sentinel. A groupoid keeps its own validation report, so a
+groupoid one construction has checked is not checked again by the next.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidGroupoidError, TheoremViolation
+from .errors import InvalidGroupoidError, ParseError, TheoremViolation
 from .inverse import InverseSemigroupAnalysis, analyze_inverse
-from .report import ValidationReport, Verdict
+from .report import ValidationReport, Verdict, computed_once
 from .tables import CayleyTable
 
 
@@ -33,6 +34,11 @@ class InductiveGroupoid:
 
     def leq_holds(self, x, y):
         return (x, y) in self.leq
+
+    @computed_once
+    def report(self) -> ValidationReport:
+        """``validate_ig`` of this value, computed once; treat it as read-only."""
+        return validate_ig(self)
 
 
 def validate_ig(g: InductiveGroupoid) -> ValidationReport:
@@ -175,7 +181,7 @@ def validate_ig(g: InductiveGroupoid) -> ValidationReport:
     return rep
 
 
-def ig_from_is(analysis: InverseSemigroupAnalysis, check=True) -> InductiveGroupoid:
+def ig_from_is(analysis: InverseSemigroupAnalysis) -> InductiveGroupoid:
     """Objects are the idempotents, arrows the elements; dom a = a·a', cod a = a'·a,
     composition is the product where boundaries match, restriction is left and
     corestriction right multiplication."""
@@ -211,20 +217,16 @@ def ig_from_is(analysis: InverseSemigroupAnalysis, check=True) -> InductiveGroup
             if (e, cod[a]) in leq
         },
     )
-    if check:
-        rep = validate_ig(g)
-        if not rep:
-            raise TheoremViolation(f"construction produced an invalid groupoid: {rep.summary()}")
+    if not g.report:
+        raise TheoremViolation(f"construction produced an invalid groupoid: {g.report.summary()}")
     return g
 
 
-def is_from_ig(g: InductiveGroupoid, check=True) -> CayleyTable:
+def is_from_ig(g: InductiveGroupoid) -> CayleyTable:
     """The pseudo-product a·b = (a corestricted to m) composed with (m restricted
     into b), m the meet of cod(a) and dom(b). Total because object meets are."""
-    if check:
-        rep = validate_ig(g)
-        if not rep:
-            raise InvalidGroupoidError(rep)
+    if not g.report:
+        raise InvalidGroupoidError(g.report)
     m = len(g.arrows)
     rows = []
     for a in g.arrows:
@@ -237,14 +239,16 @@ def is_from_ig(g: InductiveGroupoid, check=True) -> CayleyTable:
         rows.append(tuple(row))
     table = CayleyTable(tuple(rows))
     assert all(1 <= v <= m for row in table.rows for v in row)
-    if check:
-        analyze_inverse(table)  # must be an inverse semigroup; raises otherwise
+    analyze_inverse(table)  # must be an inverse semigroup; raises otherwise
     return table
 
 
-def semigroup_roundtrip(t: CayleyTable) -> Verdict:
-    """is_from_ig(ig_from_is(t)) must reproduce t entrywise."""
-    back = is_from_ig(ig_from_is(analyze_inverse(t)))
+def semigroup_roundtrip(t: CayleyTable, g: InductiveGroupoid | None = None) -> Verdict:
+    """is_from_ig(g) must reproduce t entrywise, g = ig_from_is of t's analysis;
+    a caller that already built g passes it in."""
+    if g is None:
+        g = ig_from_is(analyze_inverse(t))
+    back = is_from_ig(g)
     if back.rows == t.rows:
         return Verdict(True)
     diff = min(
@@ -256,9 +260,12 @@ def semigroup_roundtrip(t: CayleyTable) -> Verdict:
     return Verdict(False, diff)
 
 
-def groupoid_roundtrip(g: InductiveGroupoid) -> Verdict:
-    """ig_from_is(is_from_ig(g)) must reproduce g on the nose (same ids)."""
-    back = ig_from_is(analyze_inverse(is_from_ig(g)))
+def groupoid_roundtrip(g: InductiveGroupoid, t: CayleyTable | None = None) -> Verdict:
+    """ig_from_is(t) must reproduce g on the nose (same ids), t = is_from_ig(g);
+    a caller that already built t passes it in."""
+    if t is None:
+        t = is_from_ig(g)
+    back = ig_from_is(analyze_inverse(t))
     if back == g:
         return Verdict(True)
     for name in ("objects", "arrows", "dom", "cod", "compose", "inv", "leq",
@@ -287,7 +294,12 @@ def groupoid_to_json(g: InductiveGroupoid) -> dict:
 
 
 def groupoid_from_json(doc: dict) -> InductiveGroupoid:
+    """The inverse of ``groupoid_to_json``; the declared arrow count must match
+    the per-arrow lists, which is checked before anything is allocated."""
     m = int(doc["arrows"])
+    for name in ("dom", "cod", "inverse"):
+        if not isinstance(doc[name], list) or len(doc[name]) != m:
+            raise ParseError(f"{name} must list one entry per arrow ({m} declared)")
     arrows = tuple(range(1, m + 1))
     return InductiveGroupoid(
         objects=tuple(doc["objects"]),

@@ -99,7 +99,7 @@ def golden_suite(jobs=1):
 
     def projections():
         proj = load_pair("projection_pair.cay")
-        cls = dbl.classify_double(proj.hop, proj.vop)
+        cls = proj.classification
         check("projections.double-semigroup", cls.is_double_semigroup)
         check("projections.proper", dbl.is_proper(proj))
         check("projections.not-double-inverse", not cls.is_double_inverse_semigroup)
@@ -110,7 +110,11 @@ def golden_suite(jobs=1):
         check("z2.improper", not dbl.is_proper(z2))
         gz = dbl.dig_from_dis(z2)
         check("z2.dig-shape", len(gz.objects) == 1 and len(gz.cells) == 2)
-        check("z2.roundtrip", dbl.roundtrip_double(z2) and dbl.roundtrip_dig(gz))
+        back = dbl.dis_from_dig(gz)
+        check(
+            "z2.roundtrip",
+            dbl.roundtrip_double(z2, back) and dbl.roundtrip_dig(gz, dbl.dig_from_dis(back)),
+        )
         pz, _ = presheaf.decompose(z2)
         check(
             "z2.presheaf",
@@ -125,7 +129,7 @@ def golden_suite(jobs=1):
     def clifford3():
         c3 = load_pair("clifford3_pair.cay")
         gc = dbl.dig_from_dis(c3)
-        check("clifford3.dig-valid", dbl.validate_dig(gc))
+        check("clifford3.dig-valid", gc.report)
         check("clifford3.orders-coincide", presheaf.orders_coincide_on_objects(gc))
         comps = presheaf.component_groups(gc)
         check(

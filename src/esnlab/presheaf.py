@@ -15,21 +15,20 @@ from dataclasses import dataclass
 from .double import (
     DoubleInductiveGroupoid,
     DoubleSemigroup,
-    classify_double,
     dig_from_dis,
     dis_from_dig,
-    validate_dig,
 )
 from .errors import (
     ComponentNotClosedError,
     ComponentNotGroupError,
     InvalidPresheafError,
     NotDoubleInverseError,
+    ParseError,
     TheoremViolation,
 )
-from .inverse import analyze_inverse, is_clifford
-from .report import ValidationReport, Verdict
-from .tables import CayleyTable, is_commutative
+from .inverse import is_clifford
+from .report import ValidationReport, Verdict, computed_once
+from .tables import is_commutative
 
 
 @dataclass(frozen=True)
@@ -57,14 +56,10 @@ class AbelianGroupPresheaf:
     group_at: dict  # base element -> FiniteAbelianGroup
     hom: dict  # (a, b) with a <= b -> {element of group_at[b]: element of group_at[a]}
 
-
-@dataclass(frozen=True)
-class PresheafMorphism:
-    """A base map plus one group homomorphism per base element, natural in the
-    restriction maps."""
-
-    base_map: dict  # source base element -> target base element
-    components: dict  # source base element -> {source group elt: target group elt}
+    @computed_once
+    def report(self) -> ValidationReport:
+        """``validate_presheaf`` of this value, computed once; treat it as read-only."""
+        return validate_presheaf(self)
 
 
 def validate_semilattice(s: MeetSemilattice) -> ValidationReport:
@@ -174,57 +169,15 @@ def validate_presheaf(p: AbelianGroupPresheaf) -> ValidationReport:
     return rep
 
 
-def validate_presheaf_morphism(
-    m: PresheafMorphism, src: AbelianGroupPresheaf, dst: AbelianGroupPresheaf
-) -> ValidationReport:
-    """The base map must preserve order and meet, every component must be a
-    group homomorphism, and each square against the restriction maps commutes."""
-    rep = ValidationReport()
-    f = m.base_map
-    tgt_elems = set(dst.base.elements)
-    for a in src.base.elements:
-        if f.get(a) not in tgt_elems:
-            rep.add("morphism.base-total", (a,))
-            return rep
-    for a, b in src.base.leq:
-        if (f[a], f[b]) not in dst.base.leq:
-            rep.add("morphism.order", (a, b))
-    for a in src.base.elements:
-        for b in src.base.elements:
-            if f[src.base.meet[(a, b)]] != dst.base.meet[(f[a], f[b])]:
-                rep.add("morphism.meet", (a, b))
-    for a in src.base.elements:
-        psi = m.components.get(a)
-        ga = src.group_at[a]
-        gfa = dst.group_at[f[a]]
-        if psi is None or set(psi) != set(ga.carrier) or not set(psi.values()) <= set(gfa.carrier):
-            rep.add("morphism.component-shape", (a,))
-            continue
-        for x in ga.carrier:
-            for y in ga.carrier:
-                if psi[ga.op[(x, y)]] != gfa.op[(psi[x], psi[y])]:
-                    rep.add("morphism.component-hom", (a, x, y))
-    if not rep.ok:
-        return rep
-    for a, b in src.base.leq:
-        phi = src.hom[(a, b)]
-        phi_t = dst.hom[(f[a], f[b])]
-        for x in src.group_at[b].carrier:
-            rep.bump("morphism.natural", True)
-            if m.components[a][phi[x]] != phi_t[m.components[b][x]]:
-                rep.add("morphism.natural", (a, b, x))
-    return rep
-
-
 def shared_idempotents_coincide(d: DoubleSemigroup) -> Verdict:
     """On the shared idempotents the two products agree; a failure would refute
     a theorem, so it aborts rather than reporting."""
-    cls = classify_double(d.hop, d.vop)
+    cls = d.classification
     if not cls.is_double_inverse_semigroup:
         raise NotDoubleInverseError(cls.failure_reason())
-    ah = analyze_inverse(d.hop)
-    av = analyze_inverse(d.vop)
-    shared = sorted(set(ah.idempotent_set) & set(av.idempotent_set))
+    shared = sorted(
+        set(cls.hop_analysis.idempotent_set) & set(cls.vop_analysis.idempotent_set)
+    )
     for a in shared:
         for b in shared:
             if d.hop.product(a, b) != d.vop.product(a, b):
@@ -372,22 +325,19 @@ def presheaf_from_dig(g: DoubleInductiveGroupoid) -> AbelianGroupPresheaf:
             phi[x] = y
         hom[(e, a)] = phi
     p = AbelianGroupPresheaf(base, groups, hom)
-    rep = validate_presheaf(p)
-    if not rep:
-        raise TheoremViolation(f"decomposition is not a presheaf: {rep.summary()}")
+    if not p.report:
+        raise TheoremViolation(f"decomposition is not a presheaf: {p.report.summary()}")
     return p
 
 
-def dig_from_presheaf(p: AbelianGroupPresheaf, check=True) -> DoubleInductiveGroupoid:
+def dig_from_presheaf(p: AbelianGroupPresheaf) -> DoubleInductiveGroupoid:
     """One object, one vertical and one horizontal arrow per base element; the
     cells over an element are its group, both compositions the group product,
     restriction along u <= A the homomorphism. Cell ids reuse the group carriers
     when those already partition 1..m, so decomposing and recomposing a double
     inverse semigroup is the identity on element ids."""
-    if check:
-        rep = validate_presheaf(p)
-        if not rep:
-            raise InvalidPresheafError(rep)
+    if not p.report:
+        raise InvalidPresheafError(p.report)
     elems = p.base.elements
     ids = {x: i + 1 for i, x in enumerate(elems)}
     k = len(elems)
@@ -455,10 +405,10 @@ def dig_from_presheaf(p: AbelianGroupPresheaf, check=True) -> DoubleInductiveGro
         v_restrict=dict(restrict),
         v_corestrict={(a, e): v for (e, a), v in restrict.items()},
     )
-    if check:
-        rep = validate_dig(g)
-        if not rep:
-            raise TheoremViolation(f"presheaf produced an invalid double groupoid: {rep.summary()}")
+    if not g.report:
+        raise TheoremViolation(
+            f"presheaf produced an invalid double groupoid: {g.report.summary()}"
+        )
     return g
 
 
@@ -523,18 +473,16 @@ class MainTheoremReport:
         return out
 
 
-def main_theorem_report(hop: CayleyTable, vop: CayleyTable) -> MainTheoremReport:
+def main_theorem_report(d: DoubleSemigroup) -> MainTheoremReport:
     """If the pair is a double inverse semigroup, it must be improper,
     commutative in both operations, and its single operation Clifford."""
-    cls = classify_double(hop, vop)
+    cls = d.classification
     if not cls.is_double_inverse_semigroup:
         return MainTheoremReport(cls, None, None, None, None)
-    improper = hop.rows == vop.rows
-    hc = bool(is_commutative(hop))
-    vc = bool(is_commutative(vop))
-    cliff = bool(is_clifford(analyze_inverse(hop))) and bool(
-        is_clifford(analyze_inverse(vop))
-    )
+    improper = d.hop.rows == d.vop.rows
+    hc = bool(is_commutative(d.hop))
+    vc = bool(is_commutative(d.vop))
+    cliff = bool(is_clifford(cls.hop_analysis)) and bool(is_clifford(cls.vop_analysis))
     if not (improper and hc and vc and cliff):
         raise TheoremViolation(
             f"double inverse semigroup that is not improper+commutative+Clifford "
@@ -545,7 +493,7 @@ def main_theorem_report(hop: CayleyTable, vop: CayleyTable) -> MainTheoremReport
 
 def decompose(d: DoubleSemigroup):
     """Double inverse semigroup -> (presheaf, main-theorem report)."""
-    report = main_theorem_report(d.hop, d.vop)
+    report = main_theorem_report(d)
     if not report.is_double_inverse:
         raise NotDoubleInverseError(report.classification.failure_reason())
     shared_idempotents_coincide(d)
@@ -607,6 +555,11 @@ def presheaf_from_json(doc: dict) -> AbelianGroupPresheaf:
     groups = {}
     for entry in doc["groups"]:
         order = int(entry["order"])
+        if len(entry["op"]) != order:
+            raise ParseError(
+                f"group at {entry['at']}: order {order} does not match "
+                f"the {len(entry['op'])} rows of op"
+            )
         carrier = tuple(entry.get("carrier", range(1, order + 1)))
         if len(carrier) != order:
             raise InvalidPresheafError(_shape_report("group carrier/order mismatch"))

@@ -25,6 +25,34 @@ class Verdict:
 PASS = Verdict(True)
 
 
+class computed_once:
+    """A property of a frozen dataclass computed on first use and then kept on
+    the instance, so that a checked value carries its own verdict.
+
+    Unlike ``functools.cached_property`` it never reads the instance
+    ``__dict__``: on CPython 3.11 that read takes every later attribute read of
+    the instance off its fast path, and the validators read their input's
+    fields in their innermost loops.
+    """
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __set_name__(self, owner, name):
+        self.slot = f"_{name}"
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        try:
+            return getattr(obj, self.slot)
+        except AttributeError:
+            value = self.compute(obj)
+            object.__setattr__(obj, self.slot, value)
+            return value
+
+
 @dataclass(frozen=True)
 class Violation:
     axiom: str
@@ -58,9 +86,10 @@ class ValidationReport:
     def add(self, axiom, witness, message=""):
         self.violations.append(Violation(axiom, tuple(witness), message))
 
-    def bump(self, axiom, substantive):
-        counts = self.substantive if substantive else self.vacuous
-        counts[axiom] = counts.get(axiom, 0) + 1
+    def bump(self, axiom, substantive, count=1):
+        if count:
+            counts = self.substantive if substantive else self.vacuous
+            counts[axiom] = counts.get(axiom, 0) + count
 
     def substantive_by_family(self):
         """Substantive totals keyed by the axiom tag up to the first dot."""

@@ -113,10 +113,6 @@ def format_double(hop: CayleyTable, vop: CayleyTable) -> str:
     return format_table(hop) + "\n" + format_table(vop)
 
 
-def product(t: CayleyTable, a: int, b: int) -> int:
-    return t.rows[a - 1][b - 1]
-
-
 def is_associative(t: CayleyTable) -> Verdict:
     """O(n^3) scan; witness is the lexicographically least violating (a,b,c)."""
     rows = t.rows
@@ -129,44 +125,6 @@ def is_associative(t: CayleyTable) -> Verdict:
             for c in range(n):
                 if rows[ab - 1][c] != ra[rb[c] - 1]:
                     return Verdict(False, (a + 1, b + 1, c + 1))
-    return Verdict(True)
-
-
-def generating_set(t: CayleyTable) -> tuple[int, ...]:
-    """A small generating set, found greedily by closure."""
-    gens = []
-    closed = set()
-    for x in t.elements():
-        if x in closed:
-            continue
-        gens.append(x)
-        closed.add(x)
-        frontier = {x}
-        while frontier:
-            fresh = set()
-            for a in list(closed):
-                for b in frontier:
-                    for p in (t.product(a, b), t.product(b, a)):
-                        if p not in closed:
-                            fresh.add(p)
-            closed |= fresh
-            frontier = fresh
-    return tuple(gens)
-
-
-def light_associativity(t: CayleyTable) -> Verdict:
-    """Associativity checked only for middle elements in a generating set; same
-    verdict as the direct scan (falls back to it so the witness is the least one)."""
-    rows = t.rows
-    n = t.n
-    for g in generating_set(t):
-        rg = rows[g - 1]
-        for a in range(n):
-            ag = rows[a][g - 1]
-            ra = rows[a]
-            for b in range(n):
-                if rows[ag - 1][b] != ra[rg[b] - 1]:
-                    return is_associative(t)
     return Verdict(True)
 
 

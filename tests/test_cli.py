@@ -296,3 +296,94 @@ def test_structurally_wrong_json_exit_2(tmp_path):
 
 def test_unknown_command_exit_2():
     assert run("frobnicate")[0] == 2
+
+
+def test_theorem_violation_exit_3(monkeypatch, capsys):
+    # a construction self-check that fails is a bug, not malformed input
+    from esnlab import presheaf
+    from esnlab.report import Verdict
+
+    monkeypatch.setattr(
+        presheaf, "orders_coincide_on_objects", lambda g: Verdict(False, ("order", 1, 2))
+    )
+    code, out = run("decompose", fx("clifford3_pair.cay"), "--format", "json")
+    assert code == 3
+    assert out == ""
+    assert "orders/meets differ on objects" in capsys.readouterr().err
+
+
+def test_declared_sizes_bounded_by_payload(tmp_path, capsys):
+    # each loader compares a declared size with its payload before allocating
+    dig = json.loads(run("double", "to-dig", fx("clifford3_pair.cay"), "--format", "json")[1])
+    doc = dig["artifact"]
+    doc["cells"] = 10**6
+    path = tmp_path / "big.dig.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("double", "validate-axioms", str(path))[0] == 2
+    assert "hdom" in capsys.readouterr().err
+
+    doc = json.loads((fixture_dir() / "partial_bijections_2.json").read_text())
+    doc["arrows"] = 10**6
+    path = tmp_path / "big.groupoid.json"
+    path.write_text(json.dumps(doc))
+    assert run("esn", "to-semigroup", str(path))[0] == 2
+    assert "dom" in capsys.readouterr().err
+
+    doc = json.loads((fixture_dir() / "clifford3_presheaf.json").read_text())
+    group = doc["groups"][0]
+    group.pop("carrier", None)
+    group["order"] = 10**6
+    path = tmp_path / "big.presheaf.json"
+    path.write_text(json.dumps(doc))
+    assert run("compose", str(path))[0] == 2
+    assert "order" in capsys.readouterr().err
+
+
+def _count_checks(monkeypatch):
+    """Wrap every checker in each esnlab module that binds it; monkeypatch
+    restores the originals."""
+    import sys
+
+    from esnlab import double, esn, inverse, presheaf
+
+    counts = {}
+    for home, name in ((double, "validate_dig"), (double, "classify_double"),
+                       (inverse, "analyze_inverse"), (esn, "validate_ig"),
+                       (presheaf, "validate_presheaf")):
+        original = getattr(home, name)
+        counts[name] = 0
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in [m for key, m in sys.modules.items() if key.startswith("esnlab")]:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return counts
+
+
+def test_each_command_checks_each_value_once(tmp_path, monkeypatch):
+    from esnlab.fixtures import load_pair
+    from esnlab.tables import format_table
+
+    counts = _count_checks(monkeypatch)
+
+    def counted_run(*argv):
+        for key in counts:
+            counts[key] = 0
+        assert run(*argv)[0] == 0
+        return dict(counts)
+
+    got = counted_run("decompose", fx("clifford3_pair.cay"))
+    assert got["classify_double"] <= 1 and got["analyze_inverse"] <= 2
+    got = counted_run("double", "roundtrip", fx("clifford3_pair.cay"))
+    assert got["validate_dig"] <= 2 and got["classify_double"] <= 2
+    got = counted_run("compose", fx("clifford3_presheaf.json"))
+    assert got["validate_dig"] == 1 and got["validate_presheaf"] == 1
+    single = tmp_path / "clifford3.cay"
+    single.write_text(format_table(load_pair("clifford3_pair.cay").hop))
+    got = counted_run("esn", "to-groupoid", str(single), "--roundtrip")
+    assert got["validate_ig"] == 1

@@ -8,7 +8,6 @@ from esnlab.double import (
     DoubleSemigroup,
     check_interchange,
     classify_double,
-    commutativity_report,
     dig_equal,
     dig_from_dis,
     dig_from_json,
@@ -75,18 +74,6 @@ def test_proper(b2):
     assert not is_proper(DoubleSemigroup(z2, z2))
 
 
-def test_commutativity_report(clifford3):
-    z2 = cyclic_group(2)
-    assert commutativity_report(DoubleSemigroup(z2, z2)) == {
-        "hop_commutative": True,
-        "vop_commutative": True,
-    }
-    with pytest.raises(NotDoubleInverseError):
-        commutativity_report(
-            DoubleSemigroup(left_projection(2), right_projection(2))
-        )
-
-
 def test_dig_shapes(clifford3):
     z2 = cyclic_group(2)
     g = dig_from_dis(DoubleSemigroup(z2, z2))
@@ -138,6 +125,31 @@ def test_validate_dig_flags_corrupt_meet():
     families = {v.axiom.split(".", 1)[0] for v in rep.violations}
     assert families & {"vii", "viii"}
     assert ("vii", (1, 3, 2, 2)) in {(v.axiom, v.witness) for v in rep.violations}
+
+
+def test_vi_transposes_are_their_own_identities(clifford3):
+    # vi.b/vi.d are the transposes of vi.a/vi.c, so a one-sided corruption
+    # shows different witnesses under the two tags
+    g = dig_from_dis(DoubleSemigroup(clifford3, clifford3))
+
+    def witnesses(rep, tag):
+        return [v.witness for v in rep.violations if v.axiom == tag]
+
+    rep = validate_dig(_mutate(g, v_corestrict={**g.v_corestrict, (1, 1): 2}))
+    assert witnesses(rep, "vi.a") == [(3, 2, 1)]
+    assert witnesses(rep, "vi.b") == [(3, 1, 2)]
+    rep = validate_dig(_mutate(g, v_restrict={**g.v_restrict, (1, 1): 2}))
+    assert witnesses(rep, "vi.c") == [(3, 2, 1)]
+    assert witnesses(rep, "vi.d") == [(3, 1, 2)]
+
+
+def test_transpose_is_a_valid_involution(clifford3):
+    from esnlab.double import transpose
+
+    for t in (cyclic_group(2), clifford3, chain_semilattice(3)):
+        g = dig_from_dis(DoubleSemigroup(t, t))
+        assert transpose(transpose(g)) == g
+        assert validate_dig(transpose(g), strict_ix=True).ok
 
 
 def test_validate_dig_flags_corrupt_composition(clifford3):

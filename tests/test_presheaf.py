@@ -214,52 +214,12 @@ def test_decompose_rejects_projections():
 
 
 def test_main_theorem_report(clifford3):
-    rep = main_theorem_report(cyclic_group(2), cyclic_group(2))
+    rep = main_theorem_report(DoubleSemigroup(cyclic_group(2), cyclic_group(2)))
     assert rep.is_double_inverse and rep.improper and rep.clifford
-    rep = main_theorem_report(left_projection(2), right_projection(2))
+    rep = main_theorem_report(DoubleSemigroup(left_projection(2), right_projection(2)))
     assert not rep.is_double_inverse
     doc = rep.as_json()
     assert doc["double_inverse"] is False
-
-
-def test_presheaf_morphisms():
-    from esnlab.presheaf import PresheafMorphism, validate_presheaf_morphism
-
-    c3 = load_presheaf("clifford3_presheaf.json")
-    identity = PresheafMorphism(
-        base_map={1: 1, 2: 2},
-        components={1: {1: 1}, 2: {1: 1, 2: 2}},
-    )
-    assert validate_presheaf_morphism(identity, c3, c3).ok
-
-    point = load_presheaf("point_z2_presheaf.json")
-    include_top = PresheafMorphism(base_map={1: 2}, components={1: {1: 1, 2: 2}})
-    assert validate_presheaf_morphism(include_top, point, c3).ok
-
-    # constant two-chain of two-element groups with the identity restriction
-    base = _chain2()
-    ident_hom = {1: 1, 2: 2}
-    constant = AbelianGroupPresheaf(
-        base,
-        {1: Z2, 2: Z2},
-        {(1, 1): ident_hom, (2, 2): ident_hom, (1, 2): ident_hom},
-    )
-    assert validate_presheaf(constant).ok
-    collapse_bottom = PresheafMorphism(
-        base_map={1: 1, 2: 2},
-        components={1: {1: 1, 2: 1}, 2: ident_hom},
-    )
-    rep = validate_presheaf_morphism(collapse_bottom, constant, constant)
-    assert any(v.axiom == "morphism.natural" for v in rep.violations)
-    not_a_hom = PresheafMorphism(
-        base_map={1: 1, 2: 2},
-        components={1: ident_hom, 2: {1: 2, 2: 1}},
-    )
-    rep = validate_presheaf_morphism(not_a_hom, constant, constant)
-    assert any(v.axiom == "morphism.component-hom" for v in rep.violations)
-    backwards = PresheafMorphism(base_map={1: 2, 2: 1}, components={1: {1: 1}, 2: ident_hom})
-    rep = validate_presheaf_morphism(backwards, c3, c3)
-    assert not rep.ok
 
 
 def test_presheaf_json_io():

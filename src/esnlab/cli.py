@@ -101,38 +101,39 @@ def cmd_check(args, doc):
         )
         if on
     ] or ["semigroup"]
-    analysis = None
+    analysis = failure = None
     if wants_pair:
         d = _load_pair(args, doc)
     else:
         t = _load_single(args, doc)
+        if args.inverse or args.clifford:
+            try:
+                analysis = inverse.analyze_inverse(t)
+            except EsnlabError as exc:
+                failure = exc
     for kind in selected:
         if kind == "semigroup":
             verdict = tables.is_associative(t)
             _check_entry(doc, "associative", verdict, verdict.witness)
-        elif kind in ("inverse", "clifford"):
-            try:
-                analysis = inverse.analyze_inverse(t)
-            except EsnlabError as exc:
-                _check_entry(doc, kind, False, getattr(exc, "witness", None), str(exc))
-                continue
-            if kind == "inverse":
-                rep = inverse.characterize_inverse(t)
-                _check_entry(
-                    doc,
-                    "inverse",
-                    True,
-                    info={
-                        "idempotents": list(analysis.idempotent_set),
-                        "inverse_map": list(analysis.inverse_map),
-                        "regular": rep.is_regular,
-                        "idempotents_commute": rep.idempotents_commute,
-                        "equivalence_holds": rep.equivalence_holds,
-                    },
-                )
-            else:
-                verdict = inverse.is_clifford(analysis)
-                _check_entry(doc, "clifford", verdict, verdict.witness)
+        elif failure is not None:  # an inverse or clifford check of a non-inverse table
+            _check_entry(doc, kind, False, getattr(failure, "witness", None), str(failure))
+        elif kind == "inverse":
+            rep = inverse.characterize_inverse(t, analysis)
+            _check_entry(
+                doc,
+                "inverse",
+                True,
+                info={
+                    "idempotents": list(analysis.idempotent_set),
+                    "inverse_map": list(analysis.inverse_map),
+                    "regular": rep.is_regular,
+                    "idempotents_commute": rep.idempotents_commute,
+                    "equivalence_holds": rep.equivalence_holds,
+                },
+            )
+        elif kind == "clifford":
+            verdict = inverse.is_clifford(analysis)
+            _check_entry(doc, "clifford", verdict, verdict.witness)
         elif kind == "double":
             cls = d.classification
             _check_entry(
@@ -170,10 +171,10 @@ def cmd_esn(args, doc):
             _check_entry(doc, "roundtrip", verdict, verdict.witness)
     else:
         g = esn.groupoid_from_json(_load_json(args.path, doc))
-        t = esn.is_from_ig(g)  # InvalidGroupoidError (exit 2) if g is invalid
-        doc["artifact"] = {"kind": "cayley-table", "cay": tables.format_table(t)}
+        analysis = esn.is_from_ig(g)  # InvalidGroupoidError (exit 2) if g is invalid
+        doc["artifact"] = {"kind": "cayley-table", "cay": tables.format_table(analysis.table)}
         if args.roundtrip:
-            verdict = esn.groupoid_roundtrip(g, t)
+            verdict = esn.groupoid_roundtrip(g, analysis)
             _check_entry(doc, "roundtrip", verdict, verdict.witness)
     return 0 if all(c["ok"] for c in doc["checks"]) else 1
 

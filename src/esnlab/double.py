@@ -24,14 +24,15 @@ from itertools import product
 from .errors import (
     EsnlabError,
     InvalidDigError,
+    NotASemigroupError,
     NotDoubleInverseError,
     ParseError,
     TheoremViolation,
 )
 from .esn import InductiveGroupoid, validate_ig
 from .inverse import InverseSemigroupAnalysis, analyze_inverse
-from .report import ValidationReport, Verdict, computed_once
-from .tables import CayleyTable, is_associative
+from .report import PASS, ValidationReport, Verdict, computed_once
+from .tables import CayleyTable
 
 
 @dataclass(frozen=True)
@@ -118,18 +119,21 @@ class DoubleClassification:
 
 
 def _analysis_or_failure(t):
+    """(analysis, inverse failure, the associativity verdict found on the way)."""
     try:
-        return analyze_inverse(t), None
-    except EsnlabError as exc:  # not associative / no or non-unique inverse
-        return None, str(exc)
+        return analyze_inverse(t), None, PASS
+    except NotASemigroupError as exc:
+        return None, str(exc), Verdict(False, exc.witness)
+    except EsnlabError as exc:  # no or non-unique inverse
+        return None, str(exc), PASS
 
 
 def classify_double(hop: CayleyTable, vop: CayleyTable) -> DoubleClassification:
-    hop_analysis, hop_failure = _analysis_or_failure(hop)
-    vop_analysis, vop_failure = _analysis_or_failure(vop)
+    hop_analysis, hop_failure, hop_associative = _analysis_or_failure(hop)
+    vop_analysis, vop_failure, vop_associative = _analysis_or_failure(vop)
     return DoubleClassification(
-        hop_associative=is_associative(hop),
-        vop_associative=is_associative(vop),
+        hop_associative=hop_associative,
+        vop_associative=vop_associative,
         interchange=check_interchange(hop, vop),
         hop_inverse_failure=hop_failure,
         vop_inverse_failure=vop_failure,
@@ -316,15 +320,6 @@ class _Eval:
             return None
         return self.g.v_corestrict.get((a, e))
 
-    def hprod(self, a, b):
-        """The total horizontal pseudo-product rebuilt from the groupoid data."""
-        u = self.meet_h(self.hcod(a), self.hdom(b))
-        return self.hcomp(self.hcorestrict(a, u), self.hrestrict(u, b))
-
-    def vprod(self, a, b):
-        u = self.meet_v(self.vcod(a), self.vdom(b))
-        return self.vcomp(self.vcorestrict(a, u), self.vrestrict(u, b))
-
 
 def _horizontal_view(g: DoubleInductiveGroupoid) -> InductiveGroupoid:
     """The groupoid over the vertical arrows, transported to cell ids; the
@@ -452,15 +447,6 @@ def _check_cell_interchange(g: DoubleInductiveGroupoid, ev: _Eval, rep: Validati
                     rep.bump("interchange.cells", True)
                     if lhs is None or rhs is None or lhs != rhs:
                         rep.add("interchange.cells", (a, b, c, d))
-
-
-def _guarded(rep, tag, lhs, rhs, witness=()):
-    if lhs is None or rhs is None:
-        rep.bump(tag, False)
-    else:
-        rep.bump(tag, True)
-        if lhs != rhs:
-            rep.add(tag, witness)
 
 
 # The compatibility axioms (iii)-(ix), one row per identity lhs = rhs:
@@ -663,22 +649,31 @@ def dig_from_dis(d: DoubleSemigroup) -> DoubleInductiveGroupoid:
     return g
 
 
-def _pseudo_product_table(g: DoubleInductiveGroupoid, which: str) -> CayleyTable:
-    """The horizontal pseudo-product of g as a table; on ``transpose(g)`` it is
-    the vertical one."""
-    ev = _Eval(g)
-    rows = []
-    for a in g.cells:
-        row = []
-        for b in g.cells:
-            c = ev.hprod(a, b)
-            if c is None:
-                rep = ValidationReport()
-                rep.add("product.partial", (a, b), f"{which} pseudo-product undefined")
-                raise InvalidDigError(rep)
-            row.append(c)
-        rows.append(tuple(row))
-    return CayleyTable(tuple(rows))
+def _pseudo_products(ev: _Eval) -> dict:
+    """(a, b) -> (u, a corestricted to u, u restricted into b, a·b) for every
+    pair of cells, where u = hcod a ∧ hdom b and a·b is the horizontal
+    pseudo-product; a piece is None where it is undefined. On an ``_Eval`` of
+    ``transpose(g)`` it gives the vertical pseudo-product of g."""
+    out = {}
+    for a in ev.g.cells:
+        for b in ev.g.cells:
+            u = ev.meet_h(ev.hcod(a), ev.hdom(b))
+            au = ev.hcorestrict(a, u)
+            ub = ev.hrestrict(u, b)
+            out[a, b] = (u, au, ub, ev.hcomp(au, ub))
+    return out
+
+
+def _pseudo_product_table(ev: _Eval, which: str) -> CayleyTable:
+    """The pseudo-product of ``_pseudo_products(ev)`` as a table."""
+    products = {pair: pieces[3] for pair, pieces in _pseudo_products(ev).items()}
+    for (a, b), c in products.items():
+        if c is None:
+            rep = ValidationReport()
+            rep.add("product.partial", (a, b), f"{which} pseudo-product undefined")
+            raise InvalidDigError(rep)
+    cells = ev.g.cells
+    return CayleyTable(tuple(tuple(products[a, b] for b in cells) for a in cells))
 
 
 def dis_from_dig(g: DoubleInductiveGroupoid) -> DoubleSemigroup:
@@ -687,8 +682,8 @@ def dis_from_dig(g: DoubleInductiveGroupoid) -> DoubleSemigroup:
     if not g.report:
         raise InvalidDigError(g.report)
     d = DoubleSemigroup(
-        _pseudo_product_table(g, "horizontal"),
-        _pseudo_product_table(transpose(g), "vertical"),
+        _pseudo_product_table(_Eval(g), "horizontal"),
+        _pseudo_product_table(_Eval(transpose(g)), "vertical"),
     )
     if not d.classification.is_double_inverse_semigroup:
         raise TheoremViolation(
@@ -763,93 +758,68 @@ def roundtrip_dig(
     return Verdict(False, ("cells",))
 
 
+def _check_split_and_meets(ev: _Eval, pieces, rep: ValidationReport, tags, order):
+    """split.i, split.ii (a transverse (co)restriction of a horizontal composite
+    splits into one of each factor) and meets.i, meets.ii (the meets of the
+    factors' edges are (co)restrictions of the meets of the operands' edges),
+    under the four tags, for the pseudo-products a·b and c·d of every two pairs
+    of cells; on the transpose they are the vertical identities. Witnesses list
+    (a, b, c, d) in the given order."""
+    substantive, vacuous = [0] * 4, [0] * 4
+    for (a, b), (u, au, ub, x) in pieces.items():
+        for (c, d), (v, cv, vd, y) in pieces.items():
+            m = ev.meet_v(ev.vcod(x), ev.vdom(y))
+            left = ev.meet_v(ev.vcod(au), ev.vdom(cv))
+            right = ev.meet_v(ev.vcod(ub), ev.vdom(vd))
+            uv = ev.meet_v(ev.vcod(u), ev.vdom(v))
+            sides = (
+                (ev.vcorestrict(x, m),
+                 ev.hcomp(ev.vcorestrict(au, left), ev.vcorestrict(ub, right))),
+                (ev.vrestrict(m, y), ev.hcomp(ev.vrestrict(left, cv), ev.vrestrict(right, vd))),
+                (left, ev.hcorestrict(ev.meet_v(ev.vcod(a), ev.vdom(c)), uv)),
+                (right, ev.hrestrict(uv, ev.meet_v(ev.vcod(b), ev.vdom(d)))),
+            )
+            for i, (lhs, rhs) in enumerate(sides):
+                if lhs is None or rhs is None:
+                    vacuous[i] += 1
+                    continue
+                substantive[i] += 1
+                if lhs != rhs:
+                    quad = (a, b, c, d)
+                    rep.add(tags[i], tuple(quad[k] for k in order))
+    for tag, s, v in zip(tags, substantive, vacuous):
+        rep.bump(tag, True, s)
+        rep.bump(tag, False, v)
+
+
 def verify_interchange_identities(g: DoubleInductiveGroupoid) -> ValidationReport:
     """Re-derive the interchange law for the pseudo-products from the groupoid:
     the law itself on every cell quadruple, the two composite-splitting
     identities, and the four meet-transport identities, each checked wherever
-    its expressions are defined."""
+    its expressions are defined. The vertical identities are the horizontal
+    ones read on the transpose, where the quadruple (a, b, c, d) of g is
+    (a, c, b, d)."""
     if not g.report:
         return g.report
     rep = ValidationReport()
-    ev = _Eval(g)
-    cells = g.cells
-    for a in cells:
-        for b in cells:
-            for c in cells:
-                for d in cells:
-                    # the interchange law evaluated through the pseudo-products
-                    lhs = ev.vprod(ev.hprod(a, b), ev.hprod(c, d))
-                    rhs = ev.hprod(ev.vprod(a, c), ev.vprod(b, d))
-                    if lhs is None or rhs is None:
-                        rep.add("interchange.products", (a, b, c, d), "product undefined")
-                    else:
-                        rep.bump("interchange.products", True)
-                        if lhs != rhs:
-                            rep.add("interchange.products", (a, b, c, d))
-
-                    u = ev.meet_h(ev.hcod(a), ev.hdom(b))
-                    v = ev.meet_h(ev.hcod(c), ev.hdom(d))
-                    au = ev.hcorestrict(a, u)
-                    ub = ev.hrestrict(u, b)
-                    cv = ev.hcorestrict(c, v)
-                    vd = ev.hrestrict(v, d)
-                    x = ev.hcomp(au, ub)  # a hprod b
-                    y = ev.hcomp(cv, vd)  # c hprod d
-                    m = ev.meet_v(ev.vcod(x), ev.vdom(y))
-                    # splitting a vertical corestriction of a horizontal composite
-                    _guarded(rep, "split.h.i", ev.vcorestrict(x, m),
-                             ev.hcomp(
-                                 ev.vcorestrict(au, ev.meet_v(ev.vcod(au), ev.vdom(cv))),
-                                 ev.vcorestrict(ub, ev.meet_v(ev.vcod(ub), ev.vdom(vd)))),
-                             (a, b, c, d))
-                    _guarded(rep, "split.h.ii", ev.vrestrict(m, y),
-                             ev.hcomp(
-                                 ev.vrestrict(ev.meet_v(ev.vcod(au), ev.vdom(cv)), cv),
-                                 ev.vrestrict(ev.meet_v(ev.vcod(ub), ev.vdom(vd)), vd)),
-                             (a, b, c, d))
-
-                    f = ev.meet_v(ev.vcod(a), ev.vdom(c))
-                    gg = ev.meet_v(ev.vcod(b), ev.vdom(d))
-                    af = ev.vcorestrict(a, f)
-                    fc = ev.vrestrict(f, c)
-                    bg = ev.vcorestrict(b, gg)
-                    gd = ev.vrestrict(gg, d)
-                    p = ev.vcomp(af, fc)  # a vprod c
-                    q = ev.vcomp(bg, gd)  # b vprod d
-                    mm = ev.meet_h(ev.hcod(p), ev.hdom(q))
-                    # splitting a horizontal corestriction of a vertical composite
-                    _guarded(rep, "split.v.i", ev.hcorestrict(p, mm),
-                             ev.vcomp(
-                                 ev.hcorestrict(af, ev.meet_h(ev.hcod(af), ev.hdom(bg))),
-                                 ev.hcorestrict(fc, ev.meet_h(ev.hcod(fc), ev.hdom(gd)))),
-                             (a, b, c, d))
-                    _guarded(rep, "split.v.ii", ev.hrestrict(mm, q),
-                             ev.vcomp(
-                                 ev.hrestrict(ev.meet_h(ev.hcod(af), ev.hdom(bg)), bg),
-                                 ev.hrestrict(ev.meet_h(ev.hcod(fc), ev.hdom(gd)), gd)),
-                             (a, b, c, d))
-
-                    # the four identities that move meets through (co)restrictions
-                    _guarded(rep, "meets.i",
-                             ev.meet_v(ev.vcod(au), ev.vdom(cv)),
-                             ev.hcorestrict(ev.meet_v(ev.vcod(a), ev.vdom(c)),
-                                            ev.meet_v(ev.vcod(u), ev.vdom(v))),
-                             (a, b, c, d))
-                    _guarded(rep, "meets.ii",
-                             ev.meet_v(ev.vcod(ub), ev.vdom(vd)),
-                             ev.hrestrict(ev.meet_v(ev.vcod(u), ev.vdom(v)),
-                                          ev.meet_v(ev.vcod(b), ev.vdom(d))),
-                             (a, b, c, d))
-                    _guarded(rep, "meets.iii",
-                             ev.meet_h(ev.hcod(af), ev.hdom(bg)),
-                             ev.vcorestrict(ev.meet_h(ev.hcod(a), ev.hdom(b)),
-                                            ev.meet_h(ev.hcod(f), ev.hdom(gg))),
-                             (a, b, c, d))
-                    _guarded(rep, "meets.iv",
-                             ev.meet_h(ev.hcod(fc), ev.hdom(gd)),
-                             ev.vrestrict(ev.meet_h(ev.hcod(f), ev.hdom(gg)),
-                                          ev.meet_h(ev.hcod(c), ev.hdom(d))),
-                             (a, b, c, d))
+    ev, tev = _Eval(g), _Eval(transpose(g))
+    horizontal, vertical = _pseudo_products(ev), _pseudo_products(tev)
+    hprod = {pair: pieces[3] for pair, pieces in horizontal.items()}
+    vprod = {pair: pieces[3] for pair, pieces in vertical.items()}
+    for (a, b), x in hprod.items():
+        for (c, d), y in hprod.items():
+            lhs = vprod.get((x, y))
+            rhs = hprod.get((vprod[a, c], vprod[b, d]))
+            if lhs is None or rhs is None:
+                rep.add("interchange.products", (a, b, c, d), "product undefined")
+            else:
+                rep.bump("interchange.products", True)
+                if lhs != rhs:
+                    rep.add("interchange.products", (a, b, c, d))
+    _check_split_and_meets(ev, horizontal, rep,
+                           ("split.h.i", "split.h.ii", "meets.i", "meets.ii"), (0, 1, 2, 3))
+    _check_split_and_meets(tev, vertical, rep,
+                           ("split.v.i", "split.v.ii", "meets.iii", "meets.iv"), (0, 2, 1, 3))
     return rep
 
 

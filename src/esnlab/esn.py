@@ -222,12 +222,12 @@ def ig_from_is(analysis: InverseSemigroupAnalysis) -> InductiveGroupoid:
     return g
 
 
-def is_from_ig(g: InductiveGroupoid) -> CayleyTable:
+def is_from_ig(g: InductiveGroupoid) -> InverseSemigroupAnalysis:
     """The pseudo-product a·b = (a corestricted to m) composed with (m restricted
-    into b), m the meet of cod(a) and dom(b). Total because object meets are."""
+    into b), m the meet of cod(a) and dom(b). Total because object meets are.
+    Returns the analysis of its table, which proves it an inverse semigroup."""
     if not g.report:
         raise InvalidGroupoidError(g.report)
-    m = len(g.arrows)
     rows = []
     for a in g.arrows:
         row = []
@@ -237,10 +237,7 @@ def is_from_ig(g: InductiveGroupoid) -> CayleyTable:
             y = g.restriction[(e, b)]
             row.append(g.compose[(x, y)])
         rows.append(tuple(row))
-    table = CayleyTable(tuple(rows))
-    assert all(1 <= v <= m for row in table.rows for v in row)
-    analyze_inverse(table)  # must be an inverse semigroup; raises otherwise
-    return table
+    return analyze_inverse(CayleyTable(tuple(rows)))  # raises unless inverse
 
 
 def semigroup_roundtrip(t: CayleyTable, g: InductiveGroupoid | None = None) -> Verdict:
@@ -248,7 +245,7 @@ def semigroup_roundtrip(t: CayleyTable, g: InductiveGroupoid | None = None) -> V
     a caller that already built g passes it in."""
     if g is None:
         g = ig_from_is(analyze_inverse(t))
-    back = is_from_ig(g)
+    back = is_from_ig(g).table
     if back.rows == t.rows:
         return Verdict(True)
     diff = min(
@@ -260,12 +257,14 @@ def semigroup_roundtrip(t: CayleyTable, g: InductiveGroupoid | None = None) -> V
     return Verdict(False, diff)
 
 
-def groupoid_roundtrip(g: InductiveGroupoid, t: CayleyTable | None = None) -> Verdict:
-    """ig_from_is(t) must reproduce g on the nose (same ids), t = is_from_ig(g);
-    a caller that already built t passes it in."""
-    if t is None:
-        t = is_from_ig(g)
-    back = ig_from_is(analyze_inverse(t))
+def groupoid_roundtrip(
+    g: InductiveGroupoid, analysis: InverseSemigroupAnalysis | None = None
+) -> Verdict:
+    """ig_from_is(analysis) must reproduce g on the nose (same ids), analysis =
+    is_from_ig(g); a caller that already built it passes it in."""
+    if analysis is None:
+        analysis = is_from_ig(g)
+    back = ig_from_is(analysis)
     if back == g:
         return Verdict(True)
     for name in ("objects", "arrows", "dom", "cod", "compose", "inv", "leq",

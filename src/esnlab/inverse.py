@@ -104,15 +104,17 @@ class InverseCharacterization:
         return (self.is_regular and self.idempotents_commute) == self.is_inverse
 
 
-def characterize_inverse(t: CayleyTable) -> InverseCharacterization:
+def characterize_inverse(
+    t: CayleyTable, analysis: InverseSemigroupAnalysis | None = None
+) -> InverseCharacterization:
+    """An analysis of t passed in is taken as the proof that t is inverse."""
     regular = bool(is_regular(t))  # raises NotASemigroupError if not associative
     idems = idempotents(t)
     commute = all(
         t.product(e, f) == t.product(f, e) for e in idems for f in idems
     )
     try:
-        analyze_inverse(t)
-        inverse = True
+        inverse = analysis is not None or bool(analyze_inverse(t))
     except (NoInverseError, NonUniqueInverseError):
         inverse = False
     rep = InverseCharacterization(regular, commute, inverse)

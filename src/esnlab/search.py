@@ -116,10 +116,13 @@ def _assoc_ok(T, occ, n, a, b, c):
     return True
 
 
-def _search_tables(n, prefix, emit):
+def _search_tables(n, prefix, emit, depth=None):
     """Backtrack all associative tables extending `prefix` (values for the first
-    len(prefix) cells in block order); call emit(flat_tuple) per completion."""
+    len(prefix) cells in block order); call emit(flat_tuple) per consistent
+    assignment of the first `depth` cells (all of them by default; cells left
+    unassigned read -1)."""
     size = n * n
+    depth = size if depth is None else depth
     order = _cell_order(n)
     cells = [(k // n, k % n) for k in order]
     T = [-1] * size
@@ -134,7 +137,7 @@ def _search_tables(n, prefix, emit):
         occ[c].append(k)
 
     def extend(d):
-        if d == size:
+        if d == depth:
             emit(tuple(T))
             return
         a, b = cells[d]
@@ -150,36 +153,11 @@ def _search_tables(n, prefix, emit):
     extend(len(prefix))
 
 
-def _prefix_alive(n, prefix):
-    size = n * n
-    order = _cell_order(n)
-    cells = [(k // n, k % n) for k in order]
-    T = [-1] * size
-    occ = [[] for _ in range(n)]
-    for d, c in enumerate(prefix):
-        a, b = cells[d]
-        k = order[d]
-        T[k] = c
-        if not _assoc_ok(T, occ, n, a, b, c):
-            return False
-        occ[c].append(k)
-    return True
-
-
 def _prefixes(n, depth):
     """All internally consistent assignments of the first `depth` cells."""
+    order = _cell_order(n)[:depth]
     out = []
-
-    def walk(partial):
-        if len(partial) == depth:
-            out.append(tuple(partial))
-            return
-        for c in range(n):
-            cand = partial + [c]
-            if _prefix_alive(n, cand):
-                walk(cand)
-
-    walk([])
+    _search_tables(n, (), lambda T: out.append(tuple(T[k] for k in order)), depth)
     return out
 
 
@@ -461,8 +439,12 @@ def search_double(n, klass="semigroup", jobs=1) -> PairSearchReport:
         pairs = _pair_worker((n, hops, klass))
     tables = [(_flat_to_table(h, n), _flat_to_table(v, n)) for h, v in pairs]
     proper = [(h, v) for h, v in tables if h.rows != v.rows]
-    canon = sorted({canonical_pair(h, v) for h, v in tables})
-    canon_proper = sorted({canonical_pair(h, v) for h, v in proper})
+    canon, canon_proper = set(), set()
+    for h, v in tables:
+        key = canonical_pair(h, v)
+        canon.add(key)
+        if h.rows != v.rows:  # proper, which relabelling preserves
+            canon_proper.add(key)
     claims = {
         "pairs_found": bool(tables),
         "swap_closed": {(h.rows, v.rows) for h, v in tables}
@@ -484,10 +466,10 @@ def search_double(n, klass="semigroup", jobs=1) -> PairSearchReport:
         proper_pair_count=len(proper),
         class_count=len(canon),
         representatives=tuple(
-            (CayleyTable(h), CayleyTable(v)) for h, v in canon
+            (CayleyTable(h), CayleyTable(v)) for h, v in sorted(canon)
         ),
         proper_representatives=tuple(
-            (CayleyTable(h), CayleyTable(v)) for h, v in canon_proper
+            (CayleyTable(h), CayleyTable(v)) for h, v in sorted(canon_proper)
         ),
         claims=claims,
         pairs=tuple(tables),

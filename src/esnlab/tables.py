@@ -38,10 +38,6 @@ class CayleyTable:
     def elements(self):
         return range(1, self.n + 1)
 
-    @classmethod
-    def from_rows(cls, rows):
-        return cls(tuple(tuple(row) for row in rows))
-
 
 def parse_table(text: str) -> CayleyTable:
     """Parse the .cay format: '#' comments, order line, then n rows of n entries."""

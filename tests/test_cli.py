@@ -345,12 +345,12 @@ def _count_checks(monkeypatch):
     restores the originals."""
     import sys
 
-    from esnlab import double, esn, inverse, presheaf
+    from esnlab import double, esn, inverse, presheaf, tables
 
     counts = {}
     for home, name in ((double, "validate_dig"), (double, "classify_double"),
                        (inverse, "analyze_inverse"), (esn, "validate_ig"),
-                       (presheaf, "validate_presheaf")):
+                       (presheaf, "validate_presheaf"), (tables, "is_associative")):
         original = getattr(home, name)
         counts[name] = 0
 
@@ -371,10 +371,10 @@ def test_each_command_checks_each_value_once(tmp_path, monkeypatch):
 
     counts = _count_checks(monkeypatch)
 
-    def counted_run(*argv):
+    def counted_run(*argv, code=0):
         for key in counts:
             counts[key] = 0
-        assert run(*argv)[0] == 0
+        assert run(*argv)[0] == code
         return dict(counts)
 
     got = counted_run("decompose", fx("clifford3_pair.cay"))
@@ -387,3 +387,13 @@ def test_each_command_checks_each_value_once(tmp_path, monkeypatch):
     single.write_text(format_table(load_pair("clifford3_pair.cay").hop))
     got = counted_run("esn", "to-groupoid", str(single), "--roundtrip")
     assert got["validate_ig"] == 1
+    got = counted_run("esn", "to-semigroup", fx("partial_bijections_2.json"), "--roundtrip")
+    assert got["analyze_inverse"] <= 1
+    got = counted_run("check", fx("brandt_b2.cay"), "--inverse")
+    assert got["analyze_inverse"] <= 1
+    # B2 is not Clifford, so this run fails its last check
+    got = counted_run("check", fx("brandt_b2.cay"), "--semigroup", "--inverse", "--clifford",
+                      code=1)
+    assert got["analyze_inverse"] <= 1
+    got = counted_run("check", fx("clifford3_pair.cay"), "--double-inverse")
+    assert got["is_associative"] <= 2

@@ -18,11 +18,13 @@ from esnlab.double import (
     is_proper,
     roundtrip_dig,
     roundtrip_double,
+    transpose,
     validate_dig,
     verify_interchange_identities,
 )
 from esnlab.errors import InvalidDigError, NotDoubleInverseError
 from esnlab.presheaf import dig_from_presheaf
+from esnlab.report import ValidationReport
 from esnlab.fixtures import load_pair, load_presheaf
 from esnlab.tables import (
     chain_semilattice,
@@ -144,8 +146,6 @@ def test_vi_transposes_are_their_own_identities(clifford3):
 
 
 def test_transpose_is_a_valid_involution(clifford3):
-    from esnlab.double import transpose
-
     for t in (cyclic_group(2), clifford3, chain_semilattice(3)):
         g = dig_from_dis(DoubleSemigroup(t, t))
         assert transpose(transpose(g)) == g
@@ -223,7 +223,12 @@ def test_interchange_identities_on_constructions(clifford3):
         g = dig_from_dis(DoubleSemigroup(t, t))
         rep = verify_interchange_identities(g)
         assert rep.ok
-        assert rep.substantive.get("interchange.products", 0) == len(g.cells) ** 4
+        assert rep.substantive == {
+            tag: len(g.cells) ** 4
+            for tag in ("interchange.products", "split.h.i", "split.h.ii", "split.v.i",
+                        "split.v.ii", "meets.i", "meets.ii", "meets.iii", "meets.iv")
+        }
+        assert rep.vacuous == {}
 
 
 def test_interchange_identities_flag_mutations(clifford3):
@@ -232,6 +237,30 @@ def test_interchange_identities_flag_mutations(clifford3):
     bad[(2, 3)] = 2
     rep = verify_interchange_identities(_mutate(g, hcompose=bad))
     assert not rep.ok
+
+
+def test_interchange_identities_commute_with_transpose(clifford3, monkeypatch):
+    # each vertical identity is its horizontal twin read on the transpose, where
+    # the quadruple (a, b, c, d) of g is (a, c, b, d); checked on a corrupted
+    # groupoid, let past the validity check that would otherwise stop the run
+    g = dig_from_dis(DoubleSemigroup(clifford3, clifford3))
+    bad = _mutate(g, h_corestrict={**g.h_corestrict, (3, 1): 2},
+                  h_restrict={**g.h_restrict, (1, 3): 2})
+    monkeypatch.setattr(DoubleInductiveGroupoid, "report", ValidationReport())
+    rep, trep = verify_interchange_identities(bad), verify_interchange_identities(transpose(bad))
+
+    def found(r, tag, swap=False):
+        seen = [(v.witness, v.message) for v in r.violations if v.axiom == tag]
+        return sorted(((w[0], w[2], w[1], w[3]) if swap else w, m) for w, m in seen)
+
+    twins = (("interchange.products", "interchange.products"), ("split.h.i", "split.v.i"),
+             ("split.h.ii", "split.v.ii"), ("meets.i", "meets.iii"), ("meets.ii", "meets.iv"))
+    for tag, twin in twins:
+        assert found(rep, tag) == found(trep, twin, swap=True)
+        assert found(rep, twin) == found(trep, tag, swap=True)
+        for counts, tcounts in ((rep.substantive, trep.substantive), (rep.vacuous, trep.vacuous)):
+            assert counts.get(tag) == tcounts.get(twin)
+    assert {v.axiom for v in rep.violations} >= {"split.v.i", "split.v.ii", "meets.i", "meets.ii"}
 
 
 def test_dig_json_io(clifford3):

@@ -136,13 +136,13 @@ def _partial_bijections_oracle():
 
 def test_is_from_ig_matches_partial_bijection_composition():
     g = load_groupoid("partial_bijections_2.json")
-    assert is_from_ig(g).rows == _partial_bijections_oracle()
+    assert is_from_ig(g).table.rows == _partial_bijections_oracle()
     assert load_table("partial_bijections_2.sgp.cay").rows == _partial_bijections_oracle()
 
 
 def test_is_from_ig_total_even_without_composability(b2):
     g = ig_from_is(analyze_inverse(b2))
-    t = is_from_ig(g)
+    t = is_from_ig(g).table
     for a in t.elements():
         for b in t.elements():
             assert 1 <= t.product(a, b) <= 5
@@ -152,7 +152,7 @@ def test_is_from_ig_total_even_without_composability(b2):
 
 def test_is_from_ig_single_loop():
     one = ig_from_is(analyze_inverse(parse_table("1\n1")))
-    assert is_from_ig(one).rows == ((1,),)
+    assert is_from_ig(one).table.rows == ((1,),)
 
 
 def test_is_from_ig_rejects_invalid(b2):

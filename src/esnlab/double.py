@@ -28,6 +28,7 @@ from .errors import (
     NotDoubleInverseError,
     ParseError,
     TheoremViolation,
+    json_field,
 )
 from .esn import InductiveGroupoid, validate_ig
 from .inverse import InverseSemigroupAnalysis, analyze_inverse
@@ -843,11 +844,11 @@ def dig_from_json(doc: dict) -> DoubleInductiveGroupoid:
     """The inverse of ``dig_to_json``. Every declared carrier size must match
     the per-id lists indexed by that carrier, which is checked before anything
     is allocated; the structure itself is left to ``validate_dig``."""
-    sizes = {sort: int(doc[carrier]) for sort, carrier in _CARRIER.items()}
+    sizes = {sort: int(json_field(doc, carrier)) for sort, carrier in _CARRIER.items()}
     for name, sorts in _FIELDS.items():
         keys, _, val = sorts.partition(":")
         if val and len(keys) == 1:
-            seq = doc[name]
+            seq = json_field(doc, name)
             if not isinstance(seq, list) or len(seq) != sizes[keys]:
                 raise ParseError(
                     f"{name} must list one entry per id of {_CARRIER[keys]} "
@@ -860,9 +861,9 @@ def dig_from_json(doc: dict) -> DoubleInductiveGroupoid:
         if len(sorts) == 1:
             values[name] = ids[sorts]
         elif not val:
-            values[name] = frozenset((a, b) for a, b in doc[name])
+            values[name] = frozenset((a, b) for a, b in json_field(doc, name))
         elif len(keys) == 1:
-            values[name] = dict(zip(ids[keys], doc[name]))
+            values[name] = dict(zip(ids[keys], json_field(doc, name)))
         else:
-            values[name] = {(a, b): c for a, b, c in doc[name]}
+            values[name] = {(a, b): c for a, b, c in json_field(doc, name)}
     return DoubleInductiveGroupoid(**values)

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON field lookup that
+reports a missing key as a ParseError."""
 
 
 class EsnlabError(Exception):
@@ -13,6 +14,15 @@ class ParseError(EsnlabError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def json_field(doc, key):
+    """doc[key] for a JSON object read from input; a missing key is malformed
+    input and its message names the key."""
+    try:
+        return doc[key]
+    except KeyError:
+        raise ParseError(f"missing field {key!r}") from None
 
 
 class NotASemigroupError(EsnlabError):

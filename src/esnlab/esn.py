@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidGroupoidError, ParseError, TheoremViolation
+from .errors import InvalidGroupoidError, ParseError, TheoremViolation, json_field
 from .inverse import InverseSemigroupAnalysis, analyze_inverse
 from .report import ValidationReport, Verdict, computed_once
 from .tables import CayleyTable
@@ -295,23 +295,25 @@ def groupoid_to_json(g: InductiveGroupoid) -> dict:
 def groupoid_from_json(doc: dict) -> InductiveGroupoid:
     """The inverse of ``groupoid_to_json``; the declared arrow count must match
     the per-arrow lists, which is checked before anything is allocated."""
-    m = int(doc["arrows"])
+    m = int(json_field(doc, "arrows"))
+    per_arrow = {}
     for name in ("dom", "cod", "inverse"):
-        if not isinstance(doc[name], list) or len(doc[name]) != m:
+        per_arrow[name] = json_field(doc, name)
+        if not isinstance(per_arrow[name], list) or len(per_arrow[name]) != m:
             raise ParseError(f"{name} must list one entry per arrow ({m} declared)")
     arrows = tuple(range(1, m + 1))
     return InductiveGroupoid(
-        objects=tuple(doc["objects"]),
+        objects=tuple(json_field(doc, "objects")),
         arrows=arrows,
-        dom={a: doc["dom"][a - 1] for a in arrows},
-        cod={a: doc["cod"][a - 1] for a in arrows},
-        compose={(x, y): z for x, y, z in doc["compose"]},
-        inv={a: doc["inverse"][a - 1] for a in arrows},
-        identity={e: a for e, a in doc["identity"]},
-        leq=frozenset((x, y) for x, y in doc["leq"]),
-        object_meet={(e, f): g for e, f, g in doc["meet"]},
-        restriction={(e, x): y for e, x, y in doc["restriction"]},
-        corestriction={(x, e): y for x, e, y in doc["corestriction"]},
+        dom={a: per_arrow["dom"][a - 1] for a in arrows},
+        cod={a: per_arrow["cod"][a - 1] for a in arrows},
+        compose={(x, y): z for x, y, z in json_field(doc, "compose")},
+        inv={a: per_arrow["inverse"][a - 1] for a in arrows},
+        identity={e: a for e, a in json_field(doc, "identity")},
+        leq=frozenset((x, y) for x, y in json_field(doc, "leq")),
+        object_meet={(e, f): g for e, f, g in json_field(doc, "meet")},
+        restriction={(e, x): y for e, x, y in json_field(doc, "restriction")},
+        corestriction={(x, e): y for x, e, y in json_field(doc, "corestriction")},
     )
 
 

@@ -14,7 +14,7 @@ from .errors import (
     TheoremViolation,
 )
 from .report import Verdict
-from .tables import CayleyTable, idempotents, is_associative, is_regular
+from .tables import CayleyTable, idempotents, is_associative, is_regular_associative
 
 
 @dataclass(frozen=True)
@@ -107,17 +107,20 @@ class InverseCharacterization:
 def characterize_inverse(
     t: CayleyTable, analysis: InverseSemigroupAnalysis | None = None
 ) -> InverseCharacterization:
-    """An analysis of t passed in is taken as the proof that t is inverse."""
-    regular = bool(is_regular(t))  # raises NotASemigroupError if not associative
+    """An analysis of t passed in is taken as the proof that t is inverse, and
+    so associative. Without one t is analysed here, which raises
+    NotASemigroupError if t is not associative."""
+    if analysis is None:
+        try:
+            analysis = analyze_inverse(t)
+        except (NoInverseError, NonUniqueInverseError):
+            pass  # raised after analyze_inverse found t associative
+    regular = bool(is_regular_associative(t))
     idems = idempotents(t)
     commute = all(
         t.product(e, f) == t.product(f, e) for e in idems for f in idems
     )
-    try:
-        inverse = analysis is not None or bool(analyze_inverse(t))
-    except (NoInverseError, NonUniqueInverseError):
-        inverse = False
-    rep = InverseCharacterization(regular, commute, inverse)
+    rep = InverseCharacterization(regular, commute, analysis is not None)
     if not rep.equivalence_holds:
         raise TheoremViolation(
             f"regular+commuting-idempotents does not match inverse-ness on order {t.n}"

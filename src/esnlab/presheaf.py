@@ -25,6 +25,7 @@ from .errors import (
     NotDoubleInverseError,
     ParseError,
     TheoremViolation,
+    json_field,
 )
 from .inverse import is_clifford
 from .report import ValidationReport, Verdict, computed_once
@@ -545,41 +546,42 @@ def presheaf_to_json(p: AbelianGroupPresheaf) -> dict:
 
 
 def presheaf_from_json(doc: dict) -> AbelianGroupPresheaf:
-    base = doc["base"]
-    elems = tuple(base["elements"])
+    base = json_field(doc, "base")
+    elems = tuple(json_field(base, "elements"))
     lattice = MeetSemilattice(
         elems,
-        frozenset((a, b) for a, b in base["leq"]),
-        {(a, b): m for a, b, m in base["meet"]},
+        frozenset((a, b) for a, b in json_field(base, "leq")),
+        {(a, b): m for a, b, m in json_field(base, "meet")},
     )
     groups = {}
-    for entry in doc["groups"]:
-        order = int(entry["order"])
-        if len(entry["op"]) != order:
+    for entry in json_field(doc, "groups"):
+        at, rows = json_field(entry, "at"), json_field(entry, "op")
+        order = int(json_field(entry, "order"))
+        if len(rows) != order:
             raise ParseError(
-                f"group at {entry['at']}: order {order} does not match "
-                f"the {len(entry['op'])} rows of op"
+                f"group at {at}: order {order} does not match "
+                f"the {len(rows)} rows of op"
             )
         carrier = tuple(entry.get("carrier", range(1, order + 1)))
         if len(carrier) != order:
             raise InvalidPresheafError(_shape_report("group carrier/order mismatch"))
         op = {
-            (carrier[i], carrier[j]): carrier[entry["op"][i][j] - 1]
+            (carrier[i], carrier[j]): carrier[rows[i][j] - 1]
             for i in range(order)
             for j in range(order)
         }
-        unit = carrier[int(entry["unit"]) - 1]
+        unit = carrier[int(json_field(entry, "unit")) - 1]
         inv = {}
         for a in carrier:
             matches = [b for b in carrier if op[(a, b)] == unit and op[(b, a)] == unit]
             if len(matches) != 1:
                 raise InvalidPresheafError(_shape_report(f"no unique inverse for {a}"))
             inv[a] = matches[0]
-        groups[entry["at"]] = FiniteAbelianGroup(carrier, op, unit, inv)
+        groups[at] = FiniteAbelianGroup(carrier, op, unit, inv)
     hom = {}
-    for entry in doc["homs"]:
-        a, b = entry["pair"]
-        values = entry["values"]
+    for entry in json_field(doc, "homs"):
+        a, b = json_field(entry, "pair")
+        values = json_field(entry, "values")
         hom[(a, b)] = {
             x: groups[a].carrier[values[i] - 1]
             for i, x in enumerate(groups[b].carrier)

@@ -4,8 +4,19 @@ The core is cell-by-cell backtracking over the multiplication table with
 incremental associativity checking: a triple (a,b,c) is tested the moment the
 last table cell it needs is filled in. Cells are filled so that the top-left
 k-by-k block is completed before the next border, which prunes much earlier
-than row-major order. Pair search fixes the first table and backtracks the
-second with the interchange law propagated the same way.
+than row-major order.
+
+The single-table search is isomorph-free. Lex-leader pruning compares the
+partial table with each of its relabelings in that block order and drops it
+once a relabeling is smaller, so one table per isomorphism class survives:
+the block-order least. Labeled tables are counted as the sum of n!/|Aut(T)|
+over the survivors, the automorphisms being the relabelings still tied with
+a complete table. Where every labeled table is needed (the claims, the first
+tables of the pair search) a survivor's orbit is expanded, and classes are
+reported by their row-major canonical form.
+
+Pair search fixes each labeled first table and backtracks the second with
+the interchange law propagated the same way.
 
 Hot loops work on flat 0-based tuples; everything crossing the module boundary
 is a 1-based CayleyTable.
@@ -25,7 +36,6 @@ from .tables import (
     format_double,
     format_table,
     is_associative,
-    is_canonical,
     is_commutative,
     relabel,
 )
@@ -116,11 +126,34 @@ def _assoc_ok(T, occ, n, a, b, c):
     return True
 
 
+def _relabelings(n):
+    """(image, source) for each permutation of 0..n-1, the identity first: the
+    relabeled table holds image[T[source[k]]] at flat cell k."""
+    out = []
+    for img in permutations(range(n)):
+        inv = [0] * n
+        for i, j in enumerate(img):
+            inv[j] = i
+        out.append((img, tuple(inv[k // n] * n + inv[k % n] for k in range(n * n))))
+    return out
+
+
+def _orbit(T, aut, rel):
+    """The distinct relabelings of T, sorted; there are n!/|Aut(T)| of them."""
+    orbit = sorted({tuple(img[T[s]] for s in src) for img, src in rel})
+    assert len(orbit) * aut == len(rel), "orbit size is not n!/|Aut|"
+    return orbit
+
+
 def _search_tables(n, prefix, emit, depth=None):
-    """Backtrack all associative tables extending `prefix` (values for the first
-    len(prefix) cells in block order); call emit(flat_tuple) per consistent
-    assignment of the first `depth` cells (all of them by default; cells left
-    unassigned read -1)."""
+    """Backtrack the associative tables extending `prefix` (values for the first
+    len(prefix) cells in block order) that are the block-order least of their
+    isomorphism class, calling emit(flat_tuple, aut) per assignment of the
+    first `depth` cells (all by default; unassigned cells read -1; aut is
+    |Aut(T)| at full depth). After each cell is set, every relabeling still
+    tied with T is compared with it in block order up to the first cell either
+    side lacks: a smaller one prunes T, a larger one is dropped for the
+    subtree, and those tied with a complete table are its automorphisms."""
     size = n * n
     depth = size if depth is None else depth
     order = _cell_order(n)
@@ -128,55 +161,68 @@ def _search_tables(n, prefix, emit, depth=None):
     T = [-1] * size
     occ = [[] for _ in range(n)]
 
-    for d, c in enumerate(prefix):
-        a, b = cells[d]
-        k = order[d]
-        T[k] = c
-        if not _assoc_ok(T, occ, n, a, b, c):
-            return  # dead prefix
-        occ[c].append(k)
+    def tied(live):
+        """The relabelings in `live` still tied with T, each with the block
+        position its comparison stopped at; None if one is smaller."""
+        out = []
+        for img, src, p in live:
+            while p < size:
+                t = T[order[p]]
+                s = T[src[p]]
+                if t < 0 or s < 0:
+                    out.append((img, src, p))
+                    break
+                s = img[s]
+                if s < t:
+                    return None
+                if s > t:
+                    break
+                p += 1
+            else:
+                out.append((img, src, p))
+        return out
 
-    def extend(d):
+    def extend(d, live):
         if d == depth:
-            emit(tuple(T))
+            emit(tuple(T), len(live) + 1)
             return
         a, b = cells[d]
         k = order[d]
-        for c in range(n):
+        for c in (prefix[d],) if d < len(prefix) else range(n):
             T[k] = c
             if _assoc_ok(T, occ, n, a, b, c):
-                occ[c].append(k)
-                extend(d + 1)
-                occ[c].pop()
+                rest = tied(live)
+                if rest is not None:
+                    occ[c].append(k)
+                    extend(d + 1, rest)
+                    occ[c].pop()
         T[k] = -1
 
-    extend(len(prefix))
+    extend(0, [(img, [src[k] for k in order], 0) for img, src in _relabelings(n)[1:]])
 
 
 def _prefixes(n, depth):
-    """All internally consistent assignments of the first `depth` cells."""
+    """The assignments of the first `depth` cells that the pruned search keeps."""
     order = _cell_order(n)[:depth]
     out = []
-    _search_tables(n, (), lambda T: out.append(tuple(T[k] for k in order)), depth)
+    _search_tables(n, (), lambda T, aut: out.append(tuple(T[k] for k in order)), depth)
+    return out
+
+
+def _classes(n, filt, prefix=()):
+    """(block-order least table, |Aut|) for each class matching the filter."""
+    out = []
+    _search_tables(n, prefix, lambda T, aut: _matches(T, n, filt) and out.append((T, aut)))
     return out
 
 
 def _enum_worker(args):
     n, prefix, filt, keep_matches = args
-    count = 0
-    matches = []
-    canon = []
-
-    def emit(T):
-        nonlocal count
-        if _matches(T, n, filt):
-            count += 1
-            if keep_matches:
-                matches.append(T)
-            if is_canonical(_flat_to_table(T, n)):
-                canon.append(T)
-
-    _search_tables(n, prefix, emit)
+    rel = _relabelings(n)
+    classes = _classes(n, filt, prefix)
+    count = sum(len(rel) // aut for _, aut in classes)
+    canon = [_table_to_flat(canonical_form(_flat_to_table(T, n))) for T, _ in classes]
+    matches = [t for T, aut in classes for t in _orbit(T, aut, rel)] if keep_matches else []
     return count, matches, canon
 
 
@@ -203,24 +249,26 @@ class EnumerationReport:
 
 
 def iter_semigroup_tables(n):
-    """Every associative labeled table of order n, in enumeration order."""
-    if not 1 <= n <= SINGLE_CAP:
-        raise OrderTooLargeError(n, SINGLE_CAP)
-    out = []
-    _search_tables(n, (), out.append)
-    for T in out:
-        yield _flat_to_table(T, n)
+    """Every associative labeled table of order n once: the relabelings of each
+    class's block-order least table, class by class."""
+    yield from tables_matching(n, "all")
 
 
 def tables_matching(n, filt):
+    """The labeled tables of order n that match the filter (an isomorphism
+    invariant), as the orbits of the matching block-order least tables."""
     if filt not in FILTERS:
         raise ValueError(f"unknown filter {filt!r}")
-    return [t for t in iter_semigroup_tables(n) if _matches(_table_to_flat(t), n, filt)]
+    if not 1 <= n <= SINGLE_CAP:
+        raise OrderTooLargeError(n, SINGLE_CAP)
+    rel = _relabelings(n)
+    return [_flat_to_table(t, n) for T, aut in _classes(n, filt) for t in _orbit(T, aut, rel)]
 
 
 def enumerate_semigroups(n, filt="all", jobs=1) -> EnumerationReport:
-    """Visit every associative labeled table of order n once, count the ones
-    matching the filter, and report their isomorphism classes."""
+    """Find the block-order least table of each isomorphism class of order n,
+    count the labeled tables matching the filter as the sum of n!/|Aut(T)| over
+    the matching classes, and report each class by its canonical form."""
     if filt not in FILTERS:
         raise ValueError(f"unknown filter {filt!r}")
     if not 1 <= n <= SINGLE_CAP:
@@ -229,7 +277,7 @@ def enumerate_semigroups(n, filt="all", jobs=1) -> EnumerationReport:
     if jobs > 1 and n >= 3:
         tasks = [(n, p, filt, keep) for p in _prefixes(n, _SPLIT_DEPTH)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_enum_worker, tasks, chunksize=8))
+            results = list(pool.map(_enum_worker, tasks, chunksize=1))
     else:
         results = [_enum_worker((n, (), filt, keep))]
     labeled = sum(r[0] for r in results)

@@ -142,6 +142,11 @@ def is_regular(t: CayleyTable) -> Verdict:
     assoc = is_associative(t)
     if not assoc:
         raise NotASemigroupError(assoc.witness)
+    return is_regular_associative(t)
+
+
+def is_regular_associative(t: CayleyTable) -> Verdict:
+    """is_regular on a table already known to be associative."""
     for a in t.elements():
         if not any(t.product(t.product(a, x), a) == a for x in t.elements()):
             return Verdict(False, (a,))

@@ -101,7 +101,7 @@ def test_criterion_2_esn_roundtrip(b2_table):
 
 
 def test_criterion_3_order5_uniqueness(b2_table):
-    with criterion(3, "order-5-noncommutative-uniqueness", 600.0):
+    with criterion(3, "order-5-noncommutative-uniqueness", 20.0):
         report = enumerate_semigroups(5, "noncommutative-inverse", jobs=2)
         assert report.class_count == 1
         [rep] = report.representatives

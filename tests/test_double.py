@@ -22,7 +22,7 @@ from esnlab.double import (
     validate_dig,
     verify_interchange_identities,
 )
-from esnlab.errors import InvalidDigError, NotDoubleInverseError
+from esnlab.errors import InvalidDigError, NotDoubleInverseError, ParseError
 from esnlab.presheaf import dig_from_presheaf
 from esnlab.report import ValidationReport
 from esnlab.fixtures import load_pair, load_presheaf
@@ -269,6 +269,20 @@ def test_dig_json_io(clifford3):
     back = dig_from_json(doc)
     assert dig_equal(back, g)
     assert validate_dig(back).ok
+
+
+def test_dig_from_json_names_a_missing_field(clifford3, tmp_path, capsys):
+    from esnlab.cli import main
+
+    doc = dig_to_json(dig_from_dis(DoubleSemigroup(clifford3, clifford3)))
+    del doc["meet_v"]
+    with pytest.raises(ParseError, match="missing field 'meet_v'"):
+        dig_from_json(doc)
+    path = tmp_path / "no_meet_v.dig.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["double", "validate-axioms", str(path)]) == 2
+    assert capsys.readouterr().err == "esnlab: error: missing field 'meet_v'\n"
 
 
 def test_dig_json_io_presheaf_built():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from esnlab.errors import InvalidGroupoidError
+from esnlab.errors import InvalidGroupoidError, ParseError
 from esnlab.esn import (
     InductiveGroupoid,
     groupoid_dot,
@@ -191,6 +191,13 @@ def test_groupoid_json_io(b2):
     assert doc["objects"] == [1, 4, 5]
     back = groupoid_from_json(json.loads(json.dumps(doc)))
     assert back == g
+
+
+def test_groupoid_from_json_names_a_missing_field(b2):
+    doc = groupoid_to_json(ig_from_is(analyze_inverse(b2)))
+    del doc["corestriction"]
+    with pytest.raises(ParseError, match="missing field 'corestriction'"):
+        groupoid_from_json(doc)
 
 
 def test_groupoid_dot(b2):

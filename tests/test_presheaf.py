@@ -5,6 +5,7 @@ from esnlab.errors import (
     ComponentNotGroupError,
     InvalidPresheafError,
     NotDoubleInverseError,
+    ParseError,
 )
 from esnlab.fixtures import load_pair, load_presheaf
 from esnlab.presheaf import (
@@ -228,3 +229,10 @@ def test_presheaf_json_io():
     assert doc["base"]["elements"] == [1, 2]
     back = presheaf_from_json(doc)
     assert presheaf_equal(p, back)
+
+
+def test_presheaf_from_json_names_a_missing_field():
+    doc = presheaf_to_json(load_presheaf("clifford3_presheaf.json"))
+    del doc["groups"][0]["unit"]
+    with pytest.raises(ParseError, match="missing field 'unit'"):
+        presheaf_from_json(doc)

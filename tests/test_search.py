@@ -1,7 +1,11 @@
+from itertools import permutations
+
 import pytest
 
+from conftest import all_tables, assoc_oracle
 from esnlab.errors import NotASemigroupError, OrderTooLargeError
 from esnlab.search import (
+    _classes,
     canonical_pair,
     enumerate_semigroups,
     iter_semigroup_tables,
@@ -15,6 +19,7 @@ from esnlab.tables import (
     cyclic_group,
     is_associative,
     left_projection,
+    relabel,
     right_projection,
 )
 from esnlab.inverse import analyze_inverse
@@ -38,6 +43,30 @@ def test_known_counts():
     inv = [enumerate_semigroups(n, "inverse") for n in (1, 2, 3, 4)]
     assert [r.labeled_count for r in inv] == [1, 4, 24, 272]
     assert [r.class_count for r in inv] == [1, 2, 5, 16]
+    for filt, counts in (("all", (183732, 1915)), ("inverse", (4125, 52)),
+                         ("commutative-inverse", (4065, 51))):
+        rep5 = enumerate_semigroups(5, filt)
+        assert (rep5.labeled_count, rep5.class_count) == counts, filt
+
+
+def test_iter_semigroup_tables_is_every_labeled_table_once():
+    for n in (1, 2, 3, 4):
+        tables = [t.rows for t in iter_semigroup_tables(n)]
+        assert len(tables) == len(set(tables)), n
+        if n <= 3:
+            assert set(tables) == {t.rows for t in all_tables(n) if assoc_oracle(t) is None}, n
+
+
+def test_brandt_b2_has_two_automorphisms(b2):
+    perms = list(permutations(range(1, 6)))
+    assert sum(relabel(b2, p) == b2 for p in perms) == 2
+    orbit = {relabel(b2, p).rows for p in perms}
+    assert len(orbit) == 120 // 2 == 60
+    assert {t.rows for t in tables_matching(5, "noncommutative-inverse")} == orbit
+    # the search finds one least table for the class, and the same |Aut|
+    [(least, aut)] = _classes(5, "noncommutative-inverse")
+    assert aut == 2
+    assert tuple(tuple(v + 1 for v in least[5 * a : 5 * a + 5]) for a in range(5)) in orbit
 
 
 def test_every_emitted_table_is_associative():

@@ -3,15 +3,14 @@ groupoids with the complete compatibility-axiom checker.
 
 A double inductive groupoid keeps four separate indexed carriers (objects,
 vertical arrows, horizontal arrows, cells) with explicit identity-cell
-embeddings, instead of identifying everything the way the algebra allows. Cells
-carry two groupoid structures: the horizontal one is a groupoid over the
-vertical arrows (composition ``hcompose``, order ``leq``), the vertical one a
-groupoid over the horizontal arrows (``vcompose``, ``lesssim``). Exchanging
-the two directions (``transpose``) maps double groupoids to double groupoids,
-so every axiom about one direction is stated once and also run on the
-transpose.
-
-Values are immutable; each keeps the result of its own check
+embeddings. Once every table entry is checked against its carriers, it is
+read only through its two views (``DoubleInductiveGroupoid.views``): the
+horizontal inductive groupoid over the vertical arrows (``hcompose``, ``leq``)
+and the vertical one over the horizontal arrows (``vcompose``, ``lesssim``),
+on cell ids; the pseudo-products are ``esn.pseudo_products`` of the views.
+Exchanging the two directions (``transpose``) maps double groupoids to double
+groupoids, so every axiom about one direction is stated once and also run on
+the transpose. Values are immutable; each keeps the result of its own check
 (``DoubleSemigroup.classification``, ``DoubleInductiveGroupoid.report``), so
 a value that one stage has checked is not checked again by the next.
 """
@@ -30,7 +29,7 @@ from .errors import (
     TheoremViolation,
     json_field,
 )
-from .esn import InductiveGroupoid, validate_ig
+from .esn import InductiveGroupoid, pseudo_product_table, pseudo_products
 from .inverse import InverseSemigroupAnalysis, analyze_inverse
 from .report import PASS, ValidationReport, Verdict, computed_once
 from .tables import CayleyTable
@@ -194,10 +193,21 @@ class DoubleInductiveGroupoid:
     def obj_cell(self, o):
         return self.ver_cell[self.obj_ver[o]]
 
+    def corners(self, a) -> set:
+        """The objects at the four corners of cell a, read along its vertical edges."""
+        l, r = self.hdom[a], self.hcod[a]
+        return {self.ver_src[l], self.ver_src[r], self.ver_dst[l], self.ver_dst[r]}
+
     @computed_once
     def report(self) -> ValidationReport:
         """``validate_dig`` of this value, computed once; treat it as read-only."""
         return validate_dig(self)
+
+    @computed_once
+    def views(self) -> tuple[InductiveGroupoid, InductiveGroupoid]:
+        """The horizontal and the vertical inductive groupoid on cell ids, built once;
+        read only after ``validate_dig`` has checked the embeddings and ranges."""
+        return _horizontal_view(self), _horizontal_view(transpose(self))
 
 
 # Every field of DoubleInductiveGroupoid, paired with its twin in the transpose,
@@ -240,86 +250,34 @@ def transpose(g: DoubleInductiveGroupoid) -> DoubleInductiveGroupoid:
     return DoubleInductiveGroupoid(**{_TWIN[name]: getattr(g, name) for name in _FIELDS})
 
 
+def _lookup(table: dict):
+    get = table.get
+    return lambda x, y: get((x, y))
+
+
 class _Eval:
-    """Definedness-guarded expression evaluation over one groupoid.
+    """Definedness-guarded evaluation over the horizontal view h and the vertical
+    view v of one groupoid; ``_Eval(v, h, objects)`` evaluates on its transpose.
+    Every value is a cell id or None, arrows and objects are their identity cells,
+    and each operation is a lookup into one view's table, so it reads None where
+    an argument is None or not of the sort it needs."""
 
-    Every value is a cell id or None; vertical/horizontal arrows and objects
-    enter through their identity-cell embeddings, and operations that need an
-    arrow quietly return None when a cell is not an embedded arrow.
-    """
-
-    def __init__(self, g: DoubleInductiveGroupoid):
-        self.g = g
-        self.cell_ver = {g.ver_cell[e]: e for e in g.ver_arrows}
-        self.cell_hor = {g.hor_cell[f]: f for f in g.hor_arrows}
-        self.ver_cells = tuple(sorted(g.ver_cell[e] for e in g.ver_arrows))
-        self.hor_cells = tuple(sorted(g.hor_cell[f] for f in g.hor_arrows))
-        self.obj_cells = tuple(sorted(g.obj_cell(o) for o in g.objects))
+    def __init__(self, h: InductiveGroupoid, v: InductiveGroupoid, objects: tuple):
+        self.hdom, self.hcod = h.dom.get, h.cod.get
+        self.vdom, self.vcod = v.dom.get, v.cod.get
+        self.hcomp, self.vcomp = _lookup(h.compose), _lookup(v.compose)
+        self.meet_h, self.meet_v = _lookup(h.object_meet), _lookup(v.object_meet)
+        self.hrestrict, self.vrestrict = _lookup(h.restriction), _lookup(v.restriction)
+        self.hcorestrict, self.vcorestrict = _lookup(h.corestriction), _lookup(v.corestriction)
         # the ranges of axiom variables, by the sort letters of _AXIOMS
-        self.carriers = {"c": g.cells, "v": self.ver_cells, "h": self.hor_cells,
-                         "o": self.obj_cells}
+        self.carriers = {"c": h.arrows, "v": h.objects, "h": v.objects, "o": objects}
 
-    def hdom(self, a):
-        return None if a is None else self.g.ver_cell[self.g.hdom[a]]
 
-    def hcod(self, a):
-        return None if a is None else self.g.ver_cell[self.g.hcod[a]]
-
-    def vdom(self, a):
-        return None if a is None else self.g.hor_cell[self.g.vdom[a]]
-
-    def vcod(self, a):
-        return None if a is None else self.g.hor_cell[self.g.vcod[a]]
-
-    def hcomp(self, a, b):
-        if a is None or b is None:
-            return None
-        return self.g.hcompose.get((a, b))
-
-    def vcomp(self, a, b):
-        if a is None or b is None:
-            return None
-        return self.g.vcompose.get((a, b))
-
-    def meet_h(self, a, b):
-        e = self.cell_ver.get(a)
-        f = self.cell_ver.get(b)
-        if e is None or f is None:
-            return None
-        m = self.g.meet_h.get((e, f))
-        return None if m is None else self.g.ver_cell[m]
-
-    def meet_v(self, a, b):
-        e = self.cell_hor.get(a)
-        f = self.cell_hor.get(b)
-        if e is None or f is None:
-            return None
-        m = self.g.meet_v.get((e, f))
-        return None if m is None else self.g.hor_cell[m]
-
-    def hrestrict(self, e_cell, a):
-        e = self.cell_ver.get(e_cell)
-        if e is None or a is None:
-            return None
-        return self.g.h_restrict.get((e, a))
-
-    def hcorestrict(self, a, e_cell):
-        e = self.cell_ver.get(e_cell)
-        if e is None or a is None:
-            return None
-        return self.g.h_corestrict.get((a, e))
-
-    def vrestrict(self, e_cell, a):
-        e = self.cell_hor.get(e_cell)
-        if e is None or a is None:
-            return None
-        return self.g.v_restrict.get((e, a))
-
-    def vcorestrict(self, a, e_cell):
-        e = self.cell_hor.get(e_cell)
-        if e is None or a is None:
-            return None
-        return self.g.v_corestrict.get((a, e))
+def _evaluators(g: DoubleInductiveGroupoid) -> tuple[_Eval, _Eval]:
+    """The evaluators of g and of ``transpose(g)``, over ``g.views``."""
+    h, v = g.views
+    objects = tuple(sorted(g.obj_cell(o) for o in g.objects))
+    return _Eval(h, v, objects), _Eval(v, h, objects)
 
 
 def _horizontal_view(g: DoubleInductiveGroupoid) -> InductiveGroupoid:
@@ -328,17 +286,10 @@ def _horizontal_view(g: DoubleInductiveGroupoid) -> InductiveGroupoid:
     vc = g.ver_cell
     objects = tuple(sorted(vc[e] for e in g.ver_arrows))
     return InductiveGroupoid(
-        objects=objects,
-        arrows=g.cells,
-        dom={a: vc[g.hdom[a]] for a in g.cells},
-        cod={a: vc[g.hcod[a]] for a in g.cells},
-        compose=dict(g.hcompose),
-        inv=dict(g.hinv),
-        identity={o: o for o in objects},
-        leq=g.leq,
-        object_meet={
-            (vc[e], vc[f]): vc[m] for (e, f), m in g.meet_h.items()
-        },
+        objects=objects, arrows=g.cells, identity={o: o for o in objects},
+        dom={a: vc[g.hdom[a]] for a in g.cells}, cod={a: vc[g.hcod[a]] for a in g.cells},
+        compose=g.hcompose, inv=g.hinv, leq=g.leq,
+        object_meet={(vc[e], vc[f]): vc[m] for (e, f), m in g.meet_h.items()},
         restriction={(vc[e], a): b for (e, a), b in g.h_restrict.items()},
         corestriction={(a, vc[e]): b for (a, e), b in g.h_corestrict.items()},
     )
@@ -394,8 +345,26 @@ def _check_embeddings(g: DoubleInductiveGroupoid, rep: ValidationReport) -> bool
     return ok
 
 
-def _check_boundaries(sides, rep: ValidationReport):
-    g = sides[0][0]
+def _check_ranges(g: DoubleInductiveGroupoid, rep: ValidationReport) -> bool:
+    """Every key and value of each partial table, and each pair of each order,
+    lies in the carriers its sorts name; the views index by them."""
+    carrier = {s: set(getattr(g, name)) for s, name in _CARRIER.items()}
+    ok = True
+    for name, sorts in _FIELDS.items():
+        keys, is_table, val = sorts.partition(":")
+        if len(keys) == 2:
+            first, second, values = carrier[keys[0]], carrier[keys[1]], carrier.get(val)
+            table = getattr(g, name)
+            for key in table:
+                if key[0] not in first or key[1] not in second or (
+                        is_table and table[key] not in values):
+                    entry = (*key, table[key]) if is_table else key
+                    rep.add(f"range.{name}", entry, "entry outside the carriers of its sorts")
+                    ok = False
+    return ok
+
+
+def _check_boundaries(g: DoubleInductiveGroupoid, evs, rep: ValidationReport):
     for a in g.cells:
         l, r = g.hdom[a], g.hcod[a]
         t, b = g.vdom[a], g.vcod[a]
@@ -413,17 +382,18 @@ def _check_boundaries(sides, rep: ValidationReport):
     # the identity cells of horizontal arrows are closed under hcompose
     tags = (("boundary.hcomp-vdom", "boundary.hcomp-vcod", "boundary.hor-closed"),
             ("boundary.vcomp-hdom", "boundary.vcomp-hcod", "boundary.ver-closed"))
-    for (side, ev), (dom_tag, cod_tag, closed_tag) in zip(sides, tags):
-        for (a, b), c in side.hcompose.items():
+    for view, ev, (dom_tag, cod_tag, closed_tag) in zip(g.views, evs, tags):
+        for (a, b), c in view.compose.items():
             for tag, edge in ((dom_tag, ev.vdom), (cod_tag, ev.vcod)):
                 lhs = ev.hcomp(edge(a), edge(b))
                 rep.bump(tag, True)
                 if lhs != edge(c):
                     rep.add(tag, (a, b), "undefined" if lhs is None else "")
-        for x in ev.hor_cells:
-            for y in ev.hor_cells:
+        hor_cells = ev.carriers["h"]
+        for x in hor_cells:
+            for y in hor_cells:
                 c = ev.hcomp(x, y)
-                if c is not None and c not in ev.cell_hor:
+                if c is not None and c not in hor_cells:
                     rep.add(closed_tag, (x, y))
 
 
@@ -535,15 +505,15 @@ def _check_identity(ev: _Eval, rep: ValidationReport, tag, sorts, lhs, rhs, orde
     rep.bump(tag, False, vacuous)
 
 
-def _check_axiom_families(sides, rep: ValidationReport, strict_ix: bool):
-    (g, ev), (_, transposed) = sides
+def _check_axiom_families(g, evs, rep: ValidationReport, strict_ix: bool):
+    ev, transposed = evs
     for tag, twin, sorts, lhs, rhs, order in _AXIOMS:
         _check_identity(ev, rep, tag, sorts, lhs, rhs, order)
         if twin is not None and (strict_ix or twin != "ix.g-strict"):
             _check_identity(transposed, rep, twin, sorts, lhs, rhs, order)
     if strict_ix:
         for a in g.cells:
-            for ec in ev.hor_cells:
+            for ec in ev.carriers["h"]:
                 literal = ev.vrestrict(ev.vdom(ec), ev.hdom(a))
                 patterned = ev.vrestrict(ev.hdom(ec), ev.hdom(a))
                 if literal is not None and patterned is not None and literal != patterned:
@@ -559,15 +529,14 @@ def validate_dig(g: DoubleInductiveGroupoid, strict_ix=False) -> ValidationRepor
     if g.cells != tuple(range(1, len(g.cells) + 1)):
         rep.add("shape.cells", (), "cells must be 1..m in order")
         return rep
-    if not _check_embeddings(g, rep):
+    if not _check_embeddings(g, rep) or not _check_ranges(g, rep):
         return rep
-    t = transpose(g)
-    sides = ((g, _Eval(g)), (t, _Eval(t)))
-    rep.merge(validate_ig(_horizontal_view(g)), prefix="i.")
-    rep.merge(validate_ig(_horizontal_view(t)), prefix="ii.")
-    _check_boundaries(sides, rep)
-    _check_cell_interchange(g, sides[0][1], rep)
-    _check_axiom_families(sides, rep, strict_ix)
+    for view, prefix in zip(g.views, ("i.", "ii.")):
+        rep.merge(view.report, prefix=prefix)
+    evs = _evaluators(g)
+    _check_boundaries(g, evs, rep)
+    _check_cell_interchange(g, evs[0], rep)
+    _check_axiom_families(g, evs, rep, strict_ix)
     return rep
 
 
@@ -627,65 +596,37 @@ def dig_from_dis(d: DoubleSemigroup) -> DoubleInductiveGroupoid:
     if not obj_elems:
         raise TheoremViolation("the idempotent sets of a double inverse semigroup intersect")
     obj_ids = {x: i + 1 for i, x in enumerate(obj_elems)}
-    fields = _horizontal_fields(d.hop, ah, d.vop, av, obj_ids)
-    vertical = _horizontal_fields(d.vop, av, d.hop, ah, obj_ids)
-    fields.update((_TWIN[name], value) for name, value in vertical.items())
-    g = DoubleInductiveGroupoid(
-        objects=tuple(range(1, len(obj_elems) + 1)), cells=tuple(d.hop.elements()), **fields
+    g = dig_from_halves(
+        _horizontal_fields(d.hop, ah, d.vop, av, obj_ids),
+        _horizontal_fields(d.vop, av, d.hop, ah, obj_ids),
+        objects=tuple(range(1, len(obj_elems) + 1)),
+        cells=tuple(d.hop.elements()),
     )
     if not g.report:
         raise TheoremViolation(
             f"construction produced an invalid double groupoid: {g.report.summary()}"
         )
-    # every cell has all four corner objects equal
     for a in g.cells:
-        corners = {
-            g.ver_src[g.hdom[a]],
-            g.ver_src[g.hcod[a]],
-            g.ver_dst[g.hdom[a]],
-            g.ver_dst[g.hcod[a]],
-        }
+        corners = g.corners(a)
         if len(corners) != 1:
             raise TheoremViolation(f"cell {a} has unequal corners {sorted(corners)}")
     return g
 
 
-def _pseudo_products(ev: _Eval) -> dict:
-    """(a, b) -> (u, a corestricted to u, u restricted into b, a·b) for every
-    pair of cells, where u = hcod a ∧ hdom b and a·b is the horizontal
-    pseudo-product; a piece is None where it is undefined. On an ``_Eval`` of
-    ``transpose(g)`` it gives the vertical pseudo-product of g."""
-    out = {}
-    for a in ev.g.cells:
-        for b in ev.g.cells:
-            u = ev.meet_h(ev.hcod(a), ev.hdom(b))
-            au = ev.hcorestrict(a, u)
-            ub = ev.hrestrict(u, b)
-            out[a, b] = (u, au, ub, ev.hcomp(au, ub))
-    return out
-
-
-def _pseudo_product_table(ev: _Eval, which: str) -> CayleyTable:
-    """The pseudo-product of ``_pseudo_products(ev)`` as a table."""
-    products = {pair: pieces[3] for pair, pieces in _pseudo_products(ev).items()}
-    for (a, b), c in products.items():
-        if c is None:
-            rep = ValidationReport()
-            rep.add("product.partial", (a, b), f"{which} pseudo-product undefined")
-            raise InvalidDigError(rep)
-    cells = ev.g.cells
-    return CayleyTable(tuple(tuple(products[a, b] for b in cells) for a in cells))
+def dig_from_halves(horizontal: dict, vertical: dict, **shared) -> DoubleInductiveGroupoid:
+    """The double groupoid with these horizontal fields, and vertical fields given
+    under their twins' names; a groupoid that is its own transpose passes one half twice."""
+    twins = {_TWIN[name]: value for name, value in vertical.items()}
+    return DoubleInductiveGroupoid(**shared, **horizontal, **twins)
 
 
 def dis_from_dig(g: DoubleInductiveGroupoid) -> DoubleSemigroup:
-    """Both pseudo-products, rebuilt from composition, meets and (co)restrictions;
+    """Both pseudo-products, rebuilt from composition, meets and (co)restrictions
+    of the two views, which ``g.report`` has proved valid, so both are total;
     the result is re-proved to be a double inverse semigroup instance by instance."""
     if not g.report:
         raise InvalidDigError(g.report)
-    d = DoubleSemigroup(
-        _pseudo_product_table(_Eval(g), "horizontal"),
-        _pseudo_product_table(_Eval(transpose(g)), "vertical"),
-    )
+    d = DoubleSemigroup(*(pseudo_product_table(view) for view in g.views))
     if not d.classification.is_double_inverse_semigroup:
         raise TheoremViolation(
             f"pseudo-products of a valid double groupoid must form a double "
@@ -803,8 +744,8 @@ def verify_interchange_identities(g: DoubleInductiveGroupoid) -> ValidationRepor
     if not g.report:
         return g.report
     rep = ValidationReport()
-    ev, tev = _Eval(g), _Eval(transpose(g))
-    horizontal, vertical = _pseudo_products(ev), _pseudo_products(tev)
+    ev, tev = _evaluators(g)
+    horizontal, vertical = (pseudo_products(view) for view in g.views)
     hprod = {pair: pieces[3] for pair, pieces in horizontal.items()}
     vprod = {pair: pieces[3] for pair, pieces in vertical.items()}
     for (a, b), x in hprod.items():

@@ -3,9 +3,10 @@
 Objects are identified with their identity arrows: an object *is* the id of its
 identity arrow, so roundtrips can demand literal equality instead of hunting for
 isomorphisms. Arrows are always 1..m. Partial tables (compose, restriction,
-corestriction) store exactly their defined cells; reading an undefined cell is a
-KeyError, never a sentinel. A groupoid keeps its own validation report, so a
-groupoid one construction has checked is not checked again by the next.
+corestriction) store exactly their defined cells, never a sentinel. The
+pseudo-product is written once, in ``pseudo_products``, for ``is_from_ig`` and
+for both views of a double groupoid. A groupoid keeps its own validation
+report, so a groupoid one construction has checked is not checked again by the next.
 """
 
 from __future__ import annotations
@@ -222,22 +223,37 @@ def ig_from_is(analysis: InverseSemigroupAnalysis) -> InductiveGroupoid:
     return g
 
 
+def pseudo_products(g: InductiveGroupoid) -> dict:
+    """(a, b) -> (m, a corestricted to m, m restricted into b, a·b) for every
+    pair of arrows, where m = cod(a) ∧ dom(b) and a·b is the pseudo-product; a
+    piece is None where it is undefined, which happens only when g fails
+    ``validate_ig``."""
+    meet, corestrict = g.object_meet.get, g.corestriction.get
+    restrict, compose = g.restriction.get, g.compose.get
+    out = {}
+    for a in g.arrows:
+        cod = g.cod[a]
+        for b in g.arrows:
+            m = meet((cod, g.dom[b]))
+            am = corestrict((a, m))
+            mb = restrict((m, b))
+            out[a, b] = (m, am, mb, compose((am, mb)))
+    return out
+
+
+def pseudo_product_table(g: InductiveGroupoid) -> CayleyTable:
+    """The pseudo-product of a groupoid that passes ``validate_ig``, as a table;
+    total because object meets are."""
+    products = pseudo_products(g)
+    return CayleyTable(tuple(tuple(products[a, b][3] for b in g.arrows) for a in g.arrows))
+
+
 def is_from_ig(g: InductiveGroupoid) -> InverseSemigroupAnalysis:
-    """The pseudo-product a·b = (a corestricted to m) composed with (m restricted
-    into b), m the meet of cod(a) and dom(b). Total because object meets are.
-    Returns the analysis of its table, which proves it an inverse semigroup."""
+    """The pseudo-product as an inverse semigroup: returns the analysis of its
+    table, which proves it one."""
     if not g.report:
         raise InvalidGroupoidError(g.report)
-    rows = []
-    for a in g.arrows:
-        row = []
-        for b in g.arrows:
-            e = g.object_meet[(g.cod[a], g.dom[b])]
-            x = g.corestriction[(a, e)]
-            y = g.restriction[(e, b)]
-            row.append(g.compose[(x, y)])
-        rows.append(tuple(row))
-    return analyze_inverse(CayleyTable(tuple(rows)))  # raises unless inverse
+    return analyze_inverse(pseudo_product_table(g))  # raises unless inverse
 
 
 def semigroup_roundtrip(t: CayleyTable, g: InductiveGroupoid | None = None) -> Verdict:

@@ -16,6 +16,7 @@ from .double import (
     DoubleInductiveGroupoid,
     DoubleSemigroup,
     dig_from_dis,
+    dig_from_halves,
     dis_from_dig,
 )
 from .errors import (
@@ -202,24 +203,14 @@ def orders_coincide_on_objects(g: DoubleInductiveGroupoid) -> Verdict:
     return Verdict(True)
 
 
-def _corner(g: DoubleInductiveGroupoid, a):
-    corners = {
-        g.ver_src[g.hdom[a]],
-        g.ver_src[g.hcod[a]],
-        g.ver_dst[g.hdom[a]],
-        g.ver_dst[g.hcod[a]],
-    }
-    return corners.pop() if len(corners) == 1 else None
-
-
 def component_groups(g: DoubleInductiveGroupoid) -> dict:
     """Cells whose four corners sit at one object form an Abelian group under the
     (coinciding) compositions; closure and the group laws are verified, not assumed."""
     comp = {o: [] for o in g.objects}
     for a in g.cells:
-        o = _corner(g, a)
-        if o is not None:
-            comp[o].append(a)
+        corners = g.corners(a)
+        if len(corners) == 1:
+            comp[corners.pop()].append(a)
     ver_in = {
         o: [e for e in g.ver_arrows if g.ver_src[e] == o and g.ver_dst[e] == o]
         for o in g.objects
@@ -374,38 +365,26 @@ def dig_from_presheaf(p: AbelianGroupPresheaf) -> DoubleInductiveGroupoid:
         for (a, b), phi in p.hom.items()
         for x in p.group_at[b].carrier
     }
-    meets = {(ids[a], ids[b]): ids[p.base.meet[(a, b)]] for a in elems for b in elems}
     arrows = tuple(range(1, k + 1))
-    g = DoubleInductiveGroupoid(
-        objects=arrows,
-        ver_arrows=arrows,
-        hor_arrows=arrows,
-        cells=cells,
-        obj_ver={i: i for i in arrows},
-        obj_hor={i: i for i in arrows},
-        ver_cell={ids[e]: cell_of[(e, p.group_at[e].unit)] for e in elems},
-        hor_cell={ids[e]: cell_of[(e, p.group_at[e].unit)] for e in elems},
-        ver_src={i: i for i in arrows},
-        ver_dst={i: i for i in arrows},
-        hor_src={i: i for i in arrows},
-        hor_dst={i: i for i in arrows},
-        hdom={c: ids[home[c][0]] for c in cells},
-        hcod={c: ids[home[c][0]] for c in cells},
-        vdom={c: ids[home[c][0]] for c in cells},
-        vcod={c: ids[home[c][0]] for c in cells},
-        hcompose=hcompose,
-        vcompose=dict(hcompose),
-        hinv=hinv,
-        vinv=dict(hinv),
-        leq=leq,
-        lesssim=leq,
-        meet_h=meets,
-        meet_v=dict(meets),
-        h_restrict=dict(restrict),
-        h_corestrict={(a, e): v for (e, a), v in restrict.items()},
-        v_restrict=dict(restrict),
-        v_corestrict={(a, e): v for (e, a), v in restrict.items()},
-    )
+    identity = {i: i for i in arrows}
+    over = {c: ids[home[c][0]] for c in cells}
+    # the groupoid is its own transpose: its vertical half is its horizontal one
+    half = {
+        "ver_arrows": arrows,
+        "obj_ver": identity,
+        "ver_cell": {ids[e]: cell_of[(e, p.group_at[e].unit)] for e in elems},
+        "ver_src": identity,
+        "ver_dst": identity,
+        "hdom": over,
+        "hcod": over,
+        "hcompose": hcompose,
+        "hinv": hinv,
+        "leq": leq,
+        "meet_h": {(ids[a], ids[b]): ids[p.base.meet[(a, b)]] for a in elems for b in elems},
+        "h_restrict": restrict,
+        "h_corestrict": {(a, e): v for (e, a), v in restrict.items()},
+    }
+    g = dig_from_halves(half, half, objects=arrows, cells=cells)
     if not g.report:
         raise TheoremViolation(
             f"presheaf produced an invalid double groupoid: {g.report.summary()}"
@@ -554,7 +533,7 @@ def presheaf_from_json(doc: dict) -> AbelianGroupPresheaf:
         {(a, b): m for a, b, m in json_field(base, "meet")},
     )
     groups = {}
-    for entry in json_field(doc, "groups"):
+    for k, entry in enumerate(json_field(doc, "groups")):
         at, rows = json_field(entry, "at"), json_field(entry, "op")
         order = int(json_field(entry, "order"))
         if len(rows) != order:
@@ -565,12 +544,16 @@ def presheaf_from_json(doc: dict) -> AbelianGroupPresheaf:
         carrier = tuple(entry.get("carrier", range(1, order + 1)))
         if len(carrier) != order:
             raise InvalidPresheafError(_shape_report("group carrier/order mismatch"))
+        for i, row in enumerate(rows):
+            if len(row) != order:
+                raise ParseError(f"groups[{k}].op[{i}] must have {order} entries")
         op = {
-            (carrier[i], carrier[j]): carrier[rows[i][j] - 1]
+            (carrier[i], carrier[j]):
+                carrier[_index(rows[i][j], order, f"groups[{k}].op[{i}][{j}]")]
             for i in range(order)
             for j in range(order)
         }
-        unit = carrier[int(json_field(entry, "unit")) - 1]
+        unit = carrier[_index(int(json_field(entry, "unit")), order, f"groups[{k}].unit")]
         inv = {}
         for a in carrier:
             matches = [b for b in carrier if op[(a, b)] == unit and op[(b, a)] == unit]
@@ -579,14 +562,27 @@ def presheaf_from_json(doc: dict) -> AbelianGroupPresheaf:
             inv[a] = matches[0]
         groups[at] = FiniteAbelianGroup(carrier, op, unit, inv)
     hom = {}
-    for entry in json_field(doc, "homs"):
+    for k, entry in enumerate(json_field(doc, "homs")):
         a, b = json_field(entry, "pair")
+        for x in (a, b):
+            if x not in groups:
+                raise ParseError(f"homs[{k}].pair names {x!r}, which has no group")
         values = json_field(entry, "values")
+        source, target = groups[b], groups[a]
+        if len(values) != source.order:
+            raise ParseError(f"homs[{k}].values must have {source.order} entries")
         hom[(a, b)] = {
-            x: groups[a].carrier[values[i] - 1]
-            for i, x in enumerate(groups[b].carrier)
+            x: target.carrier[_index(values[i], target.order, f"homs[{k}].values[{i}]")]
+            for i, x in enumerate(source.carrier)
         }
     return AbelianGroupPresheaf(lattice, groups, hom)
+
+
+def _index(position, order, path):
+    """The 0-based index of a 1-based position read from a presheaf file."""
+    if not isinstance(position, int) or not 1 <= position <= order:
+        raise ParseError(f"{path} must be a position in 1..{order}, not {position!r}")
+    return position - 1
 
 
 def _shape_report(message):

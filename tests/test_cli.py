@@ -153,6 +153,26 @@ def test_double_validate_axioms_and_mutation(tmp_path):
     assert doc["report"]["violations"]
 
 
+def test_double_entry_outside_its_carrier(tmp_path, capsys):
+    # a table entry or key outside its carrier is reported, not a crash
+    code, out = run("double", "to-dig", fx("clifford3_pair.cay"), "--format", "json")
+    good = json.loads(out)["artifact"]
+    for field, entry in (("meet_v", [1, 1, good["hor_arrows"] + 1]),
+                         ("h_restrict", [99, *good["h_restrict"][0][1:]])):
+        doc = dict(good, **{field: [entry, *good[field][1:]]})
+        path = tmp_path / f"bad_{field}.dig.json"
+        path.write_text(json.dumps(doc))
+        code, out = run("double", "validate-axioms", str(path), "--format", "json")
+        assert code == 1
+        violations = json.loads(out)["report"]["violations"]
+        assert violations == [{"axiom": f"range.{field}", "witness": entry,
+                               "message": "entry outside the carriers of its sorts"}]
+        capsys.readouterr()
+        assert run("double", "to-dis", str(path))[0] == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"esnlab: error: invalid double inductive groupoid: range.{field}")
+
+
 def test_double_verify_interchange(tmp_path):
     code, out = run("double", "to-dig", fx("z2_pair.cay"), "--format", "json")
     path = tmp_path / "z2.json"

@@ -23,9 +23,11 @@ from esnlab.double import (
     verify_interchange_identities,
 )
 from esnlab.errors import InvalidDigError, NotDoubleInverseError, ParseError
+from esnlab.esn import ig_from_is, is_from_ig
 from esnlab.presheaf import dig_from_presheaf
 from esnlab.report import ValidationReport
 from esnlab.fixtures import load_pair, load_presheaf
+from esnlab.search import search_double
 from esnlab.tables import (
     chain_semilattice,
     cyclic_group,
@@ -323,7 +325,8 @@ def test_validate_dig_flags_corrupt_boundary(clifford3):
 
 
 def test_validator_total_on_random_mutations(clifford3):
-    """validate_dig reports on corrupted structures instead of crashing."""
+    """validate_dig reports on corrupted structures instead of crashing, also
+    where a value or a key of a table leaves its carrier."""
     import random
 
     rng = random.Random(2024)
@@ -333,15 +336,23 @@ def test_validator_total_on_random_mutations(clifford3):
         "h_restrict", "h_corestrict", "v_restrict", "v_corestrict",
         "hdom", "hcod", "vdom", "vcod",
     ]
-    for _ in range(120):
+    limit = len(base.cells)
+    tags = set()
+    for i in range(160):
         field = rng.choice(dict_fields)
         table = dict(getattr(base, field))
         key = rng.choice(sorted(table))
-        limit = len(base.cells)
-        table[key] = rng.randint(1, limit if field not in ("meet_h", "meet_v") else 2)
+        if i % 4 == 3 and isinstance(key, tuple):
+            value = table.pop(key)
+            key = (rng.randint(1, limit + 1), rng.randint(1, limit + 1))
+            table[key] = value
+        else:
+            table[key] = rng.randint(1, limit)
         mutated = _mutate(base, **{field: table})
         rep = validate_dig(mutated, strict_ix=rng.random() < 0.5)
         assert rep is not None
+        tags.update(v.axiom for v in rep.violations)
+    assert {"range.meet_h", "range.meet_v", "range.h_restrict"} <= tags
     for _ in range(40):
         pairs = set(base.leq)
         a = rng.choice(base.cells)
@@ -349,6 +360,21 @@ def test_validator_total_on_random_mutations(clifford3):
         pairs.symmetric_difference_update({(a, b)})
         rep = validate_dig(_mutate(base, leq=frozenset(pairs)))
         assert rep is not None
+
+
+def test_views_are_the_esn_groupoids_of_the_two_operations(clifford3):
+    # the shared pseudo-product rests on this: the two views of dig_from_dis(d)
+    # are the inductive groupoids of d's operations, so dis_from_dig is
+    # is_from_ig of each view
+    pairs = [pair for n in (1, 2, 3) for pair in search_double(n, "inverse").pairs]
+    assert len(pairs) == 29
+    for hop, vop in pairs + [(clifford3, clifford3)]:
+        d = DoubleSemigroup(hop, vop)
+        g = dig_from_dis(d)
+        cls = d.classification
+        assert g.views == (ig_from_is(cls.hop_analysis), ig_from_is(cls.vop_analysis))
+        back = dis_from_dig(g)
+        assert (back.hop, back.vop) == tuple(is_from_ig(view).table for view in g.views)
 
 
 def test_substantive_families_on_two_object_fixture(clifford3):

@@ -1,6 +1,9 @@
+import json
+import re
+
 import pytest
 
-from esnlab.double import DoubleSemigroup, dig_from_dis, dig_equal, validate_dig
+from esnlab.double import DoubleSemigroup, dig_equal, dig_from_dis, transpose, validate_dig
 from esnlab.errors import (
     ComponentNotGroupError,
     InvalidPresheafError,
@@ -166,6 +169,7 @@ def test_dig_from_presheaf_fixtures():
         p = load_presheaf(name)
         g = dig_from_presheaf(p)
         assert validate_dig(g).ok
+        assert transpose(g) == g
         assert presheaf_equal(presheaf_from_dig(g), p)
 
 
@@ -236,3 +240,29 @@ def test_presheaf_from_json_names_a_missing_field():
     del doc["groups"][0]["unit"]
     with pytest.raises(ParseError, match="missing field 'unit'"):
         presheaf_from_json(doc)
+
+
+@pytest.mark.parametrize("group_edit, hom_edit, path", [
+    ({}, {"values": [1, 0]}, "homs[0].values[1]"),
+    ({"op": [[1, 0], [0, -1]]}, {}, "groups[0].op[0][1]"),
+    ({"op": [[1, 2, 2], [2, 1]]}, {}, "groups[0].op[0]"),
+    ({"unit": 3}, {}, "groups[0].unit"),
+    ({}, {"pair": [1, 2]}, "homs[0].pair"),
+    ({}, {"values": [1, 2, 1]}, "homs[0].values"),
+])
+def test_presheaf_from_json_rejects_positions_out_of_range(tmp_path, capsys, group_edit,
+                                                           hom_edit, path):
+    # 1-based positions must not wrap around or be cut off
+    from esnlab.cli import main
+    from esnlab.fixtures import fixture_dir
+
+    doc = json.loads((fixture_dir() / "point_z2_presheaf.json").read_text())
+    doc["groups"][0].update(group_edit)
+    doc["homs"][0].update(hom_edit)
+    with pytest.raises(ParseError, match=re.escape(path)):
+        presheaf_from_json(doc)
+    file = tmp_path / "bad.presheaf.json"
+    file.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["compose", str(file)]) == 2
+    assert path in capsys.readouterr().err

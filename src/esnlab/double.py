@@ -17,8 +17,7 @@ a value that one stage has checked is not checked again by the next.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product
+from dataclasses import dataclass, replace
 
 from .errors import (
     EsnlabError,
@@ -31,7 +30,7 @@ from .errors import (
 )
 from .esn import InductiveGroupoid, pseudo_product_table, pseudo_products
 from .inverse import InverseSemigroupAnalysis, analyze_inverse
-from .report import PASS, ValidationReport, Verdict, computed_once
+from .report import PASS, Row, ValidationReport, Verdict, check_ranges, check_rows, computed_once
 from .tables import CayleyTable
 
 
@@ -214,17 +213,19 @@ class DoubleInductiveGroupoid:
 # and its sorts: the sorts of the key, ":", the sort of the value, where o is an
 # object, v a vertical arrow, h a horizontal arrow and c a cell. A single sort
 # is a carrier; two sorts without ":" are a relation on cells. The twin's sorts
-# are the same with v and h exchanged.
+# are the same with v and h exchanged. The range pass reports an entry outside
+# the carriers under the tags that follow, the field's and its twin's, or else
+# under range.<field>.
 _TWINS = (
     ("objects", "objects", "o"),
     ("ver_arrows", "hor_arrows", "v"),
     ("cells", "cells", "c"),
-    ("obj_ver", "obj_hor", "o:v"),
-    ("ver_cell", "hor_cell", "v:c"),
-    ("ver_src", "hor_src", "v:o"),
-    ("ver_dst", "hor_dst", "v:o"),
-    ("hdom", "vdom", "c:v"),
-    ("hcod", "vcod", "c:v"),
+    ("obj_ver", "obj_hor", "o:v", "emb.obj_ver", "emb.obj_hor"),
+    ("ver_cell", "hor_cell", "v:c", "emb.ver_cell", "emb.hor_cell"),
+    ("ver_src", "hor_src", "v:o", "emb.ver-endpoints", "emb.hor-endpoints"),
+    ("ver_dst", "hor_dst", "v:o", "emb.ver-endpoints", "emb.hor-endpoints"),
+    ("hdom", "vdom", "c:v", "emb.cell-hboundary", "emb.cell-vboundary"),
+    ("hcod", "vcod", "c:v", "emb.cell-hboundary", "emb.cell-vboundary"),
     ("hcompose", "vcompose", "cc:c"),
     ("hinv", "vinv", "c:c"),
     ("leq", "lesssim", "cc"),
@@ -235,12 +236,13 @@ _TWINS = (
 _SWAP = str.maketrans("vh", "hv")
 _FIELDS = dict(
     entry
-    for field, twin, sorts in _TWINS
+    for field, twin, sorts, *_ in _TWINS
     for entry in ((field, sorts), (twin, sorts.translate(_SWAP)))
 )
-_TWIN = dict(entry for field, twin, _ in _TWINS for entry in ((field, twin), (twin, field)))
+_TWIN = dict(entry for field, twin, *_ in _TWINS for entry in ((field, twin), (twin, field)))
 _CARRIER = {"o": "objects", "v": "ver_arrows", "h": "hor_arrows", "c": "cells"}
 _EMBEDDINGS = ("obj_ver", "obj_hor", "ver_cell", "hor_cell")
+_RANGE_TAGS = dict(entry for field, twin, _, *tags in _TWINS for entry in zip((field, twin), tags))
 
 
 def transpose(g: DoubleInductiveGroupoid) -> DoubleInductiveGroupoid:
@@ -295,73 +297,44 @@ def _horizontal_view(g: DoubleInductiveGroupoid) -> InductiveGroupoid:
     )
 
 
+def _check_twinned(table, sides, rep: ValidationReport, skip=()) -> bool:
+    """Run each (row, twin tag) of ``table`` on the first of ``sides``, and
+    under the twin tag, unless it is None or in ``skip``, on the second, the
+    transpose; a side is (context, carriers). Returns whether no row failed."""
+    ok = True
+    for row, twin in table:
+        ok &= check_rows(*sides[0], (row,), rep)
+        if twin is not None and twin not in skip:
+            ok &= check_rows(*sides[1], (replace(row, tag=twin, counts=row.counts and twin),), rep)
+    return ok
+
+
+# Rows on a double groupoid and, under the twin tag, on its transpose, over its
+# carriers by the sorts of _CARRIER: each identity-cell embedding is injective
+# (the later of two ids with one image is the witness); then identity cells and
+# the identity arrows of objects are loops, and an object has one identity cell.
+_INJECTIVE = (
+    (Row("emb.obj_ver", "oo", lambda g, x, y: x >= y or g.obj_ver[x] != g.obj_ver[y],
+         order=(1,), message="embedding not injective"), "emb.obj_hor"),
+    (Row("emb.ver_cell", "vv", lambda g, e, f: e >= f or g.ver_cell[e] != g.ver_cell[f],
+         order=(1,), message="embedding not injective"), "emb.hor_cell"),
+)
+_IDENTITIES = (
+    (Row("emb.object-cell", "o", lambda g, o: g.obj_cell(o) == g.hor_cell[g.obj_hor[o]],
+         message="the two identity cells of an object differ"), None),
+    (Row("emb.ver-identity", "v", lambda g, e: g.hdom[g.ver_cell[e]] == e == g.hcod[g.ver_cell[e]],
+         message="identity cell must be a loop"), "emb.hor-identity"),
+    (Row("emb.object-ver-loop", "o",
+         lambda g, o: g.ver_src[g.obj_ver[o]] == o == g.ver_dst[g.obj_ver[o]]),
+     "emb.object-hor-loop"),
+)
+
+
 def _check_embeddings(g: DoubleInductiveGroupoid, rep: ValidationReport) -> bool:
-    """Each check is stated for the vertical arrows and run again on the
-    transpose, where it covers the horizontal arrows under the twin tag."""
-    cells = set(g.cells)
-    sides = ((g, "ver", "h", "horizontal"), (transpose(g), "hor", "v", "vertical"))
-    ok = True
-    for t, arrow, _, _ in sides:
-        for name, mapping, domain, codomain in (
-            (f"obj_{arrow}", t.obj_ver, t.objects, set(t.ver_arrows)),
-            (f"{arrow}_cell", t.ver_cell, t.ver_arrows, cells),
-        ):
-            seen = set()
-            for x in domain:
-                y = mapping.get(x)
-                if y not in codomain:
-                    rep.add(f"emb.{name}", (x,), "embedding leaves its codomain")
-                    ok = False
-                elif y in seen:
-                    rep.add(f"emb.{name}", (x,), "embedding not injective")
-                    ok = False
-                seen.add(y)
-    if not ok:
-        return False
-    for o in g.objects:
-        if g.obj_cell(o) != g.hor_cell[g.obj_hor[o]]:
-            rep.add("emb.object-cell", (o,), "the two identity cells of an object differ")
-            ok = False
-    objset = set(g.objects)
-    for t, arrow, edge, loop in sides:
-        for e in t.ver_arrows:
-            c = t.ver_cell[e]
-            if t.hdom.get(c) != e or t.hcod.get(c) != e:
-                rep.add(f"emb.{arrow}-identity", (e,), f"identity cell must be a {loop} loop")
-                ok = False
-        for o in t.objects:
-            if t.ver_src.get(t.obj_ver[o]) != o or t.ver_dst.get(t.obj_ver[o]) != o:
-                rep.add(f"emb.object-{arrow}-loop", (o,))
-                ok = False
-        for e in t.ver_arrows:
-            if t.ver_src.get(e) not in objset or t.ver_dst.get(e) not in objset:
-                rep.add(f"emb.{arrow}-endpoints", (e,))
-                ok = False
-        arrows = set(t.ver_arrows)
-        for a in t.cells:
-            if t.hdom.get(a) not in arrows or t.hcod.get(a) not in arrows:
-                rep.add(f"emb.cell-{edge}boundary", (a,))
-                ok = False
-    return ok
-
-
-def _check_ranges(g: DoubleInductiveGroupoid, rep: ValidationReport) -> bool:
-    """Every key and value of each partial table, and each pair of each order,
-    lies in the carriers its sorts name; the views index by them."""
-    carrier = {s: set(getattr(g, name)) for s, name in _CARRIER.items()}
-    ok = True
-    for name, sorts in _FIELDS.items():
-        keys, is_table, val = sorts.partition(":")
-        if len(keys) == 2:
-            first, second, values = carrier[keys[0]], carrier[keys[1]], carrier.get(val)
-            table = getattr(g, name)
-            for key in table:
-                if key[0] not in first or key[1] not in second or (
-                        is_table and table[key] not in values):
-                    entry = (*key, table[key]) if is_table else key
-                    rep.add(f"range.{name}", entry, "entry outside the carriers of its sorts")
-                    ok = False
-    return ok
+    """The embedding rows, on fields the range pass has checked."""
+    sides = tuple((t, {s: getattr(t, name) for s, name in _CARRIER.items()})
+                  for t in (g, transpose(g)))
+    return _check_twinned(_INJECTIVE, sides, rep) and _check_twinned(_IDENTITIES, sides, rep)
 
 
 def _check_boundaries(g: DoubleInductiveGroupoid, evs, rep: ValidationReport):
@@ -420,97 +393,83 @@ def _check_cell_interchange(g: DoubleInductiveGroupoid, ev: _Eval, rep: Validati
                         rep.add("interchange.cells", (a, b, c, d))
 
 
-# The compatibility axioms (iii)-(ix), one row per identity lhs = rhs:
-# (tag, tag of the transposed identity or None, sorts of the variables, lhs,
-#  rhs, witness order). Both sides are functions of an _Eval and the variables;
-# the variables range over _Eval.carriers in nested-loop order, and the witness
-# lists them in the given order (as they are when None). A row with a
+def _axiom(tag, twin, sorts, lhs, rhs, order):
+    """(row, tag of the transposed identity or None) for one identity lhs = rhs,
+    counted under its tag; both sides are functions of an _Eval and the
+    variables, which range over _Eval.carriers."""
+    return Row(tag, sorts, lhs, rhs, order, counts=tag), twin
+
+
+# The compatibility axioms (iii)-(ix), one row per identity; a row with a
 # transposed tag runs again on transpose(g) under that tag.
 _AXIOMS = (
     # (iii) composition against (co)restriction in the transverse direction
-    ("iii.a", "iii.b", "ccvv",
-     lambda e, a, b, f, g: e.hcorestrict(e.vcomp(a, b), e.vcomp(f, g)),
-     lambda e, a, b, f, g: e.vcomp(e.hcorestrict(a, f), e.hcorestrict(b, g)), None),
-    ("iii.c", "iii.d", "ccvv",
-     lambda e, a, b, f, g: e.hrestrict(e.vcomp(f, g), e.vcomp(a, b)),
-     lambda e, a, b, f, g: e.vcomp(e.hrestrict(f, a), e.hrestrict(g, b)), (2, 3, 0, 1)),
+    _axiom("iii.a", "iii.b", "ccvv",
+        lambda e, a, b, f, g: e.hcorestrict(e.vcomp(a, b), e.vcomp(f, g)),
+        lambda e, a, b, f, g: e.vcomp(e.hcorestrict(a, f), e.hcorestrict(b, g)), None),
+    _axiom("iii.c", "iii.d", "ccvv",
+        lambda e, a, b, f, g: e.hrestrict(e.vcomp(f, g), e.vcomp(a, b)),
+        lambda e, a, b, f, g: e.vcomp(e.hrestrict(f, a), e.hrestrict(g, b)), (2, 3, 0, 1)),
     # (iv) composition against the transverse meet
-    ("iv.a", "iv.b", "hhhh",
-     lambda e, p, q, r, s: e.hcomp(e.meet_v(p, q), e.meet_v(r, s)),
-     lambda e, p, q, r, s: e.meet_v(e.hcomp(p, r), e.hcomp(q, s)), None),
+    _axiom("iv.a", "iv.b", "hhhh",
+        lambda e, p, q, r, s: e.hcomp(e.meet_v(p, q), e.meet_v(r, s)),
+        lambda e, p, q, r, s: e.meet_v(e.hcomp(p, r), e.hcomp(q, s)), None),
     # (v) meet against (co)restriction in the transverse direction
-    ("v.a", "v.b", "oohh",
-     lambda e, f, h, p, q: e.meet_v(e.hcorestrict(p, f), e.hcorestrict(q, h)),
-     lambda e, f, h, p, q: e.hcorestrict(e.meet_v(p, q), e.meet_v(f, h)), (2, 0, 3, 1)),
-    ("v.c", "v.d", "oohh",
-     lambda e, f, h, p, q: e.meet_v(e.hrestrict(f, p), e.hrestrict(h, q)),
-     lambda e, f, h, p, q: e.hrestrict(e.meet_v(f, h), e.meet_v(p, q)), (0, 2, 1, 3)),
+    _axiom("v.a", "v.b", "oohh",
+        lambda e, f, h, p, q: e.meet_v(e.hcorestrict(p, f), e.hcorestrict(q, h)),
+        lambda e, f, h, p, q: e.hcorestrict(e.meet_v(p, q), e.meet_v(f, h)), (2, 0, 3, 1)),
+    _axiom("v.c", "v.d", "oohh",
+        lambda e, f, h, p, q: e.meet_v(e.hrestrict(f, p), e.hrestrict(h, q)),
+        lambda e, f, h, p, q: e.hrestrict(e.meet_v(f, h), e.meet_v(p, q)), (0, 2, 1, 3)),
     # (vi) the two (co)restriction families against each other
-    ("vi.a", "vi.b", "chv",
-     lambda e, a, f, g: e.hcorestrict(
-         e.vcorestrict(a, f), e.vcorestrict(g, e.meet_h(e.hcod(f), e.vcod(g)))),
-     lambda e, a, f, g: e.vcorestrict(
-         e.hcorestrict(a, g), e.hcorestrict(f, e.meet_h(e.hcod(f), e.vcod(g)))), None),
-    ("vi.c", "vi.d", "chv",
-     lambda e, a, f, g: e.hrestrict(
-         e.vrestrict(e.meet_h(e.hdom(f), e.vdom(g)), g), e.vrestrict(f, a)),
-     lambda e, a, f, g: e.vrestrict(
-         e.hrestrict(e.meet_h(e.hdom(f), e.vdom(g)), f), e.hrestrict(g, a)), None),
+    _axiom("vi.a", "vi.b", "chv",
+        lambda e, a, f, g: e.hcorestrict(
+            e.vcorestrict(a, f), e.vcorestrict(g, e.meet_h(e.hcod(f), e.vcod(g)))),
+        lambda e, a, f, g: e.vcorestrict(
+            e.hcorestrict(a, g), e.hcorestrict(f, e.meet_h(e.hcod(f), e.vcod(g)))), None),
+    _axiom("vi.c", "vi.d", "chv",
+        lambda e, a, f, g: e.hrestrict(
+            e.vrestrict(e.meet_h(e.hdom(f), e.vdom(g)), g), e.vrestrict(f, a)),
+        lambda e, a, f, g: e.vrestrict(
+            e.hrestrict(e.meet_h(e.hdom(f), e.vdom(g)), f), e.hrestrict(g, a)), None),
     # (vii) the two meets against each other; its own transpose
-    ("vii", None, "oooo",
-     lambda e, p, q, r, s: e.meet_v(e.meet_h(p, q), e.meet_h(r, s)),
-     lambda e, p, q, r, s: e.meet_h(e.meet_v(p, r), e.meet_v(q, s)), None),
+    _axiom("vii", None, "oooo",
+        lambda e, p, q, r, s: e.meet_v(e.meet_h(p, q), e.meet_h(r, s)),
+        lambda e, p, q, r, s: e.meet_h(e.meet_v(p, r), e.meet_v(q, s)), None),
     # (viii) (co)domains are functorial for the transverse meet
-    ("viii.a", "viii.c", "vv",
-     lambda e, p, q: e.vdom(e.meet_h(p, q)),
-     lambda e, p, q: e.meet_h(e.vdom(p), e.vdom(q)), None),
-    ("viii.b", "viii.d", "vv",
-     lambda e, p, q: e.vcod(e.meet_h(p, q)),
-     lambda e, p, q: e.meet_h(e.vcod(p), e.vcod(q)), None),
+    _axiom("viii.a", "viii.c", "vv",
+        lambda e, p, q: e.vdom(e.meet_h(p, q)),
+        lambda e, p, q: e.meet_h(e.vdom(p), e.vdom(q)), None),
+    _axiom("viii.b", "viii.d", "vv",
+        lambda e, p, q: e.vcod(e.meet_h(p, q)),
+        lambda e, p, q: e.meet_h(e.vcod(p), e.vcod(q)), None),
     # (ix) (co)domains are functorial for the transverse (co)restrictions; the
     # transpose of (ix.c) is the pattern-consistent reading of (ix.g), which
     # runs only under strict_ix
-    ("ix.a", "ix.e", "cv",
-     lambda e, a, c: e.vdom(e.hcorestrict(a, c)),
-     lambda e, a, c: e.hcorestrict(e.vdom(a), e.vdom(c)), None),
-    ("ix.b", "ix.f", "cv",
-     lambda e, a, c: e.vcod(e.hcorestrict(a, c)),
-     lambda e, a, c: e.hcorestrict(e.vcod(a), e.vcod(c)), None),
-    ("ix.c", "ix.g-strict", "cv",
-     lambda e, a, c: e.vdom(e.hrestrict(c, a)),
-     lambda e, a, c: e.hrestrict(e.vdom(c), e.vdom(a)), (1, 0)),
-    ("ix.d", "ix.h", "cv",
-     lambda e, a, c: e.vcod(e.hrestrict(c, a)),
-     lambda e, a, c: e.hrestrict(e.vcod(c), e.vcod(a)), (1, 0)),
+    _axiom("ix.a", "ix.e", "cv",
+        lambda e, a, c: e.vdom(e.hcorestrict(a, c)),
+        lambda e, a, c: e.hcorestrict(e.vdom(a), e.vdom(c)), None),
+    _axiom("ix.b", "ix.f", "cv",
+        lambda e, a, c: e.vcod(e.hcorestrict(a, c)),
+        lambda e, a, c: e.hcorestrict(e.vcod(a), e.vcod(c)), None),
+    _axiom("ix.c", "ix.g-strict", "cv",
+        lambda e, a, c: e.vdom(e.hrestrict(c, a)),
+        lambda e, a, c: e.hrestrict(e.vdom(c), e.vdom(a)), (1, 0)),
+    _axiom("ix.d", "ix.h", "cv",
+        lambda e, a, c: e.vcod(e.hrestrict(c, a)),
+        lambda e, a, c: e.hrestrict(e.vcod(c), e.vcod(a)), (1, 0)),
     # (ix.g) as printed restricts by the *vertical* domain of e; the pattern of
     # (e), (f), (h) suggests the horizontal one instead
-    ("ix.g", None, "ch",
-     lambda e, a, c: e.hdom(e.vrestrict(c, a)),
-     lambda e, a, c: e.vrestrict(e.vdom(c), e.hdom(a)), (1, 0)),
+    _axiom("ix.g", None, "ch",
+        lambda e, a, c: e.hdom(e.vrestrict(c, a)),
+        lambda e, a, c: e.vrestrict(e.vdom(c), e.hdom(a)), (1, 0)),
 )
-
-
-def _check_identity(ev: _Eval, rep: ValidationReport, tag, sorts, lhs, rhs, order):
-    substantive = vacuous = 0
-    for args in product(*(ev.carriers[s] for s in sorts)):
-        left = lhs(ev, *args)
-        right = None if left is None else rhs(ev, *args)
-        if right is None:
-            vacuous += 1
-            continue
-        substantive += 1
-        if left != right:
-            rep.add(tag, args if order is None else tuple(args[i] for i in order))
-    rep.bump(tag, True, substantive)
-    rep.bump(tag, False, vacuous)
 
 
 def _check_axiom_families(g, evs, rep: ValidationReport, strict_ix: bool):
     ev, transposed = evs
-    for tag, twin, sorts, lhs, rhs, order in _AXIOMS:
-        _check_identity(ev, rep, tag, sorts, lhs, rhs, order)
-        if twin is not None and (strict_ix or twin != "ix.g-strict"):
-            _check_identity(transposed, rep, twin, sorts, lhs, rhs, order)
+    sides = ((ev, ev.carriers), (transposed, transposed.carriers))
+    _check_twinned(_AXIOMS, sides, rep, skip=() if strict_ix else ("ix.g-strict",))
     if strict_ix:
         for a in g.cells:
             for ec in ev.carriers["h"]:
@@ -523,13 +482,15 @@ def _check_axiom_families(g, evs, rep: ValidationReport, strict_ix: bool):
 
 
 def validate_dig(g: DoubleInductiveGroupoid, strict_ix=False) -> ValidationReport:
-    """Embeddings, both inductive-groupoid substructures, boundary coherence,
-    cell-level interchange, and the full compatibility-axiom sweep."""
+    """The range pass over every field, the embeddings, both inductive-groupoid
+    substructures, boundary coherence, cell-level interchange, and the full
+    compatibility-axiom sweep."""
     rep = ValidationReport()
     if g.cells != tuple(range(1, len(g.cells) + 1)):
         rep.add("shape.cells", (), "cells must be 1..m in order")
         return rep
-    if not _check_embeddings(g, rep) or not _check_ranges(g, rep):
+    carriers = {s: set(getattr(g, name)) for s, name in _CARRIER.items()}
+    if not check_ranges(g, _FIELDS, carriers, rep, _RANGE_TAGS) or not _check_embeddings(g, rep):
         return rep
     for view, prefix in zip(g.views, ("i.", "ii.")):
         rep.merge(view.report, prefix=prefix)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidGroupoidError, ParseError, TheoremViolation, json_field
 from .inverse import InverseSemigroupAnalysis, analyze_inverse
-from .report import ValidationReport, Verdict, computed_once
+from .report import Row, ValidationReport, Verdict, check_ranges, check_rows, computed_once
 from .tables import CayleyTable
 
 
@@ -33,152 +33,115 @@ class InductiveGroupoid:
     restriction: dict  # (e, x) -> y, for objects e <= dom(x)
     corestriction: dict  # (x, e) -> y, for objects e <= cod(x)
 
-    def leq_holds(self, x, y):
-        return (x, y) in self.leq
-
     @computed_once
     def report(self) -> ValidationReport:
         """``validate_ig`` of this value, computed once; treat it as read-only."""
         return validate_ig(self)
 
 
+def order_and_meet_rows(reflexive, antisymmetric, transitive, lower, greatest, counts):
+    """Under a validator's tags: the partial-order rows over a carrier x, l a
+    pair of the order and u an element above its second; and the meet rows
+    over a meet-semilattice o, m the meet of the two objects before it (None
+    where missing) and w an object below the first, counted under counts."""
+    return (
+        Row(reflexive, "x", lambda s, x: (x, x) in s.leq),
+        Row(antisymmetric, "l", lambda s, p: p[0] == p[1] or (p[1], p[0]) not in s.leq),
+        Row(transitive, "lu", lambda s, p, z: (p[0], z) in s.leq),
+        Row(lower, "oom", lambda s, e, f, m:
+            None if m is None else (m, e) in s.leq and (m, f) in s.leq, counts=counts),
+        Row(greatest, "oomw", lambda s, e, f, m, c:
+            None if m is None else (c, m) in s.leq or (c, f) not in s.leq),
+    )
+
+
+# The fields of an inductive groupoid with their sorts, x an arrow and o an
+# object, and the tags under which their ranges were checked before.
+_FIELDS = {"dom": "x:o", "cod": "x:o", "inv": "x:x", "identity": "o:x", "compose": "xx:x",
+           "leq": "xx", "object_meet": "oo:o", "restriction": "ox:x", "corestriction": "xo:x"}
+_RANGE_TAGS = {"dom": "shape.boundary", "cod": "shape.boundary", "inv": "shape.inverse",
+               "identity": "shape.identity", "leq": "order.range", "object_meet": "meet.range"}
+
+
+def _only(items):
+    return items[0] if len(items) == 1 else None
+
+
+# Rows over the sorts of order_and_meet_rows and: C a composable pair, z its
+# composite, y an arrow starting where it ends; i the inverse of an arrow;
+# d (k) an object below its domain (codomain), and b (c) the arrows below it
+# with that domain (codomain), as one value; R (K) a key of the
+# (co)restriction table.
+_ROWS = (
+    Row("shape.identity", "o", lambda g, e: g.identity[e] == e,
+        message="identity arrow of an object must be itself"),
+    Row("groupoid.identity-loop", "o", lambda g, e: g.dom[e] == e == g.cod[e],
+        message="identity arrows must be loops"),
+    Row("groupoid.compose-defined", "xx",
+        lambda g, x, y: ((x, y) in g.compose) == (g.cod[x] == g.dom[y])),
+    Row("groupoid.compose-boundary", "Cz",
+        lambda g, xy, z: g.dom[z] == g.dom[xy[0]] and g.cod[z] == g.cod[xy[1]]),
+    Row("groupoid.identity-neutral", "x",
+        lambda g, x: g.compose.get((g.dom[x], x)) == x == g.compose.get((x, g.cod[x]))),
+    Row("groupoid.inverse-boundary", "xi",
+        lambda g, x, xi: g.dom[xi] == g.cod[x] and g.cod[xi] == g.dom[x]),
+    Row("groupoid.inverse-law", "xi", lambda g, x, xi:
+        None if g.dom[xi] != g.cod[x] or g.cod[xi] != g.dom[x]
+        else g.compose.get((x, xi)) == g.dom[x] and g.compose.get((xi, x)) == g.cod[x]),
+    Row("groupoid.inverse-involution", "xi", lambda g, x, xi: g.inv[xi] == x),
+    Row("groupoid.assoc", "Czy", lambda g, xy, w, z: None if (xy[1], z) not in g.compose
+        else g.compose.get((w, z)) == g.compose.get((xy[0], g.compose[xy[1], z])),
+        order=(0, 1, 3)),
+    *order_and_meet_rows("order.reflexive", "order.antisymmetric", "order.transitive",
+                         "meet.lower-bound", "meet.greatest", "meet"),
+    Row("meet.range", "oom", lambda g, e, f, m: m is not None),
+    # axioms i, ii: inverses and composition preserve the order
+    Row("i", "l", lambda g, p: (g.inv[p[0]], g.inv[p[1]]) in g.leq, counts="i"),
+    Row("ii", "ll", lambda g, p, q:
+        None if g.cod[p[0]] != g.dom[q[0]] or g.cod[p[1]] != g.dom[q[1]]
+        else (g.compose.get((p[0], q[0])), g.compose.get((p[1], q[1]))) in g.leq, counts="ii"),
+    # axioms iii, iv: unique (co)restrictions, matching tables that hold nothing else
+    Row("iii.unique", "xdb", lambda g, x, e, ys: len(ys), lambda *_: 1, order=(1, 0),
+        counts="iii"),
+    Row("iii.table", "xdb", lambda g, x, e, ys: g.restriction.get((e, x)) == _only(ys),
+        order=(1, 0)),
+    Row("iii.extraneous", "R", lambda g, ex: (ex[0], g.dom[ex[1]]) in g.leq),
+    Row("iv.unique", "xkc", lambda g, x, e, ys: len(ys), lambda *_: 1, order=(0, 1),
+        counts="iv"),
+    Row("iv.table", "xkc", lambda g, x, e, ys: g.corestriction.get((x, e)) == _only(ys),
+        order=(0, 1)),
+    Row("iv.extraneous", "K", lambda g, xe: (xe[1], g.cod[xe[0]]) in g.leq),
+)
+
+
 def validate_ig(g: InductiveGroupoid) -> ValidationReport:
-    """Exhaustively check the groupoid, order, restriction, and meet axioms."""
+    """Exhaustively check the groupoid, order, restriction, and meet axioms:
+    the carriers, the range pass over the fields, then the rows."""
     rep = ValidationReport()
-    arrows = g.arrows
-    objects = g.objects
-    arrow_set = set(arrows)
-    object_set = set(objects)
-
-    if arrows != tuple(range(1, len(arrows) + 1)):
+    if g.arrows != tuple(range(1, len(g.arrows) + 1)):
         rep.add("shape.arrows", (), "arrows must be 1..m in order")
-        return rep
-    if not object_set <= arrow_set:
-        rep.add("shape.objects", tuple(sorted(object_set - arrow_set)), "objects must be arrow ids")
-        return rep
-    for x in arrows:
-        if g.dom.get(x) not in object_set or g.cod.get(x) not in object_set:
-            rep.add("shape.boundary", (x,), "dom/cod must map every arrow to an object")
-            return rep
-        if g.inv.get(x) not in arrow_set:
-            rep.add("shape.inverse", (x,), "inverse must map every arrow to an arrow")
-            return rep
-    for e in objects:
-        if g.identity.get(e) != e:
-            rep.add("shape.identity", (e,), "identity arrow of an object must be itself")
-        if g.dom.get(e) != e or g.cod.get(e) != e:
-            rep.add("groupoid.identity-loop", (e,), "identity arrows must be loops")
-
-    # composition: definedness pattern, boundaries, identities, associativity, inverses
-    for x in arrows:
-        for y in arrows:
-            defined = (x, y) in g.compose
-            should = g.cod[x] == g.dom[y]
-            if defined != should:
-                rep.add("groupoid.compose-defined", (x, y))
-                continue
-            if not defined:
-                continue
-            z = g.compose[(x, y)]
-            if z not in arrow_set:
-                rep.add("groupoid.compose-range", (x, y, z))
-                continue
-            if g.dom[z] != g.dom[x] or g.cod[z] != g.cod[y]:
-                rep.add("groupoid.compose-boundary", (x, y, z))
-    for x in arrows:
-        e, f = g.dom[x], g.cod[x]
-        if g.compose.get((e, x)) != x or g.compose.get((x, f)) != x:
-            rep.add("groupoid.identity-neutral", (x,))
-        xi = g.inv[x]
-        if g.dom.get(xi) != f or g.cod.get(xi) != e:
-            rep.add("groupoid.inverse-boundary", (x, xi))
-        elif g.compose.get((x, xi)) != e or g.compose.get((xi, x)) != f:
-            rep.add("groupoid.inverse-law", (x, xi))
-        if g.inv.get(xi) != x:
-            rep.add("groupoid.inverse-involution", (x, xi))
-    for x in arrows:
-        for y in arrows:
-            if g.cod[x] != g.dom[y]:
-                continue
-            xy = g.compose.get((x, y))
-            if xy is None:
-                continue  # already flagged as compose-defined
-            for z in arrows:
-                if g.cod[y] != g.dom[z]:
-                    continue
-                yz = g.compose.get((y, z))
-                if yz is None:
-                    continue
-                if g.compose.get((xy, z)) != g.compose.get((x, yz)):
-                    rep.add("groupoid.assoc", (x, y, z))
-
-    # leq must be a partial order on the arrows
-    leq = g.leq
-    for pair in leq:
-        if pair[0] not in arrow_set or pair[1] not in arrow_set:
-            rep.add("order.range", pair)
-    for x in arrows:
-        if (x, x) not in leq:
-            rep.add("order.reflexive", (x,))
-    for x, y in leq:
-        if x != y and (y, x) in leq:
-            rep.add("order.antisymmetric", (x, y))
-        for z in arrows:
-            if (y, z) in leq and (x, z) not in leq:
-                rep.add("order.transitive", (x, y, z))
-
-    # axiom i: inverses preserve the order
-    for x, y in leq:
-        rep.bump("i", True)
-        if (g.inv[x], g.inv[y]) not in leq:
-            rep.add("i", (x, y))
-    # axiom ii: composition preserves the order
-    for x, y in leq:
-        for u, v in leq:
-            if g.cod[x] == g.dom[u] and g.cod[y] == g.dom[v]:
-                rep.bump("ii", True)
-                xu = g.compose.get((x, u))
-                yv = g.compose.get((y, v))
-                if xu is None or yv is None or (xu, yv) not in leq:
-                    rep.add("ii", (x, y, u, v))
-            else:
-                rep.bump("ii", False)
-
-    # axioms iii/iv: unique (co)restrictions, matching the stored tables
-    for e in objects:
-        for x in arrows:
-            if (e, g.dom[x]) in leq:
-                rep.bump("iii", True)
-                below = [y for y in arrows if (y, x) in leq and g.dom[y] == e]
-                if len(below) != 1:
-                    rep.add("iii.unique", (e, x), f"{len(below)} arrows below with domain {e}")
-                if g.restriction.get((e, x)) != (below[0] if len(below) == 1 else None):
-                    rep.add("iii.table", (e, x))
-            elif (e, x) in g.restriction:
-                rep.add("iii.extraneous", (e, x))
-            if (e, g.cod[x]) in leq:
-                rep.bump("iv", True)
-                above = [y for y in arrows if (y, x) in leq and g.cod[y] == e]
-                if len(above) != 1:
-                    rep.add("iv.unique", (x, e), f"{len(above)} arrows below with codomain {e}")
-                if g.corestriction.get((x, e)) != (above[0] if len(above) == 1 else None):
-                    rep.add("iv.table", (x, e))
-            elif (x, e) in g.corestriction:
-                rep.add("iv.extraneous", (x, e))
-
-    # objects form a meet-semilattice, with the stored meet as glb
-    for e in objects:
-        for f in objects:
-            m = g.object_meet.get((e, f))
-            if m not in object_set:
-                rep.add("meet.range", (e, f, m))
-                continue
-            rep.bump("meet", True)
-            if (m, e) not in leq or (m, f) not in leq:
-                rep.add("meet.lower-bound", (e, f, m))
-            for other in objects:
-                if (other, e) in leq and (other, f) in leq and (other, m) not in leq:
-                    rep.add("meet.greatest", (e, f, m, other))
+    elif not set(g.objects) <= set(g.arrows):
+        extra = tuple(sorted(set(g.objects) - set(g.arrows)))
+        rep.add("shape.objects", extra, "objects must be arrow ids")
+    elif check_ranges(g, _FIELDS, {"x": set(g.arrows), "o": set(g.objects)}, rep, _RANGE_TAGS):
+        down = {x: [y for y in g.arrows if (y, x) in g.leq] for x in g.arrows}
+        up = {x: [y for y in g.arrows if (x, y) in g.leq] for x in g.arrows}
+        below = {o: [e for e in g.objects if (e, o) in g.leq] for o in g.objects}
+        leaving = {o: [z for z in g.arrows if g.dom[z] == o] for o in g.objects}
+        check_rows(g, {
+            "x": g.arrows, "o": g.objects, "l": g.leq, "R": g.restriction,
+            "K": g.corestriction, "C": [k for k in g.compose if g.cod[k[0]] == g.dom[k[1]]],
+            "z": lambda xy: (g.compose[xy],),
+            "y": lambda xy, w: leaving[g.cod[xy[1]]],
+            "u": lambda p: up[p[1]],
+            "i": lambda x: (g.inv[x],),
+            "d": lambda x: below[g.dom[x]],
+            "k": lambda x: below[g.cod[x]],
+            "b": lambda x, e: (tuple(y for y in down[x] if g.dom[y] == e),),
+            "c": lambda x, e: (tuple(y for y in down[x] if g.cod[y] == e),),
+            "m": lambda e, f: (g.object_meet.get((e, f)),),
+            "w": lambda e, f, m: below[e],
+        }, _ROWS, rep)
     return rep
 
 

@@ -11,7 +11,9 @@ the two directions of the correspondence is the identity, which is what the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
+from .double import _FIELDS as _DIG_FIELDS
 from .double import (
     DoubleInductiveGroupoid,
     DoubleSemigroup,
@@ -28,8 +30,9 @@ from .errors import (
     TheoremViolation,
     json_field,
 )
+from .esn import order_and_meet_rows
 from .inverse import is_clifford
-from .report import ValidationReport, Verdict, computed_once
+from .report import Row, ValidationReport, Verdict, check_ranges, check_rows, computed_once
 from .tables import is_commutative
 
 
@@ -64,110 +67,93 @@ class AbelianGroupPresheaf:
         return validate_presheaf(self)
 
 
+_BASE_ROWS = (
+    *order_and_meet_rows("base.reflexive", "base.antisymmetric", "base.transitive",
+                         "base.meet-lower", "base.meet-greatest", "base.meet"),
+    Row("base.meet-total", "oom", lambda s, a, b, m: m is not None, order=(0, 1)),
+)
+
+
 def validate_semilattice(s: MeetSemilattice) -> ValidationReport:
+    """The range pass, then the partial-order and meet rows of ``esn`` under base.* tags."""
     rep = ValidationReport()
-    elems = s.elements
-    eset = set(elems)
-    for a, b in s.leq:
-        if a not in eset or b not in eset:
-            rep.add("base.order-range", (a, b))
-    for a in elems:
-        if (a, a) not in s.leq:
-            rep.add("base.reflexive", (a,))
-    for a, b in s.leq:
-        if a != b and (b, a) in s.leq:
-            rep.add("base.antisymmetric", (a, b))
-        for c in elems:
-            if (b, c) in s.leq and (a, c) not in s.leq:
-                rep.add("base.transitive", (a, b, c))
-    for a in elems:
-        for b in elems:
-            m = s.meet.get((a, b))
-            if m not in eset:
-                rep.add("base.meet-total", (a, b))
-                continue
-            rep.bump("base.meet", True)
-            if (m, a) not in s.leq or (m, b) not in s.leq:
-                rep.add("base.meet-lower", (a, b, m))
-            for c in elems:
-                if (c, a) in s.leq and (c, b) in s.leq and (c, m) not in s.leq:
-                    rep.add("base.meet-greatest", (a, b, m, c))
+    if check_ranges(s, {"leq": "xx", "meet": "xx:x"}, {"x": set(s.elements)}, rep,
+                    {"leq": "base.order-range", "meet": "base.meet-range"}):
+        carriers = {"x": s.elements, "o": s.elements, "l": s.leq,
+                    "u": lambda p: [c for c in s.elements if (p[1], c) in s.leq],
+                    "m": lambda a, b: (s.meet.get((a, b)),),
+                    "w": lambda a, b, m: [c for c in s.elements if (c, a) in s.leq]}
+        check_rows(s, carriers, _BASE_ROWS, rep)
     return rep
 
 
-def validate_group(g: FiniteAbelianGroup, tag="group") -> ValidationReport:
+# g an element of the group: its fields with their sorts and range tags, the
+# closure of op, and the group laws, each checked once the one before holds
+_GROUP_FIELDS = {"unit": ":g", "inv": "g:g", "op": "gg:g"}
+_GROUP_RANGE_TAGS = {"unit": "group.unit-range", "inv": "group.inverse-range",
+                     "op": "group.closure"}
+_CLOSURE = (Row("group.closure", "gg", lambda g, a, b: (a, b) in g.op),)
+_GROUP_ROWS = (
+    Row("group.unit", "g", lambda g, a: g.op[g.unit, a] == a == g.op[a, g.unit]),
+    Row("group.inverse", "g", lambda g, a: g.op[a, g.inv[a]] == g.unit == g.op[g.inv[a], a]),
+    Row("group.commutative", "gg", lambda g, a, b: g.op[a, b] == g.op[b, a]),
+    Row("group.associative", "ggg",
+        lambda g, a, b, c: g.op[g.op[a, b], c] == g.op[a, g.op[b, c]]),
+)
+
+
+def validate_group(g: FiniteAbelianGroup) -> ValidationReport:
     rep = ValidationReport()
-    carrier = g.carrier
-    cset = set(carrier)
-    if g.unit not in cset:
-        rep.add(f"{tag}.unit-range", (g.unit,))
-        return rep
-    for a in carrier:
-        if g.inv.get(a) not in cset:
-            rep.add(f"{tag}.inverse-range", (a,))
-            return rep
-        for b in carrier:
-            if g.op.get((a, b)) not in cset:
-                rep.add(f"{tag}.closure", (a, b))
-                return rep
-    for a in carrier:
-        if g.op[(g.unit, a)] != a or g.op[(a, g.unit)] != a:
-            rep.add(f"{tag}.unit", (a,))
-        if g.op[(a, g.inv[a])] != g.unit or g.op[(g.inv[a], a)] != g.unit:
-            rep.add(f"{tag}.inverse", (a,))
-        for b in carrier:
-            if g.op[(a, b)] != g.op[(b, a)]:
-                rep.add(f"{tag}.commutative", (a, b))
-            for c in carrier:
-                if g.op[(g.op[(a, b)], c)] != g.op[(a, g.op[(b, c)])]:
-                    rep.add(f"{tag}.associative", (a, b, c))
+    if (check_ranges(g, _GROUP_FIELDS, {"g": set(g.carrier)}, rep, _GROUP_RANGE_TAGS)
+            and check_rows(g, {"g": g.carrier}, _CLOSURE, rep)):
+        check_rows(g, {"g": g.carrier}, _GROUP_ROWS, rep)
     return rep
+
+
+# Rows over l, a pair a <= b of the base, and the variables after it: s an
+# element of the group at b, u an element above b, and t an element of the
+# group at that u. Each hom must have the shape of a map between its groups
+# before the homomorphism and functor laws are read.
+_HOM_SHAPE = (Row("hom.shape", "l", lambda p, ab:
+                  set(p.hom[ab]) == set(p.group_at[ab[1]].carrier)
+                  and set(p.hom[ab].values()) <= set(p.group_at[ab[0]].carrier)),)
+_HOM_ROWS = (
+    Row("hom.unit", "l", lambda p, ab:
+        p.hom[ab][p.group_at[ab[1]].unit] == p.group_at[ab[0]].unit, counts="hom"),
+    Row("hom.multiplicative", "lss", lambda p, ab, x, y:
+        p.hom[ab][p.group_at[ab[1]].op[x, y]] == p.group_at[ab[0]].op[p.hom[ab][x], p.hom[ab][y]]),
+    Row("hom.inverse", "ls", lambda p, ab, x:
+        p.hom[ab][p.group_at[ab[1]].inv[x]] == p.group_at[ab[0]].inv[p.hom[ab][x]]),
+    Row("hom.identity", "e", lambda p, a: all(x == y for x, y in p.hom[a, a].items())),
+    # the functor law is counted once per chain a <= b <= u
+    Row("hom.functorial", "lu", lambda p, ab, u: True, counts="hom.functorial"),
+    Row("hom.functorial", "lut", lambda p, ab, u, x:
+        p.hom[ab][p.hom[ab[1], u][x]] == p.hom[ab[0], u][x]),
+)
 
 
 def validate_presheaf(p: AbelianGroupPresheaf) -> ValidationReport:
-    rep = validate_semilattice(p.base)
-    for a in p.base.elements:
-        if a not in p.group_at:
-            rep.add("group.missing", (a,))
-            return rep
+    """The base, a group at each of its elements, then a hom for each of its
+    pairs a <= b, of the shape of a map from the group at b to that at a, and
+    the homomorphism and functor laws."""
+    base = p.base
+    rep = validate_semilattice(base)
+    if not check_ranges(p, {"group_at": "e:"}, {"e": set(base.elements)}, rep,
+                        {"group_at": "group.missing"}):
+        return rep
+    for a in base.elements:
         rep.merge(validate_group(p.group_at[a]))
     if not rep.ok:
         return rep
-    for a, b in p.base.leq:
-        phi = p.hom.get((a, b))
-        ga, gb = p.group_at[a], p.group_at[b]
-        if phi is None:
-            rep.add("hom.missing", (a, b))
-            continue
-        if set(phi.keys()) != set(gb.carrier) or not set(phi.values()) <= set(ga.carrier):
-            rep.add("hom.shape", (a, b))
-            continue
-        rep.bump("hom", True)
-        for x in gb.carrier:
-            for y in gb.carrier:
-                if phi[gb.op[(x, y)]] != ga.op[(phi[x], phi[y])]:
-                    rep.add("hom.multiplicative", (a, b, x, y))
-        # unit/inverse preservation follows for group homomorphisms; assert directly
-        if phi[gb.unit] != ga.unit:
-            rep.add("hom.unit", (a, b))
-        for x in gb.carrier:
-            if phi[gb.inv[x]] != ga.inv[phi[x]]:
-                rep.add("hom.inverse", (a, b, x))
-    for a in p.base.elements:
-        phi = p.hom.get((a, a))
-        if phi is not None and any(phi[x] != x for x in p.group_at[a].carrier):
-            rep.add("hom.identity", (a,))
-    for a, b in p.base.leq:
-        for c in p.base.elements:
-            if (b, c) not in p.base.leq:
-                continue
-            rep.bump("hom.functorial", True)
-            lo, mid, hi = p.hom.get((a, b)), p.hom.get((b, c)), p.hom.get((a, c))
-            if lo is None or mid is None or hi is None:
-                continue  # reported as hom.missing already
-            for x in p.group_at[c].carrier:
-                if lo[mid[x]] != hi[x]:
-                    rep.add("hom.functorial", (a, b, c, x))
+    carriers = {
+        "e": base.elements, "l": base.leq,
+        "s": lambda ab, *_: p.group_at[ab[1]].carrier,
+        "u": lambda ab: [u for u in base.elements if (ab[1], u) in base.leq],
+        "t": lambda ab, u: p.group_at[u].carrier,
+    }
+    if (check_ranges(p, {"hom": "l:"}, {"l": base.leq}, rep, {"hom": "hom.missing"})
+            and check_rows(p, carriers, _HOM_SHAPE, rep)):
+        check_rows(p, carriers, _HOM_ROWS, rep)
     return rep
 
 
@@ -203,78 +189,38 @@ def orders_coincide_on_objects(g: DoubleInductiveGroupoid) -> Verdict:
     return Verdict(True)
 
 
+# Rows on a double groupoid over the cells c at one object: there its two
+# compositions, and its two inverses, agree.
+_COINCIDE = (
+    Row("component.compose", "cc",
+        lambda g, a, b: g.hcompose.get((a, b)) == g.vcompose.get((a, b))),
+    Row("component.inverse", "c", lambda g, a: g.hinv[a] == g.vinv[a]),
+)
+
+
 def component_groups(g: DoubleInductiveGroupoid) -> dict:
     """Cells whose four corners sit at one object form an Abelian group under the
-    (coinciding) compositions; closure and the group laws are verified, not assumed."""
-    comp = {o: [] for o in g.objects}
-    for a in g.cells:
-        corners = g.corners(a)
-        if len(corners) == 1:
-            comp[corners.pop()].append(a)
-    ver_in = {
-        o: [e for e in g.ver_arrows if g.ver_src[e] == o and g.ver_dst[e] == o]
-        for o in g.objects
-    }
-    hor_in = {
-        o: [f for f in g.hor_arrows if g.hor_src[f] == o and g.hor_dst[f] == o]
-        for o in g.objects
-    }
+    (coinciding) compositions; closure and the group laws are verified, not
+    assumed. Closure is the range pass on the tables of g restricted to the
+    cells and arrows at the object."""
+    tables = {name: sorts for name, sorts in _DIG_FIELDS.items() if sorts[2:3] == ":"}  # xy:z
     groups = {}
     for o in g.objects:
-        cells = sorted(comp[o])
-        cellset = set(cells)
-        # closure: meets of arrows at o, (co)restrictions and compositions of cells at o
-        for f1 in hor_in[o]:
-            for f2 in hor_in[o]:
-                if g.meet_v[(f1, f2)] not in hor_in[o]:
-                    raise ComponentNotClosedError(f"vertical meet escapes object {o}")
-        for e1 in ver_in[o]:
-            for e2 in ver_in[o]:
-                if g.meet_h[(e1, e2)] not in ver_in[o]:
-                    raise ComponentNotClosedError(f"horizontal meet escapes object {o}")
-        for a in cells:
-            for e in ver_in[o]:
-                for got in (g.h_restrict.get((e, a)), g.h_corestrict.get((a, e))):
-                    if got is not None and got not in cellset:
-                        raise ComponentNotClosedError(
-                            f"horizontal (co)restriction escapes object {o}"
-                        )
-            for f in hor_in[o]:
-                for got in (g.v_restrict.get((f, a)), g.v_corestrict.get((a, f))):
-                    if got is not None and got not in cellset:
-                        raise ComponentNotClosedError(
-                            f"vertical (co)restriction escapes object {o}"
-                        )
-            for b in cells:
-                for got in (g.hcompose.get((a, b)), g.vcompose.get((a, b))):
-                    if got is not None and got not in cellset:
-                        raise ComponentNotClosedError(f"composition escapes object {o}")
-        # the two compositions must be total on the component and coincide
-        op = {}
-        for a in cells:
-            for b in cells:
-                h = g.hcompose.get((a, b))
-                v = g.vcompose.get((a, b))
-                if h is None or v is None:
-                    raise ComponentNotGroupError(
-                        f"composition not total on the cells at object {o}"
-                    )
-                if h != v:
-                    raise ComponentNotGroupError(
-                        f"the two compositions differ at object {o}, cells {(a, b)}"
-                    )
-                op[(a, b)] = h
-        unit = g.obj_cell(o)
-        if unit not in cellset:
-            raise ComponentNotGroupError(f"identity cell of object {o} not among its cells")
-        inv = {}
-        for a in cells:
-            hi, vi = g.hinv[a], g.vinv[a]
-            if hi != vi or hi not in cellset:
-                raise ComponentNotGroupError(f"no two-sided inverse at object {o}, cell {a}")
-            inv[a] = hi
-        group = FiniteAbelianGroup(tuple(cells), op, unit, inv)
+        at = {"o": {o}, "c": {a for a in g.cells if g.corners(a) == {o}},
+              "v": {e for e in g.ver_arrows if g.ver_src[e] == o == g.ver_dst[e]},
+              "h": {f for f in g.hor_arrows if g.hor_src[f] == o == g.hor_dst[f]}}
+        restricted = SimpleNamespace(**{
+            name: {k: v for k, v in getattr(g, name).items()
+                   if k[0] in at[sorts[0]] and k[1] in at[sorts[1]]}
+            for name, sorts in tables.items()})
+        rep = ValidationReport()
+        if not check_ranges(restricted, tables, at, rep):
+            raise ComponentNotClosedError(f"object {o}: {rep.summary()}")
+        cells = tuple(sorted(at["c"]))
+        group = FiniteAbelianGroup(cells, restricted.hcompose, g.obj_cell(o),
+                                   {a: g.hinv[a] for a in cells})
         rep = validate_group(group)
+        check_rows(g, {"c": cells}, _COINCIDE, rep)
         if not rep:
             raise ComponentNotGroupError(f"object {o}: {rep.summary()}")
         groups[o] = group
@@ -294,29 +240,15 @@ def presheaf_from_dig(g: DoubleInductiveGroupoid) -> AbelianGroupPresheaf:
         for o2 in g.objects
         if (obj_cell[o1], obj_cell[o2]) in g.leq
     )
+    # a meet that is not an object, or a restriction that leaves its group, is
+    # left to the range pass of validate_presheaf
     cell_obj = {c: o for o, c in obj_cell.items()}
-    meet = {}
-    for o1 in g.objects:
-        for o2 in g.objects:
-            m = g.ver_cell[g.meet_h[(g.obj_ver[o1], g.obj_ver[o2])]]
-            if m not in cell_obj:
-                raise TheoremViolation(f"meet of objects {(o1, o2)} is not an object")
-            meet[(o1, o2)] = cell_obj[m]
-    base = MeetSemilattice(g.objects, leq, meet)
+    meet = {(o1, o2): cell_obj.get(g.ver_cell[g.meet_h[g.obj_ver[o1], g.obj_ver[o2]]])
+            for o1 in g.objects for o2 in g.objects}
     groups = component_groups(g)
-    hom = {}
-    for e, a in leq:
-        ge, ga = groups[e], groups[a]
-        phi = {}
-        for x in ga.carrier:
-            y = g.h_restrict.get((g.obj_ver[e], x))
-            if y is None or y not in set(ge.carrier):
-                raise TheoremViolation(
-                    f"restriction of cell {x} to object {e} does not land in its group"
-                )
-            phi[x] = y
-        hom[(e, a)] = phi
-    p = AbelianGroupPresheaf(base, groups, hom)
+    hom = {(e, a): {x: g.h_restrict.get((g.obj_ver[e], x)) for x in groups[a].carrier}
+           for e, a in leq}
+    p = AbelianGroupPresheaf(MeetSemilattice(g.objects, leq, meet), groups, hom)
     if not p.report:
         raise TheoremViolation(f"decomposition is not a presheaf: {p.report.summary()}")
     return p
@@ -543,7 +475,7 @@ def presheaf_from_json(doc: dict) -> AbelianGroupPresheaf:
             )
         carrier = tuple(entry.get("carrier", range(1, order + 1)))
         if len(carrier) != order:
-            raise InvalidPresheafError(_shape_report("group carrier/order mismatch"))
+            raise ParseError(f"groups[{k}].carrier must have {order} entries")
         for i, row in enumerate(rows):
             if len(row) != order:
                 raise ParseError(f"groups[{k}].op[{i}] must have {order} entries")
@@ -554,12 +486,8 @@ def presheaf_from_json(doc: dict) -> AbelianGroupPresheaf:
             for j in range(order)
         }
         unit = carrier[_index(int(json_field(entry, "unit")), order, f"groups[{k}].unit")]
-        inv = {}
-        for a in carrier:
-            matches = [b for b in carrier if op[(a, b)] == unit and op[(b, a)] == unit]
-            if len(matches) != 1:
-                raise InvalidPresheafError(_shape_report(f"no unique inverse for {a}"))
-            inv[a] = matches[0]
+        # an element without an inverse is missing from inv: validate_group reports it
+        inv = {a: b for a in carrier for b in carrier if op[(a, b)] == unit == op[(b, a)]}
         groups[at] = FiniteAbelianGroup(carrier, op, unit, inv)
     hom = {}
     for k, entry in enumerate(json_field(doc, "homs")):
@@ -584,8 +512,3 @@ def _index(position, order, path):
         raise ParseError(f"{path} must be a position in 1..{order}, not {position!r}")
     return position - 1
 
-
-def _shape_report(message):
-    rep = ValidationReport()
-    rep.add("shape", (), message)
-    return rep

@@ -1,8 +1,13 @@
-"""Verdict and validation-report containers used by every checker."""
+"""Verdict and validation-report containers, and the identity engine every
+validator runs: a range pass derived from the sorts of a value's fields, then
+rows of identities over the carriers those sorts name."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import product
+from typing import Callable
 
 
 @dataclass(frozen=True)
@@ -123,3 +128,96 @@ class ValidationReport:
             "vacuous": dict(sorted(self.vacuous.items())),
             "notes": list(self.notes),
         }
+
+
+def _flat(entry):
+    """A witness with its pairs spelled out: ((1, 2), 3) -> (1, 2, 3)."""
+    return tuple(x for part in entry for x in (part if isinstance(part, tuple) else (part,)))
+
+
+def check_ranges(value, fields: dict, carriers: dict, rep: ValidationReport, tags=None) -> bool:
+    """The range pass over fields of ``value``, named with their sorts: the key
+    sorts, ":" and the value sort of a map (no key sorts for a constant, no
+    value sort for values of any kind), two sorts for a relation, one for a
+    carrier, which is skipped. Each key, value and pair must lie in the set
+    ``carriers`` gives its sort, and a one-key map must be total. An entry
+    outside is reported under tags[field], or range.<field>, with the entry
+    (the key, for a one-key map) as its witness. Returns whether none was."""
+    start = len(rep.violations)
+    for name, sorts in fields.items():
+        if len(sorts) == 1:
+            continue
+        keys, is_map, val = sorts.partition(":")
+        data, values = getattr(value, name), carriers.get(val)
+        if not is_map:
+            first, second = (carriers[s] for s in keys)
+            bad = [pair for pair in data if pair[0] not in first or pair[1] not in second]
+        elif not keys:
+            bad = [] if data in values else [(data,)]
+        elif len(keys) == 1:
+            domain = carriers[keys]
+            bad = [(k,) for k in domain if k not in data or values is not None
+                   and data[k] not in values] + [(k,) for k in data if k not in domain]
+        else:
+            first, second = (carriers[s] for s in keys)
+            bad = [(*k, v) for k, v in data.items()
+                   if k[0] not in first or k[1] not in second or v not in values]
+        for entry in bad:
+            rep.add((tags or {}).get(name, f"range.{name}"), _flat(entry),
+                    "entry outside the carriers of its sorts")
+    return len(rep.violations) == start
+
+
+@dataclass(frozen=True)
+class Row:
+    """An identity lhs = rhs, or without rhs a predicate lhs, over variables of
+    the given sorts; each side is a function of a context and the variables,
+    and None where undefined, which makes the tuple vacuous. A failing tuple
+    is reported under tag, the variables (in ``order`` if given) its witness;
+    substantive and vacuous tuples are counted under ``counts`` if given."""
+
+    tag: str
+    sorts: str
+    lhs: Callable
+    rhs: Callable = lambda *_: True
+    order: tuple | None = None
+    counts: str | None = None
+    message: str = ""
+
+
+def _assignments(domains):
+    """``product(*domains)``, lazily, where a callable domain gives the values
+    of its variable from the values of those before it."""
+    return reduce(_extended, domains, iter([()]))
+
+
+def _extended(tuples, domain):
+    return (t + (x,) for t in tuples for x in (domain(*t) if callable(domain) else domain))
+
+
+def check_rows(context, carriers: dict, rows, rep: ValidationReport) -> bool:
+    """Run each row over every tuple of its variables, a variable ranging over
+    ``carriers[sort]``: a collection, or a function of the variables before it.
+    Returns whether no row failed."""
+    start = len(rep.violations)
+    for row in rows:
+        domains = [carriers[s] for s in row.sorts]
+        tuples = _assignments(domains) if any(map(callable, domains)) else product(*domains)
+        lhs, rhs = row.lhs, row.rhs
+        substantive = vacuous = 0
+        for args in tuples:
+            left = lhs(context, *args)
+            right = None if left is None else rhs(context, *args)
+            if right is None:
+                vacuous += 1
+                continue
+            substantive += 1
+            if left != right:
+                witness = _flat(args)
+                if row.order is not None:
+                    witness = tuple(witness[i] for i in row.order)
+                rep.add(row.tag, witness, row.message)
+        if row.counts is not None:
+            rep.bump(row.counts, True, substantive)
+            rep.bump(row.counts, False, vacuous)
+    return len(rep.violations) == start

@@ -217,13 +217,18 @@ def _classes(n, filt, prefix=()):
 
 
 def _enum_worker(args):
-    n, prefix, filt, keep_matches = args
+    """(labeled count, the least table of each matching class if keep_classes,
+    the canonical forms)."""
+    n, prefix, filt, keep_classes = args
     rel = _relabelings(n)
     classes = _classes(n, filt, prefix)
     count = sum(len(rel) // aut for _, aut in classes)
     canon = [_table_to_flat(canonical_form(_flat_to_table(T, n))) for T, _ in classes]
-    matches = [t for T, aut in classes for t in _orbit(T, aut, rel)] if keep_matches else []
-    return count, matches, canon
+    if not keep_classes:
+        return count, [], canon
+    for T, aut in classes:
+        _orbit(T, aut, rel)  # asserts that the orbit holds n!/|Aut| tables
+    return count, [T for T, _ in classes], canon
 
 
 @dataclass(frozen=True)
@@ -246,12 +251,6 @@ class EnumerationReport:
             "representatives": [format_table(t) for t in self.representatives],
             "claims": dict(sorted(self.claims.items())),
         }
-
-
-def iter_semigroup_tables(n):
-    """Every associative labeled table of order n once: the relabelings of each
-    class's block-order least table, class by class."""
-    yield from tables_matching(n, "all")
 
 
 def tables_matching(n, filt):
@@ -281,11 +280,12 @@ def enumerate_semigroups(n, filt="all", jobs=1) -> EnumerationReport:
     else:
         results = [_enum_worker((n, (), filt, keep))]
     labeled = sum(r[0] for r in results)
-    matches = [T for r in results for T in r[1]]
     canon_flat = sorted(T for r in results for T in r[2])
     reps = tuple(_flat_to_table(T, n) for T in canon_flat)
     claims = {}
     if keep:
+        # the claims are invariant under relabeling, so each class is checked once
+        matches = [T for r in results for T in r[1]]
         claims["all_matches_associative"] = all(
             bool(is_associative(_flat_to_table(T, n))) for T in matches
         )

@@ -417,3 +417,25 @@ def test_each_command_checks_each_value_once(tmp_path, monkeypatch):
     assert got["analyze_inverse"] <= 1 and got["is_associative"] <= 2
     got = counted_run("check", fx("clifford3_pair.cay"), "--double-inverse")
     assert got["is_associative"] <= 2
+
+
+def test_groupoid_and_presheaf_entries_outside_their_carriers(tmp_path, capsys):
+    # a stray entry is malformed input (exit 2, the range tag named), not a
+    # crash and not a pass
+    groupoid = json.loads((fixture_dir() / "partial_bijections_2.json").read_text())
+    for field, entry, tag in (("leq", [99, 1], "order.range"),
+                              ("compose", [99, 1, 1], "range.compose"),
+                              ("restriction", [99, 1, 1], "range.restriction"),
+                              ("corestriction", [99, 1, 1], "range.corestriction")):
+        path = tmp_path / f"stray_{field}.json"
+        path.write_text(json.dumps(dict(groupoid, **{field: groupoid[field] + [entry]})))
+        capsys.readouterr()
+        assert run("esn", "to-semigroup", str(path))[0] == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"esnlab: error: invalid inductive groupoid: {tag} at"), err
+    doc = json.loads((fixture_dir() / "clifford3_presheaf.json").read_text())
+    doc["base"]["meet"].append([99, 1, 1])
+    path = tmp_path / "stray_meet.presheaf.json"
+    path.write_text(json.dumps(doc))
+    assert run("compose", str(path))[0] == 2
+    assert "base.meet-range at (99, 1, 1)" in capsys.readouterr().err

@@ -382,3 +382,26 @@ def test_substantive_families_on_two_object_fixture(clifford3):
     families = validate_dig(g).substantive_by_family()
     for family in ("iii", "iv", "v", "vi", "vii", "viii", "ix"):
         assert families.get(family, 0) >= 1, family
+
+
+def test_validate_dig_counts_of_the_fixture():
+    # recorded before the validators were stated as rows; the rows must keep them
+    rep = validate_dig(dig_from_dis(load_pair("clifford3_pair.cay")), strict_ix=True)
+    assert rep.substantive == {
+        "i.i": 5, "i.ii": 9, "i.iii": 5, "i.iv": 5, "i.meet": 4,
+        "ii.i": 5, "ii.ii": 9, "ii.iii": 5, "ii.iv": 5, "ii.meet": 4,
+        "boundary.hcomp-vdom": 5, "boundary.hcomp-vcod": 5,
+        "boundary.vcomp-hdom": 5, "boundary.vcomp-hcod": 5, "interchange.cells": 17,
+        "iii.a": 9, "iii.b": 9, "iii.c": 9, "iii.d": 9, "iv.a": 4, "iv.b": 4,
+        "v.a": 9, "v.b": 9, "v.c": 9, "v.d": 9, "vi.a": 9, "vi.b": 9, "vi.c": 9, "vi.d": 9,
+        "vii": 16, "viii.a": 4, "viii.b": 4, "viii.c": 4, "viii.d": 4,
+        "ix.a": 5, "ix.b": 5, "ix.c": 5, "ix.d": 5, "ix.e": 5, "ix.f": 5, "ix.g": 5,
+        "ix.g-strict": 5, "ix.h": 5,
+    }
+    assert rep.vacuous == {
+        "i.ii": 16, "ii.ii": 16, "iii.a": 27, "iii.b": 27, "iii.c": 27, "iii.d": 27,
+        "iv.a": 12, "iv.b": 12, "v.a": 7, "v.b": 7, "v.c": 7, "v.d": 7,
+        "vi.a": 3, "vi.b": 3, "vi.c": 3, "vi.d": 3,
+        "ix.a": 1, "ix.b": 1, "ix.c": 1, "ix.d": 1, "ix.e": 1, "ix.f": 1, "ix.g": 1,
+        "ix.g-strict": 1, "ix.h": 1,
+    }

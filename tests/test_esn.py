@@ -206,3 +206,50 @@ def test_groupoid_dot(b2):
         'digraph groupoid {\n  "1";\n  "4";\n  "5";\n'
         '  "4" -> "5" [label="2"];\n  "5" -> "4" [label="3"];\n}\n'
     )
+
+
+def test_validate_ig_counts_of_the_fixture():
+    # recorded before the validator was stated as rows; the rows must keep them
+    rep = validate_ig(load_groupoid("partial_bijections_2.json"))
+    assert rep.substantive == {"i": 17, "ii": 33, "iii": 17, "iv": 17, "meet": 16}
+    assert rep.vacuous == {"ii": 256}
+
+
+def test_validate_ig_total_on_random_mutations():
+    """validate_ig reports on a corrupted groupoid instead of raising; where a
+    key or a value leaves its carrier, it reports only that."""
+    import random
+    from dataclasses import replace
+
+    rng = random.Random(2026)
+    base = load_groupoid("partial_bijections_2.json")
+    m = len(base.arrows)
+    range_tags = {"shape.arrows", "shape.objects", "shape.boundary", "shape.inverse",
+                  "shape.identity", "order.range", "meet.range", "range.compose",
+                  "range.restriction", "range.corestriction"}
+    tags = set()
+    for i in range(300):
+        field = rng.choice(("objects", "arrows", "dom", "cod", "inv", "identity", "compose",
+                            "leq", "object_meet", "restriction", "corestriction"))
+        value = getattr(base, field)
+        outside = rng.choice((m + 1, 99))
+        deleted = i % 3 == 2
+        if field in ("objects", "arrows"):
+            value = value[:-1] if deleted else value + (outside,)
+        elif field == "leq":
+            pair = (rng.randint(1, m), outside)[:: rng.choice((1, -1))]
+            value = value - {rng.choice(sorted(value))} if deleted else value | {pair}
+        else:
+            value = dict(value)
+            key = rng.choice(sorted(value))
+            if deleted:
+                del value[key]
+            elif i % 3:
+                value[(outside, *key[1:]) if isinstance(key, tuple) else outside] = value.pop(key)
+            else:
+                value[key] = outside
+        rep = validate_ig(replace(base, **{field: value}))
+        found = {v.axiom for v in rep.violations}
+        assert deleted or found and found <= range_tags, (field, found)
+        tags |= found
+    assert range_tags <= tags

@@ -266,3 +266,64 @@ def test_presheaf_from_json_rejects_positions_out_of_range(tmp_path, capsys, gro
     capsys.readouterr()
     assert main(["compose", str(file)]) == 2
     assert path in capsys.readouterr().err
+
+
+def test_validate_presheaf_counts_of_the_fixture():
+    # recorded before the validators were stated as rows; the rows must keep them
+    rep = validate_presheaf(load_presheaf("clifford3_presheaf.json"))
+    assert rep.substantive == {"base.meet": 4, "hom": 3, "hom.functorial": 4}
+    assert rep.vacuous == {}
+
+
+def test_validate_presheaf_total_on_random_mutations():
+    """validate_presheaf reports on a corrupted presheaf instead of raising;
+    where a key or a value leaves its carrier, it reports only that."""
+    import random
+    from dataclasses import replace
+
+    rng = random.Random(2026)
+    base = load_presheaf("clifford3_presheaf.json")
+    range_tags = {"base.order-range", "base.meet-range", "group.missing", "group.unit-range",
+                  "group.inverse-range", "group.closure", "hom.missing", "hom.shape"}
+
+    def corrupt(table, i, outside):
+        """table with a value or a key moved outside its carrier, or an entry
+        deleted; a hom is corrupted inside, and a group is moved, not replaced."""
+        table = dict(table)
+        key = rng.choice(sorted(table))
+        if i % 3 == 2:
+            del table[key]
+        elif i % 3 or isinstance(table[key], FiniteAbelianGroup):
+            table[(outside, *key[1:]) if isinstance(key, tuple) else outside] = table.pop(key)
+        elif isinstance(table[key], dict):
+            table[key] = corrupt(table[key], i, outside)
+        else:
+            table[key] = outside
+        return table
+
+    tags = set()
+    for i in range(300):
+        outside = rng.choice((3, 99))
+        field = rng.choice(("leq", "meet", "group_at", "carrier", "op", "unit", "inv", "hom"))
+        if field == "leq":
+            pair = (rng.choice((1, 2)), outside)[:: rng.choice((1, -1))]
+            p = replace(base, base=replace(base.base, leq=base.base.leq | {pair}))
+        elif field == "meet":
+            p = replace(base, base=replace(base.base, meet=corrupt(base.base.meet, i, outside)))
+        elif field in ("group_at", "hom"):
+            p = replace(base, **{field: corrupt(getattr(base, field), i, outside)})
+        else:
+            at = rng.choice(base.base.elements)
+            group = base.group_at[at]
+            if field == "carrier":
+                group = replace(group, carrier=group.carrier + (outside,))
+            elif field == "unit":
+                group = replace(group, unit=outside)
+            else:
+                group = replace(group, **{field: corrupt(getattr(group, field), i, outside)})
+            p = replace(base, group_at={**base.group_at, at: group})
+        rep = validate_presheaf(p)
+        found = {v.axiom for v in rep.violations}
+        assert i % 3 == 2 or found and found <= range_tags, (field, found)
+        tags |= found
+    assert range_tags <= tags

@@ -8,7 +8,6 @@ from esnlab.search import (
     _classes,
     canonical_pair,
     enumerate_semigroups,
-    iter_semigroup_tables,
     naive_enumerate,
     search_double,
     second_table_search,
@@ -51,7 +50,7 @@ def test_known_counts():
 
 def test_iter_semigroup_tables_is_every_labeled_table_once():
     for n in (1, 2, 3, 4):
-        tables = [t.rows for t in iter_semigroup_tables(n)]
+        tables = [t.rows for t in tables_matching(n, "all")]
         assert len(tables) == len(set(tables)), n
         if n <= 3:
             assert set(tables) == {t.rows for t in all_tables(n) if assoc_oracle(t) is None}, n
@@ -71,7 +70,7 @@ def test_brandt_b2_has_two_automorphisms(b2):
 
 def test_every_emitted_table_is_associative():
     for n in (1, 2, 3):
-        for t in iter_semigroup_tables(n):
+        for t in tables_matching(n, "all"):
             assert is_associative(t)
 
 

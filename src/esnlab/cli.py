@@ -320,6 +320,17 @@ def _render(doc, fmt, stream):
         stream.write(f"inverse_map: {a['inverse_map']}\n")
 
 
+def _jobs(text):
+    """--jobs: a worker count of at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {jobs}")
+    return jobs
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="esnlab",
@@ -378,12 +389,12 @@ def build_parser():
     p.add_argument("--noncommutative", action="store_true")
     p.add_argument("--commutative", action="store_true")
     p.add_argument("--expect-none", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=cmd_search)
 
     p = sub.add_parser("golden-suite", help="replay every bundled fixture")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=cmd_golden)
 

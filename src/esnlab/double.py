@@ -27,6 +27,7 @@ from .errors import (
     ParseError,
     TheoremViolation,
     json_field,
+    keyed,
 )
 from .esn import InductiveGroupoid, pseudo_product_table, pseudo_products
 from .inverse import InverseSemigroupAnalysis, analyze_inverse
@@ -767,5 +768,5 @@ def dig_from_json(doc: dict) -> DoubleInductiveGroupoid:
         elif len(keys) == 1:
             values[name] = dict(zip(ids[keys], json_field(doc, name)))
         else:
-            values[name] = {(a, b): c for a, b, c in json_field(doc, name)}
+            values[name] = keyed(json_field(doc, name), name, 2)
     return DoubleInductiveGroupoid(**values)

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the JSON field lookup that
-reports a missing key as a ParseError."""
+"""Exception types shared across the package, and the JSON readers that report
+a missing key, or an id or key listed twice, as a ParseError."""
 
 
 class EsnlabError(Exception):
@@ -23,6 +23,32 @@ def json_field(doc, key):
         return doc[key]
     except KeyError:
         raise ParseError(f"missing field {key!r}") from None
+
+
+def distinct(ids, path):
+    """A JSON list of carrier ids, as a tuple; an id listed twice is malformed
+    input and the message names its place under ``path``."""
+    seen = set()
+    for i, x in enumerate(ids):
+        if x in seen:
+            raise ParseError(f"{path}[{i}] repeats the id {x!r}")
+        seen.add(x)
+    return tuple(ids)
+
+
+def keyed(entries, path, arity):
+    """A JSON list of entries [*key, value] with ``arity`` key parts, as a dict
+    (a one-part key bare); a key listed twice is malformed input and the
+    message names its place under ``path``."""
+    out = {}
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, list) or len(entry) != arity + 1:
+            raise ParseError(f"{path}[{i}] must be a list of {arity + 1} ids")
+        key = tuple(entry[:arity]) if arity > 1 else entry[0]
+        if key in out:
+            raise ParseError(f"{path}[{i}] repeats the key {key!r}")
+        out[key] = entry[arity]
+    return out
 
 
 class NotASemigroupError(EsnlabError):

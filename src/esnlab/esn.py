@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidGroupoidError, ParseError, TheoremViolation, json_field
+from .errors import (
+    InvalidGroupoidError, ParseError, TheoremViolation, distinct, json_field, keyed,
+)
 from .inverse import InverseSemigroupAnalysis, analyze_inverse
 from .report import Row, ValidationReport, Verdict, check_ranges, check_rows, computed_once
 from .tables import CayleyTable
@@ -282,17 +284,17 @@ def groupoid_from_json(doc: dict) -> InductiveGroupoid:
             raise ParseError(f"{name} must list one entry per arrow ({m} declared)")
     arrows = tuple(range(1, m + 1))
     return InductiveGroupoid(
-        objects=tuple(json_field(doc, "objects")),
+        objects=distinct(json_field(doc, "objects"), "objects"),
         arrows=arrows,
         dom={a: per_arrow["dom"][a - 1] for a in arrows},
         cod={a: per_arrow["cod"][a - 1] for a in arrows},
-        compose={(x, y): z for x, y, z in json_field(doc, "compose")},
+        compose=keyed(json_field(doc, "compose"), "compose", 2),
         inv={a: per_arrow["inverse"][a - 1] for a in arrows},
-        identity={e: a for e, a in json_field(doc, "identity")},
+        identity=keyed(json_field(doc, "identity"), "identity", 1),
         leq=frozenset((x, y) for x, y in json_field(doc, "leq")),
-        object_meet={(e, f): g for e, f, g in json_field(doc, "meet")},
-        restriction={(e, x): y for e, x, y in json_field(doc, "restriction")},
-        corestriction={(x, e): y for x, e, y in json_field(doc, "corestriction")},
+        object_meet=keyed(json_field(doc, "meet"), "meet", 2),
+        restriction=keyed(json_field(doc, "restriction"), "restriction", 2),
+        corestriction=keyed(json_field(doc, "corestriction"), "corestriction", 2),
     )
 
 

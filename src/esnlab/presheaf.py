@@ -28,7 +28,9 @@ from .errors import (
     NotDoubleInverseError,
     ParseError,
     TheoremViolation,
+    distinct,
     json_field,
+    keyed,
 )
 from .esn import order_and_meet_rows
 from .inverse import is_clifford
@@ -458,22 +460,24 @@ def presheaf_to_json(p: AbelianGroupPresheaf) -> dict:
 
 def presheaf_from_json(doc: dict) -> AbelianGroupPresheaf:
     base = json_field(doc, "base")
-    elems = tuple(json_field(base, "elements"))
+    elems = distinct(json_field(base, "elements"), "base.elements")
     lattice = MeetSemilattice(
         elems,
         frozenset((a, b) for a, b in json_field(base, "leq")),
-        {(a, b): m for a, b, m in json_field(base, "meet")},
+        keyed(json_field(base, "meet"), "base.meet", 2),
     )
     groups = {}
     for k, entry in enumerate(json_field(doc, "groups")):
         at, rows = json_field(entry, "at"), json_field(entry, "op")
+        if at in groups:
+            raise ParseError(f"groups[{k}].at repeats the element {at!r}")
         order = int(json_field(entry, "order"))
         if len(rows) != order:
             raise ParseError(
                 f"group at {at}: order {order} does not match "
                 f"the {len(rows)} rows of op"
             )
-        carrier = tuple(entry.get("carrier", range(1, order + 1)))
+        carrier = distinct(entry.get("carrier", range(1, order + 1)), f"groups[{k}].carrier")
         if len(carrier) != order:
             raise ParseError(f"groups[{k}].carrier must have {order} entries")
         for i, row in enumerate(rows):
@@ -495,6 +499,8 @@ def presheaf_from_json(doc: dict) -> AbelianGroupPresheaf:
         for x in (a, b):
             if x not in groups:
                 raise ParseError(f"homs[{k}].pair names {x!r}, which has no group")
+        if (a, b) in hom:
+            raise ParseError(f"homs[{k}].pair repeats the pair {[a, b]!r}")
         values = json_field(entry, "values")
         source, target = groups[b], groups[a]
         if len(values) != source.order:

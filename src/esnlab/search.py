@@ -11,12 +11,17 @@ partial table with each of its relabelings in that block order and drops it
 once a relabeling is smaller, so one table per isomorphism class survives:
 the block-order least. Labeled tables are counted as the sum of n!/|Aut(T)|
 over the survivors, the automorphisms being the relabelings still tied with
-a complete table. Where every labeled table is needed (the claims, the first
-tables of the pair search) a survivor's orbit is expanded, and classes are
-reported by their row-major canonical form.
+a complete table. Where every labeled table is needed a survivor's orbit is
+expanded, and classes are reported by their row-major canonical form.
 
-Pair search fixes each labeled first table and backtracks the second with
-the interchange law propagated the same way.
+The pair search is isomorph-free in its first table. It backtracks the second
+table, with the interchange law propagated the same way, only under the least
+first table h of each class. The second tables of a relabeled first table are
+the relabeled second tables, so the labeled pairs number the sum of
+n!/|Aut(h)| times the second tables of h. A pair's class is keyed by the
+row-major least form of h and the least image of v under the relabelings that
+give that form, a coset of Aut(h), which is the least joint relabeling of the
+pair at |Aut(h)| relabelings rather than n!.
 
 Hot loops work on flat 0-based tuples; everything crossing the module boundary
 is a 1-based CayleyTable.
@@ -27,9 +32,11 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations, product as iproduct
+from math import factorial
 
 from .errors import EsnlabError, NotASemigroupError, OrderTooLargeError
 from .inverse import analyze_inverse, is_clifford
+from .report import computed_once
 from .tables import (
     CayleyTable,
     canonical_form,
@@ -37,7 +44,6 @@ from .tables import (
     format_table,
     is_associative,
     is_commutative,
-    relabel,
 )
 
 SINGLE_CAP = 5
@@ -139,10 +145,32 @@ def _relabelings(n):
 
 
 def _orbit(T, aut, rel):
-    """The distinct relabelings of T, sorted; there are n!/|Aut(T)| of them."""
-    orbit = sorted({tuple(img[T[s]] for s in src) for img, src in rel})
-    assert len(orbit) * aut == len(rel), "orbit size is not n!/|Aut|"
-    return orbit
+    """The distinct relabelings of T, sorted, each with one relabeling (img,
+    src) in rel that gives it; there are n!/|Aut(T)| of them."""
+    images = {}
+    for img, src in rel:
+        images.setdefault(tuple(img[T[s]] for s in src), (img, src))
+    assert len(images) * aut == len(rel), "orbit size is not n!/|Aut|"
+    return sorted(images.items())
+
+
+def _pair_keys(H, Vs, rel):
+    """The least joint relabeling of (H, V) for each V in Vs: the row-major
+    least form of H, then the least image of V under the relabelings that give
+    that form, a coset of Aut(H)."""
+    images = [(tuple([img[H[s]] for s in src]), img, src) for img, src in rel]
+    least = min(t for t, _, _ in images)
+    coset = [(img, src) for t, img, src in images if t == least]
+    return [(least, min(tuple([img[V[s]] for s in src]) for img, src in coset)) for V in Vs]
+
+
+def _run_tasks(worker, tasks, jobs):
+    """worker over each task, in order; in a pool of min(jobs, tasks) processes
+    when jobs > 1, since the pool starts all of its workers at once."""
+    if jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            return list(pool.map(worker, tasks, chunksize=1))
+    return [worker(task) for task in tasks]
 
 
 def _search_tables(n, prefix, emit, depth=None):
@@ -261,7 +289,7 @@ def tables_matching(n, filt):
     if not 1 <= n <= SINGLE_CAP:
         raise OrderTooLargeError(n, SINGLE_CAP)
     rel = _relabelings(n)
-    return [_flat_to_table(t, n) for T, aut in _classes(n, filt) for t in _orbit(T, aut, rel)]
+    return [_flat_to_table(t, n) for T, aut in _classes(n, filt) for t, _ in _orbit(T, aut, rel)]
 
 
 def enumerate_semigroups(n, filt="all", jobs=1) -> EnumerationReport:
@@ -273,12 +301,8 @@ def enumerate_semigroups(n, filt="all", jobs=1) -> EnumerationReport:
     if not 1 <= n <= SINGLE_CAP:
         raise OrderTooLargeError(n, SINGLE_CAP)
     keep = filt != "all"
-    if jobs > 1 and n >= 3:
-        tasks = [(n, p, filt, keep) for p in _prefixes(n, _SPLIT_DEPTH)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_enum_worker, tasks, chunksize=1))
-    else:
-        results = [_enum_worker((n, (), filt, keep))]
+    prefixes = _prefixes(n, _SPLIT_DEPTH) if jobs > 1 and n >= 3 else [()]
+    results = _run_tasks(_enum_worker, [(n, p, filt, keep) for p in prefixes], jobs)
     labeled = sum(r[0] for r in results)
     canon_flat = sorted(T for r in results for T in r[2])
     reps = tuple(_flat_to_table(T, n) for T in canon_flat)
@@ -419,24 +443,18 @@ def second_table_search(hop: CayleyTable, klass="semigroup"):
 
 
 def _pair_worker(args):
-    n, hop_flats, klass = args
-    pairs = []
-    for flat in hop_flats:
-        hop = _flat_to_table(flat, n)
-        for vop in second_table_search(hop, klass):
-            pairs.append((flat, _table_to_flat(vop)))
-    return pairs
+    """(H, |Aut(H)|, the second tables of H, the class key of each pair) for a
+    least first table H."""
+    n, H, aut, klass = args
+    Vs = [_table_to_flat(v) for v in second_table_search(_flat_to_table(H, n), klass)]
+    return H, aut, Vs, _pair_keys(H, Vs, _relabelings(n))
 
 
 def canonical_pair(hop: CayleyTable, vop: CayleyTable):
-    """Least joint relabeling of the ordered pair."""
+    """Least joint relabeling of the ordered pair, as (hop rows, vop rows)."""
     n = hop.n
-    best = None
-    for perm in permutations(range(1, n + 1)):
-        key = (relabel(hop, perm).rows, relabel(vop, perm).rows)
-        if best is None or key < best:
-            best = key
-    return best
+    [(h, v)] = _pair_keys(_table_to_flat(hop), [_table_to_flat(vop)], _relabelings(n))
+    return _flat_to_table(h, n).rows, _flat_to_table(v, n).rows
 
 
 @dataclass(frozen=True)
@@ -449,7 +467,22 @@ class PairSearchReport:
     representatives: tuple
     proper_representatives: tuple
     claims: dict
-    pairs: tuple = ()  # every labeled pair found; not serialized
+    # (least first table, |Aut|, its second tables), flat; not serialized
+    orbits: tuple = ()
+
+    @computed_once
+    def pairs(self):
+        """Every labeled pair: (π·h, π·v) for each least first table h, one
+        relabeling π per table π·h of its orbit, and each second table v of h
+        (the second tables of h are closed under Aut(h))."""
+        n = self.order
+        rel = _relabelings(n)
+        return tuple(
+            (_flat_to_table(t, n), _flat_to_table(tuple(img[V[s]] for s in src), n))
+            for H, aut, Vs in self.orbits
+            for t, (img, src) in _orbit(H, aut, rel)
+            for V in Vs
+        )
 
     def as_json(self):
         return {
@@ -470,55 +503,62 @@ class PairSearchReport:
 
 def search_double(n, klass="semigroup", jobs=1) -> PairSearchReport:
     """All ordered pairs (hop, vop) of order n forming a double (inverse)
-    semigroup: enumerate hop, backtrack vop under associativity + interchange."""
+    semigroup: backtrack vop under associativity and interchange for the least
+    hop of each class, count the labeled pairs as the sum of n!/|Aut(hop)|
+    times its vops, and key each class by its least joint relabeling."""
     if klass not in ("semigroup", "inverse"):
         raise ValueError(f"unknown class {klass!r}")
     if not 1 <= n <= PAIR_CAP:
         raise OrderTooLargeError(n, PAIR_CAP)
     filt = "inverse" if klass == "inverse" else "all"
-    hops = [_table_to_flat(t) for t in tables_matching(n, filt)]
-    if jobs > 1 and len(hops) > 1:
-        chunk = max(1, len(hops) // (jobs * 4))
-        tasks = [(n, hops[i : i + chunk], klass) for i in range(0, len(hops), chunk)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunked = list(pool.map(_pair_worker, tasks))
-        pairs = [p for ch in chunked for p in ch]
-    else:
-        pairs = _pair_worker((n, hops, klass))
-    tables = [(_flat_to_table(h, n), _flat_to_table(v, n)) for h, v in pairs]
-    proper = [(h, v) for h, v in tables if h.rows != v.rows]
+    tasks = [(n, H, aut, klass) for H, aut in _classes(n, filt)]
+    found = _run_tasks(_pair_worker, tasks, jobs)
+    orbit = factorial(n)
     canon, canon_proper = set(), set()
-    for h, v in tables:
-        key = canonical_pair(h, v)
-        canon.add(key)
-        if h.rows != v.rows:  # proper, which relabelling preserves
-            canon_proper.add(key)
+    pair_count = proper_count = 0
+    for H, aut, Vs, keys in found:
+        pair_count += orbit // aut * len(Vs)
+        for V, key in zip(Vs, keys):
+            canon.add(key)
+            if V != H:  # proper, which relabeling preserves
+                proper_count += orbit // aut
+                canon_proper.add(key)
+    # the labeled pairs are a union of orbits, and swapping commutes with
+    # relabeling, so they are swap-closed iff each class's swap is a class
+    rel = _relabelings(n)
+    by_second = {}
+    for H, V in canon:
+        by_second.setdefault(V, []).append(H)
     claims = {
-        "pairs_found": bool(tables),
-        "swap_closed": {(h.rows, v.rows) for h, v in tables}
-        == {(v.rows, h.rows) for h, v in tables},
+        "pairs_found": pair_count > 0,
+        "swap_closed": all(
+            key in canon for V, Hs in by_second.items() for key in _pair_keys(V, Hs, rel)
+        ),
     }
     if klass == "inverse":
-        claims["all_improper"] = not proper
+        # each claim is invariant under relabeling, so the least pairs decide it
+        least = [(_flat_to_table(H, n), _flat_to_table(V, n))
+                 for H, _, Vs, _ in found for V in Vs]
+        claims["all_improper"] = proper_count == 0
         claims["all_commutative"] = all(
-            bool(is_commutative(h)) and bool(is_commutative(v)) for h, v in tables
+            bool(is_commutative(h)) and bool(is_commutative(v)) for h, v in least
         )
         claims["all_clifford"] = all(
             bool(is_clifford(analyze_inverse(h))) and bool(is_clifford(analyze_inverse(v)))
-            for h, v in tables
+            for h, v in least
         )
+
+    def tables(keys):
+        return tuple((_flat_to_table(h, n), _flat_to_table(v, n)) for h, v in sorted(keys))
+
     return PairSearchReport(
         order=n,
         klass=klass,
-        pair_count=len(tables),
-        proper_pair_count=len(proper),
+        pair_count=pair_count,
+        proper_pair_count=proper_count,
         class_count=len(canon),
-        representatives=tuple(
-            (CayleyTable(h), CayleyTable(v)) for h, v in sorted(canon)
-        ),
-        proper_representatives=tuple(
-            (CayleyTable(h), CayleyTable(v)) for h, v in sorted(canon_proper)
-        ),
+        representatives=tables(canon),
+        proper_representatives=tables(canon_proper),
         claims=claims,
-        pairs=tuple(tables),
+        orbits=tuple((H, aut, tuple(Vs)) for H, aut, Vs, _ in found),
     )

@@ -40,3 +40,23 @@ def assoc_oracle(t):
                 if t.product(t.product(a, b), c) != t.product(a, t.product(b, c)):
                     return (a, b, c)
     return None
+
+
+def canonical_pair_oracle(hop, vop):
+    """Least joint relabeling of the pair over all n! permutations."""
+    from itertools import permutations
+
+    from esnlab.tables import relabel
+
+    return min(
+        (relabel(hop, perm).rows, relabel(vop, perm).rows)
+        for perm in permutations(range(1, hop.n + 1))
+    )
+
+
+def labeled_pairs_oracle(n, klass):
+    """Every labeled pair: the second tables of every labeled first table."""
+    from esnlab.search import second_table_search, tables_matching
+
+    filt = "inverse" if klass == "inverse" else "all"
+    return [(h, v) for h in tables_matching(n, filt) for v in second_table_search(h, klass)]

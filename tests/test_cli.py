@@ -280,6 +280,22 @@ def test_search_reports_deterministic_across_jobs():
     assert canonical_json(out1) == canonical_json(out2)
 
 
+def test_semigroup_pair_report_deterministic_across_jobs():
+    args = ("search", "--order", "3", "--pairs", "--format", "json")
+    code1, out1 = run(*args, "--jobs", "1")
+    code2, out2 = run(*args, "--jobs", "2")
+    assert code1 == code2 == 0
+    assert canonical_json(out1) == canonical_json(out2)
+
+
+def test_jobs_below_one_exit_2(capsys):
+    for argv in (("search", "--order", "2"), ("golden-suite",)):
+        for jobs in ("0", "-3"):
+            capsys.readouterr()
+            assert run(*argv, "--jobs", jobs)[0] == 2
+            assert f"--jobs: must be at least 1, not {jobs}" in capsys.readouterr().err
+
+
 def test_golden_suite_passes():
     code, out = run("golden-suite")
     assert code == 0
@@ -439,3 +455,58 @@ def test_groupoid_and_presheaf_entries_outside_their_carriers(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert run("compose", str(path))[0] == 2
     assert "base.meet-range at (99, 1, 1)" in capsys.readouterr().err
+
+
+def _rejected(tmp_path, capsys, argv, doc, message):
+    """argv on doc written to a file exits 2, naming the JSON path."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(*argv, str(path))[0] == 2
+    err = capsys.readouterr().err
+    assert err == f"esnlab: error: {message}\n", err
+
+
+def test_groupoid_ids_and_keys_listed_twice_exit_2(tmp_path, capsys):
+    groupoid = json.loads((fixture_dir() / "partial_bijections_2.json").read_text())
+    argv = ("esn", "to-semigroup", "--roundtrip")
+    objects = groupoid["objects"]
+    _rejected(tmp_path, capsys, argv, dict(groupoid, objects=objects + [objects[-1]]),
+              f"objects[{len(objects)}] repeats the id {objects[-1]}")
+    for field, arity in (("compose", 2), ("identity", 1), ("meet", 2),
+                         ("restriction", 2), ("corestriction", 2)):
+        entries = groupoid[field]
+        key = entries[0][0] if arity == 1 else tuple(entries[0][:2])
+        _rejected(tmp_path, capsys, argv, dict(groupoid, **{field: entries + [entries[0]]}),
+                  f"{field}[{len(entries)}] repeats the key {key!r}")
+
+
+def test_double_groupoid_keys_listed_twice_exit_2(tmp_path, capsys):
+    # the carriers of a double groupoid are declared as sizes, so its ids are
+    # 1..size; what can be listed twice is a key of a two-key map
+    doc = json.loads(run("double", "to-dig", fx("clifford3_pair.cay"), "--format", "json")[1])
+    dig = doc["artifact"]
+    for field in ("hcompose", "vcompose", "meet_h", "h_restrict", "v_corestrict"):
+        entries = dig[field]
+        _rejected(tmp_path, capsys, ("double", "validate-axioms"),
+                  dict(dig, **{field: entries + [entries[-1]]}),
+                  f"{field}[{len(entries)}] repeats the key {tuple(entries[-1][:2])!r}")
+
+
+def test_presheaf_ids_and_keys_listed_twice_exit_2(tmp_path, capsys):
+    original = (fixture_dir() / "clifford3_presheaf.json").read_text()
+
+    def edited(edit):
+        doc = json.loads(original)
+        edit(doc)
+        return doc
+
+    for edit, message in (
+        (lambda d: d["base"]["elements"].append(1), "base.elements[2] repeats the id 1"),
+        (lambda d: d["base"]["meet"].append([1, 2, 1]), "base.meet[4] repeats the key (1, 2)"),
+        (lambda d: d["groups"][1]["carrier"].__setitem__(1, 1),
+         "groups[1].carrier[1] repeats the id 1"),
+        (lambda d: d["groups"].append(d["groups"][0]), "groups[2].at repeats the element 1"),
+        (lambda d: d["homs"].append(d["homs"][0]), "homs[3].pair repeats the pair [1, 1]"),
+    ):
+        _rejected(tmp_path, capsys, ("compose",), edited(edit), message)

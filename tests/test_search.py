@@ -2,10 +2,13 @@ from itertools import permutations
 
 import pytest
 
-from conftest import all_tables, assoc_oracle
+from conftest import all_tables, assoc_oracle, canonical_pair_oracle, labeled_pairs_oracle
+from esnlab import search
 from esnlab.errors import NotASemigroupError, OrderTooLargeError
 from esnlab.search import (
+    _SPLIT_DEPTH,
     _classes,
+    _prefixes,
     canonical_pair,
     enumerate_semigroups,
     naive_enumerate,
@@ -177,3 +180,47 @@ def test_enumeration_report_json_shape():
     pdoc = search_double(2, "inverse").as_json()
     assert pdoc["kind"] == "pair-search"
     assert pdoc["pair_count"] == 4
+
+
+def test_pair_search_matches_labeled_oracle():
+    # every labeled first table, its second tables, and n! relabelings a pair
+    for n in (1, 2, 3):
+        for klass in ("semigroup", "inverse"):
+            pairs = labeled_pairs_oracle(n, klass)
+            proper = [(h, v) for h, v in pairs if h != v]
+            canon = {canonical_pair_oracle(h, v) for h, v in pairs}
+            rep = search_double(n, klass)
+            assert (rep.pair_count, rep.proper_pair_count) == (len(pairs), len(proper))
+            assert [(h.rows, v.rows) for h, v in rep.representatives] == sorted(canon)
+            assert [(h.rows, v.rows) for h, v in rep.proper_representatives] == sorted(
+                {canonical_pair_oracle(h, v) for h, v in proper}
+            )
+            labeled = {(h.rows, v.rows) for h, v in pairs}
+            assert len(rep.pairs) == len(pairs)
+            assert {(h.rows, v.rows) for h, v in rep.pairs} == labeled
+            assert rep.claims["swap_closed"] == (labeled == {(v, h) for h, v in labeled})
+            assert all(canonical_pair(h, v) == canonical_pair_oracle(h, v) for h, v in pairs)
+
+
+def test_pools_are_no_larger_than_their_tasks(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, runs serially."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+    assert enumerate_semigroups(3, "inverse", jobs=10**6).labeled_count == 24
+    assert search_double(2, "semigroup", jobs=10**6).pair_count == 46
+    assert sizes == [len(_prefixes(3, _SPLIT_DEPTH)), len(_classes(2, "all"))]

@@ -251,23 +251,22 @@ def cmd_compose(args, doc):
 
 
 def cmd_search(args, doc):
+    if args.commutativity and (args.pairs or args.klass != "inverse"):
+        raise _InputError(f"--{args.commutativity} only applies to --class inverse "
+                          "searches without --pairs")
+    if args.expect_none and not args.pairs:
+        raise _InputError("--expect-none only applies to --pairs searches")
     if args.pairs:
         report = search.search_double(args.order, args.klass, jobs=args.jobs)
     else:
-        filt = "all"
-        if args.klass == "inverse":
-            filt = "inverse"
-            if args.noncommutative:
-                filt = "noncommutative-inverse"
-            elif args.commutative:
-                filt = "commutative-inverse"
+        filt = "inverse" if args.klass == "inverse" else "all"
+        if args.commutativity:  # which implies --class inverse
+            filt = f"{args.commutativity}-inverse"
         report = search.enumerate_semigroups(args.order, filt, jobs=args.jobs)
     doc["report"] = report.as_json()
     for name, value in sorted(report.claims.items()):
         _check_entry(doc, f"claim.{name}", value if isinstance(value, bool) else True)
     if args.expect_none:
-        if not args.pairs:
-            raise _InputError("--expect-none only applies to --pairs searches")
         _check_entry(
             doc, "no-proper-pairs", report.proper_pair_count == 0,
             info={"proper_pair_count": report.proper_pair_count},
@@ -386,8 +385,10 @@ def build_parser():
     p.add_argument("--class", dest="klass", choices=("semigroup", "inverse"),
                    default="semigroup")
     p.add_argument("--pairs", action="store_true")
-    p.add_argument("--noncommutative", action="store_true")
-    p.add_argument("--commutative", action="store_true")
+    commutativity = p.add_mutually_exclusive_group()
+    for flag in ("noncommutative", "commutative"):
+        commutativity.add_argument(f"--{flag}", dest="commutativity",
+                                   action="store_const", const=flag)
     p.add_argument("--expect-none", action="store_true")
     p.add_argument("--jobs", type=_jobs, default=1)
     p.add_argument("--format", choices=("text", "json"), default="text")

@@ -21,17 +21,18 @@ the relabeled second tables, so the labeled pairs number the sum of
 n!/|Aut(h)| times the second tables of h. A pair's class is keyed by the
 row-major least form of h and the least image of v under the relabelings that
 give that form, a coset of Aut(h), which is the least joint relabeling of the
-pair at |Aut(h)| relabelings rather than n!.
+pair at |Aut(h)| relabelings rather than n!. Both come from
+``tables.least_relabeling``, the one canonicaliser.
 
-Hot loops work on flat 0-based tuples; everything crossing the module boundary
-is a 1-based CayleyTable.
+Hot loops, the second-table backtracker included, work on flat 0-based
+tuples; everything crossing the module boundary is a 1-based CayleyTable.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import permutations, product as iproduct
+from itertools import product as iproduct
 from math import factorial
 
 from .errors import EsnlabError, NotASemigroupError, OrderTooLargeError
@@ -40,10 +41,14 @@ from .report import computed_once
 from .tables import (
     CayleyTable,
     canonical_form,
+    flat_to_table,
     format_double,
     format_table,
     is_associative,
     is_commutative,
+    least_relabeling,
+    relabelings,
+    table_to_flat,
 )
 
 SINGLE_CAP = 5
@@ -54,16 +59,6 @@ _SPLIT_DEPTH = 4
 
 def _cell_order(n):
     return sorted(range(n * n), key=lambda k: (max(k // n, k % n), k // n, k % n))
-
-
-def _flat_to_table(flat, n):
-    return CayleyTable(
-        tuple(tuple(v + 1 for v in flat[a * n : (a + 1) * n]) for a in range(n))
-    )
-
-
-def _table_to_flat(t):
-    return tuple(v - 1 for row in t.rows for v in row)
 
 
 def _is_inverse_flat(T, n):
@@ -132,18 +127,6 @@ def _assoc_ok(T, occ, n, a, b, c):
     return True
 
 
-def _relabelings(n):
-    """(image, source) for each permutation of 0..n-1, the identity first: the
-    relabeled table holds image[T[source[k]]] at flat cell k."""
-    out = []
-    for img in permutations(range(n)):
-        inv = [0] * n
-        for i, j in enumerate(img):
-            inv[j] = i
-        out.append((img, tuple(inv[k // n] * n + inv[k % n] for k in range(n * n))))
-    return out
-
-
 def _orbit(T, aut, rel):
     """The distinct relabelings of T, sorted, each with one relabeling (img,
     src) in rel that gives it; there are n!/|Aut(T)| of them."""
@@ -158,10 +141,8 @@ def _pair_keys(H, Vs, rel):
     """The least joint relabeling of (H, V) for each V in Vs: the row-major
     least form of H, then the least image of V under the relabelings that give
     that form, a coset of Aut(H)."""
-    images = [(tuple([img[H[s]] for s in src]), img, src) for img, src in rel]
-    least = min(t for t, _, _ in images)
-    coset = [(img, src) for t, img, src in images if t == least]
-    return [(least, min(tuple([img[V[s]] for s in src]) for img, src in coset)) for V in Vs]
+    least, coset = least_relabeling(H, rel)
+    return [(least, least_relabeling(V, coset)[0]) for V in Vs]
 
 
 def _run_tasks(worker, tasks, jobs):
@@ -226,7 +207,7 @@ def _search_tables(n, prefix, emit, depth=None):
                     occ[c].pop()
         T[k] = -1
 
-    extend(0, [(img, [src[k] for k in order], 0) for img, src in _relabelings(n)[1:]])
+    extend(0, [(img, [src[k] for k in order], 0) for img, src in relabelings(n)[1:]])
 
 
 def _prefixes(n, depth):
@@ -248,10 +229,11 @@ def _enum_worker(args):
     """(labeled count, the least table of each matching class if keep_classes,
     the canonical forms)."""
     n, prefix, filt, keep_classes = args
-    rel = _relabelings(n)
+    rel = relabelings(n)
     classes = _classes(n, filt, prefix)
     count = sum(len(rel) // aut for _, aut in classes)
-    canon = [_table_to_flat(canonical_form(_flat_to_table(T, n))) for T, _ in classes]
+    # through the public canonical_form, which per-layer traces count
+    canon = [table_to_flat(canonical_form(flat_to_table(T, n))) for T, _ in classes]
     if not keep_classes:
         return count, [], canon
     for T, aut in classes:
@@ -288,8 +270,8 @@ def tables_matching(n, filt):
         raise ValueError(f"unknown filter {filt!r}")
     if not 1 <= n <= SINGLE_CAP:
         raise OrderTooLargeError(n, SINGLE_CAP)
-    rel = _relabelings(n)
-    return [_flat_to_table(t, n) for T, aut in _classes(n, filt) for t, _ in _orbit(T, aut, rel)]
+    rel = relabelings(n)
+    return [flat_to_table(t, n) for T, aut in _classes(n, filt) for t, _ in _orbit(T, aut, rel)]
 
 
 def enumerate_semigroups(n, filt="all", jobs=1) -> EnumerationReport:
@@ -305,13 +287,13 @@ def enumerate_semigroups(n, filt="all", jobs=1) -> EnumerationReport:
     results = _run_tasks(_enum_worker, [(n, p, filt, keep) for p in prefixes], jobs)
     labeled = sum(r[0] for r in results)
     canon_flat = sorted(T for r in results for T in r[2])
-    reps = tuple(_flat_to_table(T, n) for T in canon_flat)
+    reps = tuple(flat_to_table(T, n) for T in canon_flat)
     claims = {}
     if keep:
         # the claims are invariant under relabeling, so each class is checked once
         matches = [T for r in results for T in r[1]]
         claims["all_matches_associative"] = all(
-            bool(is_associative(_flat_to_table(T, n))) for T in matches
+            bool(is_associative(flat_to_table(T, n))) for T in matches
         )
         claims["all_matches_inverse"] = _all_inverse(matches, n)
         if filt == "noncommutative-inverse":
@@ -330,7 +312,7 @@ def enumerate_semigroups(n, filt="all", jobs=1) -> EnumerationReport:
 def _all_inverse(matches, n):
     for T in matches:
         try:
-            analyze_inverse(_flat_to_table(T, n))
+            analyze_inverse(flat_to_table(T, n))
         except EsnlabError:
             return False
     return True
@@ -375,10 +357,16 @@ def second_table_search(hop: CayleyTable, klass="semigroup"):
     if not assoc:
         raise NotASemigroupError(assoc.witness)
     n = hop.n
-    H = _table_to_flat(hop)
+    H = table_to_flat(hop)
     if klass == "inverse" and not _is_inverse_flat(H, n):
         return []
-    need_inverse = klass == "inverse"
+    return [flat_to_table(V, n) for V in _second_tables(H, n, klass == "inverse")]
+
+
+def _second_tables(H, n, need_inverse):
+    """The flat second tables V (inverse ones if need_inverse) completing the
+    flat semigroup H to a double semigroup, found by backtracking V in block
+    order under associativity and the interchange law."""
     size = n * n
     order = _cell_order(n)
     cells = [(k // n, k % n) for k in order]
@@ -426,7 +414,7 @@ def second_table_search(hop: CayleyTable, klass="semigroup"):
     def extend(d):
         if d == size:
             if not need_inverse or _is_inverse_flat(V, n):
-                out.append(_flat_to_table(tuple(V), n))
+                out.append(tuple(V))
             return
         a, b = cells[d]
         k = order[d]
@@ -446,15 +434,15 @@ def _pair_worker(args):
     """(H, |Aut(H)|, the second tables of H, the class key of each pair) for a
     least first table H."""
     n, H, aut, klass = args
-    Vs = [_table_to_flat(v) for v in second_table_search(_flat_to_table(H, n), klass)]
-    return H, aut, Vs, _pair_keys(H, Vs, _relabelings(n))
+    Vs = _second_tables(H, n, klass == "inverse")
+    return H, aut, Vs, _pair_keys(H, Vs, relabelings(n))
 
 
 def canonical_pair(hop: CayleyTable, vop: CayleyTable):
     """Least joint relabeling of the ordered pair, as (hop rows, vop rows)."""
     n = hop.n
-    [(h, v)] = _pair_keys(_table_to_flat(hop), [_table_to_flat(vop)], _relabelings(n))
-    return _flat_to_table(h, n).rows, _flat_to_table(v, n).rows
+    [(h, v)] = _pair_keys(table_to_flat(hop), [table_to_flat(vop)], relabelings(n))
+    return flat_to_table(h, n).rows, flat_to_table(v, n).rows
 
 
 @dataclass(frozen=True)
@@ -476,9 +464,9 @@ class PairSearchReport:
         relabeling π per table π·h of its orbit, and each second table v of h
         (the second tables of h are closed under Aut(h))."""
         n = self.order
-        rel = _relabelings(n)
+        rel = relabelings(n)
         return tuple(
-            (_flat_to_table(t, n), _flat_to_table(tuple(img[V[s]] for s in src), n))
+            (flat_to_table(t, n), flat_to_table(tuple(img[V[s]] for s in src), n))
             for H, aut, Vs in self.orbits
             for t, (img, src) in _orbit(H, aut, rel)
             for V in Vs
@@ -525,7 +513,7 @@ def search_double(n, klass="semigroup", jobs=1) -> PairSearchReport:
                 canon_proper.add(key)
     # the labeled pairs are a union of orbits, and swapping commutes with
     # relabeling, so they are swap-closed iff each class's swap is a class
-    rel = _relabelings(n)
+    rel = relabelings(n)
     by_second = {}
     for H, V in canon:
         by_second.setdefault(V, []).append(H)
@@ -537,7 +525,7 @@ def search_double(n, klass="semigroup", jobs=1) -> PairSearchReport:
     }
     if klass == "inverse":
         # each claim is invariant under relabeling, so the least pairs decide it
-        least = [(_flat_to_table(H, n), _flat_to_table(V, n))
+        least = [(flat_to_table(H, n), flat_to_table(V, n))
                  for H, _, Vs, _ in found for V in Vs]
         claims["all_improper"] = proper_count == 0
         claims["all_commutative"] = all(
@@ -549,7 +537,7 @@ def search_double(n, klass="semigroup", jobs=1) -> PairSearchReport:
         )
 
     def tables(keys):
-        return tuple((_flat_to_table(h, n), _flat_to_table(v, n)) for h, v in sorted(keys))
+        return tuple((flat_to_table(h, n), flat_to_table(v, n)) for h, v in sorted(keys))
 
     return PairSearchReport(
         order=n,

@@ -1,12 +1,16 @@
-"""Cayley tables: parsing, elementary predicates, and canonical forms.
+"""Cayley tables: parsing, elementary predicates, relabelings and canonical forms.
 
 Elements are the integers 1..n throughout; ``rows[a-1][b-1]`` is the product
-a·b (row = left operand). Everything here is pure and immutable.
+a·b (row = left operand). Everything here is pure and immutable. Relabeling
+lives here alone: ``relabelings(n)`` lists the n! permutations once per order,
+and ``least_relabeling`` finds the least image of a flat 0-based table, which
+gives both the canonical forms and the pair search's class keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations
 
 from .errors import NotASemigroupError, ParseError
@@ -165,48 +169,53 @@ def relabel(t: CayleyTable, perm: tuple[int, ...]) -> CayleyTable:
     return CayleyTable(rows)
 
 
-def _relabel_flat(rows, perm_zero, inv_zero, n):
-    # 0-based relabel used by the canonical-form search; yields entries lazily
-    for a in range(n):
-        src_row = rows[inv_zero[a]]
-        for b in range(n):
-            yield perm_zero[src_row[inv_zero[b]] - 1] + 1
+def flat_to_table(flat, n):
+    """The CayleyTable of a flat row-major table over 0..n-1."""
+    return CayleyTable(
+        tuple(tuple(v + 1 for v in flat[a * n : (a + 1) * n]) for a in range(n))
+    )
+
+
+def table_to_flat(t):
+    """The flat row-major table of t over 0..n-1."""
+    return tuple(v - 1 for row in t.rows for v in row)
+
+
+@cache
+def relabelings(n):
+    """(image, source) for each permutation of 0..n-1, the identity first: the
+    relabeled flat table holds image[T[source[k]]] at cell k."""
+    out = []
+    for img in permutations(range(n)):
+        inv = [0] * n
+        for i, j in enumerate(img):
+            inv[j] = i
+        out.append((img, tuple(inv[k // n] * n + inv[k % n] for k in range(n * n))))
+    return tuple(out)
+
+
+def least_relabeling(T, rel):
+    """The row-major least image of the flat table T under the relabelings in
+    rel, and the members of rel that give it. Under relabelings(n) these are
+    the canonical form of T and a coset of Aut(T)."""
+    least, coset = None, []
+    for img, src in rel:
+        image = tuple([img[T[s]] for s in src])
+        if least is None or image < least:
+            least, coset = image, [(img, src)]
+        elif image == least:
+            coset.append((img, src))
+    return least, coset
 
 
 def canonical_form(t: CayleyTable) -> CayleyTable:
     """Lexicographically least relabeling; two tables are isomorphic iff equal here."""
-    n = t.n
-    rows = t.rows
-    best = tuple(v for row in rows for v in row)
-    for perm in permutations(range(n)):
-        inv = [0] * n
-        for i, img in enumerate(perm):
-            inv[img] = i
-        smaller = False
-        for i, v in enumerate(_relabel_flat(rows, perm, inv, n)):
-            if v != best[i]:
-                smaller = v < best[i]
-                break
-        if smaller:
-            best = tuple(_relabel_flat(rows, perm, inv, n))
-    return CayleyTable(tuple(tuple(best[a * n : (a + 1) * n]) for a in range(n)))
+    return flat_to_table(least_relabeling(table_to_flat(t), relabelings(t.n))[0], t.n)
 
 
 def is_canonical(t: CayleyTable) -> bool:
-    """True iff no relabeling is lexicographically smaller (early exit)."""
-    n = t.n
-    rows = t.rows
-    flat = tuple(v for row in rows for v in row)
-    for perm in permutations(range(n)):
-        inv = [0] * n
-        for i, img in enumerate(perm):
-            inv[img] = i
-        for i, v in enumerate(_relabel_flat(rows, perm, inv, n)):
-            if v > flat[i]:
-                break
-            if v < flat[i]:
-                return False
-    return True
+    """True iff no relabeling is lexicographically smaller."""
+    return canonical_form(t) == t
 
 
 # small constructors used by fixtures and tests

@@ -42,15 +42,16 @@ def assoc_oracle(t):
     return None
 
 
-def canonical_pair_oracle(hop, vop):
-    """Least joint relabeling of the pair over all n! permutations."""
+def least_relabeling_oracle(*tables):
+    """Least joint relabeling of the tables, as a tuple of their rows, over all
+    n! permutations through tables.relabel."""
     from itertools import permutations
 
     from esnlab.tables import relabel
 
     return min(
-        (relabel(hop, perm).rows, relabel(vop, perm).rows)
-        for perm in permutations(range(1, hop.n + 1))
+        tuple(relabel(t, perm).rows for t in tables)
+        for perm in permutations(range(1, tables[0].n + 1))
     )
 
 

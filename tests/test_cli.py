@@ -257,12 +257,28 @@ def test_search_cli_expect_none():
 
 
 def test_search_cli_noncommutative_flag():
-    code, out = run(
-        "search", "--order", "3", "--class", "inverse", "--noncommutative",
-        "--format", "json",
-    )
-    assert code == 0
-    assert json.loads(out)["report"]["labeled_count"] == 0
+    for flag, labeled in (("--noncommutative", 0), ("--commutative", 24)):
+        code, out = run(
+            "search", "--order", "3", "--class", "inverse", flag, "--format", "json",
+        )
+        assert code == 0
+        report = json.loads(out)["report"]
+        assert (report["filter"], report["labeled_count"]) == (f"{flag[2:]}-inverse", labeled)
+
+
+def test_search_cli_filter_flags_that_do_not_apply_exit_2(capsys):
+    # each used to be ignored with exit 0
+    for argv, flag in (
+        (("--order", "3", "--commutative"), "--commutative"),
+        (("--order", "3", "--class", "semigroup", "--noncommutative"), "--noncommutative"),
+        (("--order", "2", "--pairs", "--noncommutative"), "--noncommutative"),
+        (("--order", "2", "--class", "inverse", "--pairs", "--commutative"), "--commutative"),
+        (("--order", "2", "--class", "inverse", "--commutative", "--noncommutative"),
+         "not allowed with argument --commutative"),
+    ):
+        capsys.readouterr()
+        assert run("search", *argv)[0] == 2, argv
+        assert flag in capsys.readouterr().err, argv
 
 
 def test_search_cli_bad_order_exit_2():

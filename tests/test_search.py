@@ -2,7 +2,7 @@ from itertools import permutations
 
 import pytest
 
-from conftest import all_tables, assoc_oracle, canonical_pair_oracle, labeled_pairs_oracle
+from conftest import all_tables, assoc_oracle, labeled_pairs_oracle, least_relabeling_oracle
 from esnlab import search
 from esnlab.errors import NotASemigroupError, OrderTooLargeError
 from esnlab.search import (
@@ -18,10 +18,14 @@ from esnlab.search import (
 )
 from esnlab.tables import (
     CayleyTable,
+    canonical_form,
     cyclic_group,
+    flat_to_table,
     is_associative,
+    least_relabeling,
     left_projection,
     relabel,
+    relabelings,
     right_projection,
 )
 from esnlab.inverse import analyze_inverse
@@ -69,6 +73,16 @@ def test_brandt_b2_has_two_automorphisms(b2):
     [(least, aut)] = _classes(5, "noncommutative-inverse")
     assert aut == 2
     assert tuple(tuple(v + 1 for v in least[5 * a : 5 * a + 5]) for a in range(5)) in orbit
+
+
+def test_least_relabeling_coset_is_the_automorphism_group():
+    # orbit-stabiliser: the relabelings giving the least image form a coset of
+    # Aut(T), whose size the lex-leader search counts on its own
+    for n in (1, 2, 3, 4, 5):
+        for T, aut in _classes(n, "all"):
+            least, coset = least_relabeling(T, relabelings(n))
+            assert len(coset) == aut, (n, T)
+            assert flat_to_table(least, n) == canonical_form(flat_to_table(T, n))
 
 
 def test_every_emitted_table_is_associative():
@@ -188,18 +202,18 @@ def test_pair_search_matches_labeled_oracle():
         for klass in ("semigroup", "inverse"):
             pairs = labeled_pairs_oracle(n, klass)
             proper = [(h, v) for h, v in pairs if h != v]
-            canon = {canonical_pair_oracle(h, v) for h, v in pairs}
+            canon = {least_relabeling_oracle(h, v) for h, v in pairs}
             rep = search_double(n, klass)
             assert (rep.pair_count, rep.proper_pair_count) == (len(pairs), len(proper))
             assert [(h.rows, v.rows) for h, v in rep.representatives] == sorted(canon)
             assert [(h.rows, v.rows) for h, v in rep.proper_representatives] == sorted(
-                {canonical_pair_oracle(h, v) for h, v in proper}
+                {least_relabeling_oracle(h, v) for h, v in proper}
             )
             labeled = {(h.rows, v.rows) for h, v in pairs}
             assert len(rep.pairs) == len(pairs)
             assert {(h.rows, v.rows) for h, v in rep.pairs} == labeled
             assert rep.claims["swap_closed"] == (labeled == {(v, h) for h, v in labeled})
-            assert all(canonical_pair(h, v) == canonical_pair_oracle(h, v) for h, v in pairs)
+            assert all(canonical_pair(h, v) == least_relabeling_oracle(h, v) for h, v in pairs)
 
 
 def test_pools_are_no_larger_than_their_tasks(monkeypatch):

@@ -32,48 +32,49 @@ class _InputError(Exception):
     pass
 
 
-def _read(path):
+def _read(path, doc):
+    """The bytes of an input file, which the report lists with their hash."""
     try:
-        return Path(path).read_bytes()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise _InputError(str(exc)) from exc
+    doc["inputs"].append({"path": str(path), "sha256": hashlib.sha256(data).hexdigest()})
+    return data
 
 
-def _input_entry(path, data):
-    return {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
+def _path(args):
+    """The one input file of a single-table or JSON command, which takes no --hop/--vop."""
+    for flag in ("hop", "vop"):
+        if getattr(args, flag, None):
+            raise _InputError(f"--{flag} only applies to pair inputs")
+    if not args.path:
+        raise _InputError("need an input file")
+    return args.path
 
 
 def _load_single(args, doc):
-    data = _read(args.path)
-    doc["inputs"].append(_input_entry(args.path, data))
-    return tables.parse_table(data.decode())
+    return tables.parse_table(_read(_path(args), doc).decode())
 
 
 def _load_pair(args, doc):
+    """A pair file or --hop/--vop, one of them."""
     if args.hop or args.vop:
         if not (args.hop and args.vop):
             raise _InputError("--hop and --vop must be given together")
-        hdata = _read(args.hop)
-        vdata = _read(args.vop)
-        doc["inputs"] += [_input_entry(args.hop, hdata), _input_entry(args.vop, vdata)]
-        return dbl.DoubleSemigroup(
-            tables.parse_table(hdata.decode()), tables.parse_table(vdata.decode())
-        )
+        if args.path:
+            raise _InputError("give a pair file or --hop/--vop, not both")
+        hop, vop = [_read(path, doc).decode() for path in (args.hop, args.vop)]
+        return dbl.DoubleSemigroup(tables.parse_table(hop), tables.parse_table(vop))
     if not args.path:
         raise _InputError("need a pair file or --hop/--vop")
-    data = _read(args.path)
-    doc["inputs"].append(_input_entry(args.path, data))
-    hop, vop = tables.parse_double(data.decode())
-    return dbl.DoubleSemigroup(hop, vop)
+    return dbl.DoubleSemigroup(*tables.parse_double(_read(args.path, doc).decode()))
 
 
-def _load_json(path, doc):
-    data = _read(path)
-    doc["inputs"].append(_input_entry(path, data))
+def _load_json(args, doc):
     try:
-        return json.loads(data)
+        return json.loads(_read(_path(args), doc))
     except json.JSONDecodeError as exc:
-        raise _InputError(f"{path}: {exc}") from exc
+        raise _InputError(f"{args.path}: {exc}") from exc
 
 
 def _check_entry(doc, name, ok, witness=None, info=None):
@@ -155,7 +156,6 @@ def cmd_check(args, doc):
         doc["dot"] = inverse.hasse_dot(analysis)
     if analysis is not None:
         doc["analysis"] = inverse.analysis_to_json(analysis)
-    return 0 if all(c["ok"] for c in doc["checks"]) else 1
 
 
 def cmd_esn(args, doc):
@@ -170,13 +170,12 @@ def cmd_esn(args, doc):
             verdict = esn.semigroup_roundtrip(t, g)
             _check_entry(doc, "roundtrip", verdict, verdict.witness)
     else:
-        g = esn.groupoid_from_json(_load_json(args.path, doc))
+        g = esn.groupoid_from_json(_load_json(args, doc))
         analysis = esn.is_from_ig(g)  # InvalidGroupoidError (exit 2) if g is invalid
         doc["artifact"] = {"kind": "cayley-table", "cay": tables.format_table(analysis.table)}
         if args.roundtrip:
             verdict = esn.groupoid_roundtrip(g, analysis)
             _check_entry(doc, "roundtrip", verdict, verdict.witness)
-    return 0 if all(c["ok"] for c in doc["checks"]) else 1
 
 
 def cmd_double(args, doc):
@@ -196,7 +195,7 @@ def cmd_double(args, doc):
             v2 = dbl.roundtrip_dig(g, dbl.dig_from_dis(back))
             _check_entry(doc, "groupoid-roundtrip", v2, v2.witness)
     else:
-        g = dbl.dig_from_json(_load_json(args.path, doc))
+        g = dbl.dig_from_json(_load_json(args, doc))
         if sub == "to-dis":
             d = dbl.dis_from_dig(g)
             doc["artifact"] = {
@@ -220,7 +219,6 @@ def cmd_double(args, doc):
                 rep.violations[0].witness if rep.violations else None,
                 info=rep.violations[0].axiom if rep.violations else None,
             )
-    return 0 if all(c["ok"] for c in doc["checks"]) else 1
 
 
 def cmd_decompose(args, doc):
@@ -230,24 +228,22 @@ def cmd_decompose(args, doc):
     except NotDoubleInverseError as exc:
         _check_entry(doc, "double-inverse-semigroup", False, info=str(exc))
         doc["main_theorem"] = d.classification.as_json()
-        return 1
+        return
     doc["main_theorem"] = report.as_json()
     doc["artifact"] = presheaf.presheaf_to_json(p)
     _check_entry(doc, "double-inverse-semigroup", True)
     _check_entry(doc, "improper", report.improper)
     _check_entry(doc, "commutative", report.hop_commutative and report.vop_commutative)
     _check_entry(doc, "clifford", report.clifford)
-    return 0 if all(c["ok"] for c in doc["checks"]) else 1
 
 
 def cmd_compose(args, doc):
-    p = presheaf.presheaf_from_json(_load_json(args.path, doc))
+    p = presheaf.presheaf_from_json(_load_json(args, doc))
     d = presheaf.compose(p)  # InvalidPresheafError (exit 2) if p is invalid
     doc["artifact"] = {
         "kind": "double-semigroup",
         "cay": tables.format_double(d.hop, d.vop),
     }
-    return 0
 
 
 def cmd_search(args, doc):
@@ -271,13 +267,11 @@ def cmd_search(args, doc):
             doc, "no-proper-pairs", report.proper_pair_count == 0,
             info={"proper_pair_count": report.proper_pair_count},
         )
-    return 0 if all(c["ok"] for c in doc["checks"]) else 1
 
 
 def cmd_golden(args, doc):
     for name, verdict in fixtures.golden_suite(jobs=args.jobs):
         _check_entry(doc, name, verdict.holds, verdict.witness)
-    return 0 if all(c["ok"] for c in doc["checks"]) else 1
 
 
 def _render(doc, fmt, stream):
@@ -319,15 +313,15 @@ def _render(doc, fmt, stream):
         stream.write(f"inverse_map: {a['inverse_map']}\n")
 
 
-def _jobs(text):
-    """--jobs: a worker count of at least 1."""
+def _positive(text):
+    """--jobs and --order: an integer of at least 1."""
     try:
-        jobs = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, not {jobs}")
-    return jobs
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
 
 
 def build_parser():
@@ -381,7 +375,7 @@ def build_parser():
     p.set_defaults(handler=cmd_compose)
 
     p = sub.add_parser("search", help="enumerate semigroups or pairs")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_positive, required=True)
     p.add_argument("--class", dest="klass", choices=("semigroup", "inverse"),
                    default="semigroup")
     p.add_argument("--pairs", action="store_true")
@@ -390,12 +384,12 @@ def build_parser():
         commutativity.add_argument(f"--{flag}", dest="commutativity",
                                    action="store_const", const=flag)
     p.add_argument("--expect-none", action="store_true")
-    p.add_argument("--jobs", type=_jobs, default=1)
+    p.add_argument("--jobs", type=_positive, default=1)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=cmd_search)
 
     p = sub.add_parser("golden-suite", help="replay every bundled fixture")
-    p.add_argument("--jobs", type=_jobs, default=1)
+    p.add_argument("--jobs", type=_positive, default=1)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=cmd_golden)
 
@@ -417,7 +411,7 @@ def main(argv=None, stream=None):
     }
     start = time.monotonic()
     try:
-        code = args.handler(args, doc)
+        args.handler(args, doc)
     except TheoremViolation as exc:
         print(f"esnlab: theorem violated (a bug, not bad input): {exc}", file=sys.stderr)
         return 3
@@ -442,7 +436,7 @@ def main(argv=None, stream=None):
     doc["ok"] = all(c["ok"] for c in doc["checks"])
     doc["timing_ms"] = int((time.monotonic() - start) * 1000)
     _render(doc, args.format, stream)
-    return code
+    return 0 if doc["ok"] else 1
 
 
 if __name__ == "__main__":

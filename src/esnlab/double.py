@@ -8,8 +8,11 @@ read only through its two views (``DoubleInductiveGroupoid.views``): the
 horizontal inductive groupoid over the vertical arrows (``hcompose``, ``leq``)
 and the vertical one over the horizontal arrows (``vcompose``, ``lesssim``),
 on cell ids; the pseudo-products are ``esn.pseudo_products`` of the views.
+Every check ``validate_dig`` makes is a row of the identity engine
+(``report.check_rows``) after the range pass: the embeddings, the corners,
+boundary coherence, the interchange law on cells and the axioms (iii)-(ix).
 Exchanging the two directions (``transpose``) maps double groupoids to double
-groupoids, so every axiom about one direction is stated once and also run on
+groupoids, so every row about one direction is stated once and also run on
 the transpose. Values are immutable; each keeps the result of its own check
 (``DoubleSemigroup.classification``, ``DoubleInductiveGroupoid.report``), so
 a value that one stage has checked is not checked again by the next.
@@ -272,8 +275,15 @@ class _Eval:
         self.meet_h, self.meet_v = _lookup(h.object_meet), _lookup(v.object_meet)
         self.hrestrict, self.vrestrict = _lookup(h.restriction), _lookup(v.restriction)
         self.hcorestrict, self.vcorestrict = _lookup(h.corestriction), _lookup(v.corestriction)
-        # the ranges of axiom variables, by the sort letters of _AXIOMS
-        self.carriers = {"c": h.arrows, "v": h.objects, "h": v.objects, "o": objects}
+        # the ranges of row variables, by the sort letters of _CELL_ROWS; C is a
+        # composable pair (a, b) of h, x a cell c with vcomp(a, c) defined, and y a
+        # cell d with hcomp(c, d) and vcomp(b, d) defined
+        cells, hc, vc = h.arrows, h.compose, v.compose
+        self.carriers = {
+            "c": cells, "v": h.objects, "h": v.objects, "o": objects, "C": hc,
+            "x": lambda ab: [c for c in cells if (ab[0], c) in vc],
+            "y": lambda ab, c: [d for d in cells if (c, d) in hc and (ab[1], d) in vc],
+        }
 
 
 def _evaluators(g: DoubleInductiveGroupoid) -> tuple[_Eval, _Eval]:
@@ -338,60 +348,17 @@ def _check_embeddings(g: DoubleInductiveGroupoid, rep: ValidationReport) -> bool
     return _check_twinned(_INJECTIVE, sides, rep) and _check_twinned(_IDENTITIES, sides, rep)
 
 
-def _check_boundaries(g: DoubleInductiveGroupoid, evs, rep: ValidationReport):
-    for a in g.cells:
-        l, r = g.hdom[a], g.hcod[a]
-        t, b = g.vdom[a], g.vcod[a]
-        corners = (
-            (g.ver_src[l], g.hor_src[t]),
-            (g.ver_src[r], g.hor_dst[t]),
-            (g.ver_dst[l], g.hor_src[b]),
-            (g.ver_dst[r], g.hor_dst[b]),
-        )
-        for idx, (via_edge, via_other) in enumerate(corners):
-            if via_edge != via_other:
-                rep.add("boundary.corner", (a, idx), "edge endpoints disagree at a corner")
-    # transverse edges of composites: the top edge of a horizontal composite is
-    # the horizontal composite of the top edges, and dually on the transpose;
-    # the identity cells of horizontal arrows are closed under hcompose
-    tags = (("boundary.hcomp-vdom", "boundary.hcomp-vcod", "boundary.hor-closed"),
-            ("boundary.vcomp-hdom", "boundary.vcomp-hcod", "boundary.ver-closed"))
-    for view, ev, (dom_tag, cod_tag, closed_tag) in zip(g.views, evs, tags):
-        for (a, b), c in view.compose.items():
-            for tag, edge in ((dom_tag, ev.vdom), (cod_tag, ev.vcod)):
-                lhs = ev.hcomp(edge(a), edge(b))
-                rep.bump(tag, True)
-                if lhs != edge(c):
-                    rep.add(tag, (a, b), "undefined" if lhs is None else "")
-        hor_cells = ev.carriers["h"]
-        for x in hor_cells:
-            for y in hor_cells:
-                c = ev.hcomp(x, y)
-                if c is not None and c not in hor_cells:
-                    rep.add(closed_tag, (x, y))
+def _corner_agrees(g: DoubleInductiveGroupoid, a, k) -> bool:
+    """Corner k of cell a (0 top left, 1 top right, 2 bottom left, 3 bottom
+    right) is one object, read along its vertical and its horizontal edge."""
+    ver = g.hcod[a] if k & 1 else g.hdom[a]
+    hor = g.vcod[a] if k & 2 else g.vdom[a]
+    return (g.ver_dst if k & 2 else g.ver_src)[ver] == (g.hor_dst if k & 1 else g.hor_src)[hor]
 
 
-def _check_cell_interchange(g: DoubleInductiveGroupoid, ev: _Eval, rep: ValidationReport):
-    cells = g.cells
-    for a in cells:
-        for b in cells:
-            ab = ev.hcomp(a, b)
-            if ab is None:
-                continue
-            for c in cells:
-                ac = ev.vcomp(a, c)
-                if ac is None:
-                    continue
-                for d in cells:
-                    cd = ev.hcomp(c, d)
-                    bd = ev.vcomp(b, d)
-                    if cd is None or bd is None:
-                        continue
-                    lhs = ev.vcomp(ab, cd)
-                    rhs = ev.hcomp(ac, bd)
-                    rep.bump("interchange.cells", True)
-                    if lhs is None or rhs is None or lhs != rhs:
-                        rep.add("interchange.cells", (a, b, c, d))
+# A row on g over its cells c and the corner indices k; its own transpose.
+_CORNER = Row("boundary.corner", "ck", _corner_agrees,
+              message="edge endpoints disagree at a corner")
 
 
 def _axiom(tag, twin, sorts, lhs, rhs, order):
@@ -401,9 +368,25 @@ def _axiom(tag, twin, sorts, lhs, rhs, order):
     return Row(tag, sorts, lhs, rhs, order, counts=tag), twin
 
 
-# The compatibility axioms (iii)-(ix), one row per identity; a row with a
-# transposed tag runs again on transpose(g) under that tag.
-_AXIOMS = (
+# The rows on cells, read through an _Eval; a row with a transposed tag runs
+# again on transpose(g) under that tag. First boundary coherence: the top edge
+# of a horizontal composite is the horizontal composite of the top edges, and
+# likewise the bottom edge; the identity cells of horizontal arrows are closed
+# under hcompose. Then the interchange law on cells, where an undefined side
+# fails, and the compatibility axioms (iii)-(ix), one row per identity.
+_CELL_ROWS = (
+    (Row("boundary.hcomp-vdom", "C", lambda e, ab:
+         e.hcomp(e.vdom(ab[0]), e.vdom(ab[1])) == e.vdom(e.hcomp(*ab)),
+         counts="boundary.hcomp-vdom"), "boundary.vcomp-hdom"),
+    (Row("boundary.hcomp-vcod", "C", lambda e, ab:
+         e.hcomp(e.vcod(ab[0]), e.vcod(ab[1])) == e.vcod(e.hcomp(*ab)),
+         counts="boundary.hcomp-vcod"), "boundary.vcomp-hcod"),
+    (Row("boundary.hor-closed", "hh", lambda e, x, y:
+         (c := e.hcomp(x, y)) is None or c in e.carriers["h"]), "boundary.ver-closed"),
+    (Row("interchange.cells", "Cxy", lambda e, ab, c, d:
+         (lhs := e.vcomp(e.hcomp(*ab), e.hcomp(c, d))) is not None
+         and lhs == e.hcomp(e.vcomp(ab[0], c), e.vcomp(ab[1], d)),
+         counts="interchange.cells"), None),
     # (iii) composition against (co)restriction in the transverse direction
     _axiom("iii.a", "iii.b", "ccvv",
         lambda e, a, b, f, g: e.hcorestrict(e.vcomp(a, b), e.vcomp(f, g)),
@@ -467,25 +450,10 @@ _AXIOMS = (
 )
 
 
-def _check_axiom_families(g, evs, rep: ValidationReport, strict_ix: bool):
-    ev, transposed = evs
-    sides = ((ev, ev.carriers), (transposed, transposed.carriers))
-    _check_twinned(_AXIOMS, sides, rep, skip=() if strict_ix else ("ix.g-strict",))
-    if strict_ix:
-        for a in g.cells:
-            for ec in ev.carriers["h"]:
-                literal = ev.vrestrict(ev.vdom(ec), ev.hdom(a))
-                patterned = ev.vrestrict(ev.hdom(ec), ev.hdom(a))
-                if literal is not None and patterned is not None and literal != patterned:
-                    rep.notes.append(
-                        f"ix.g readings disagree at cell {a}, horizontal arrow cell {ec}"
-                    )
-
-
 def validate_dig(g: DoubleInductiveGroupoid, strict_ix=False) -> ValidationReport:
-    """The range pass over every field, the embeddings, both inductive-groupoid
-    substructures, boundary coherence, cell-level interchange, and the full
-    compatibility-axiom sweep."""
+    """The range pass over every field, then rows: the embeddings, both
+    inductive-groupoid substructures, the corners, and the rows on cells
+    (boundary coherence, cell-level interchange, the compatibility axioms)."""
     rep = ValidationReport()
     if g.cells != tuple(range(1, len(g.cells) + 1)):
         rep.add("shape.cells", (), "cells must be 1..m in order")
@@ -495,10 +463,19 @@ def validate_dig(g: DoubleInductiveGroupoid, strict_ix=False) -> ValidationRepor
         return rep
     for view, prefix in zip(g.views, ("i.", "ii.")):
         rep.merge(view.report, prefix=prefix)
-    evs = _evaluators(g)
-    _check_boundaries(g, evs, rep)
-    _check_cell_interchange(g, evs[0], rep)
-    _check_axiom_families(g, evs, rep, strict_ix)
+    check_rows(g, {"c": g.cells, "k": range(4)}, (_CORNER,), rep)
+    ev, transposed = _evaluators(g)
+    _check_twinned(_CELL_ROWS, ((ev, ev.carriers), (transposed, transposed.carriers)), rep,
+                   skip=() if strict_ix else ("ix.g-strict",))
+    if strict_ix:
+        for a in g.cells:
+            for ec in ev.carriers["h"]:
+                literal = ev.vrestrict(ev.vdom(ec), ev.hdom(a))
+                patterned = ev.vrestrict(ev.hdom(ec), ev.hdom(a))
+                if literal is not None and patterned is not None and literal != patterned:
+                    rep.notes.append(
+                        f"ix.g readings disagree at cell {a}, horizontal arrow cell {ec}"
+                    )
     return rep
 
 
@@ -662,6 +639,10 @@ def roundtrip_dig(
     return Verdict(False, ("cells",))
 
 
+# verify_interchange_identities and _check_split_and_meets stay loops, not rows:
+# the four identities of a quadruple share its meets m, left, right and uv, which
+# four rows would each work out again, and the split loop takes over a quarter of
+# a bench ``theorem`` pass (2 cores, Python 3.11).
 def _check_split_and_meets(ev: _Eval, pieces, rep: ValidationReport, tags, order):
     """split.i, split.ii (a transverse (co)restriction of a horizontal composite
     splits into one of each factor) and meets.i, meets.ii (the meets of the

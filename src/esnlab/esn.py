@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import (
     InvalidGroupoidError, ParseError, TheoremViolation, distinct, json_field, keyed,
 )
-from .inverse import InverseSemigroupAnalysis, analyze_inverse
+from .inverse import InverseSemigroupAnalysis, analyze_inverse, order_and_meet_rows
 from .report import Row, ValidationReport, Verdict, check_ranges, check_rows, computed_once
 from .tables import CayleyTable
 
@@ -39,22 +39,6 @@ class InductiveGroupoid:
     def report(self) -> ValidationReport:
         """``validate_ig`` of this value, computed once; treat it as read-only."""
         return validate_ig(self)
-
-
-def order_and_meet_rows(reflexive, antisymmetric, transitive, lower, greatest, counts):
-    """Under a validator's tags: the partial-order rows over a carrier x, l a
-    pair of the order and u an element above its second; and the meet rows
-    over a meet-semilattice o, m the meet of the two objects before it (None
-    where missing) and w an object below the first, counted under counts."""
-    return (
-        Row(reflexive, "x", lambda s, x: (x, x) in s.leq),
-        Row(antisymmetric, "l", lambda s, p: p[0] == p[1] or (p[1], p[0]) not in s.leq),
-        Row(transitive, "lu", lambda s, p, z: (p[0], z) in s.leq),
-        Row(lower, "oom", lambda s, e, f, m:
-            None if m is None else (m, e) in s.leq and (m, f) in s.leq, counts=counts),
-        Row(greatest, "oomw", lambda s, e, f, m, c:
-            None if m is None else (c, m) in s.leq or (c, f) not in s.leq),
-    )
 
 
 # The fields of an inductive groupoid with their sorts, x an arrow and o an

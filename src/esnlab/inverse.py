@@ -4,6 +4,7 @@ natural partial order, and the Clifford test."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .errors import (
     NoInverseError,
@@ -13,7 +14,7 @@ from .errors import (
     OrderAxiomViolation,
     TheoremViolation,
 )
-from .report import Verdict
+from .report import Row, ValidationReport, Verdict, check_rows
 from .tables import CayleyTable, idempotents, is_associative, is_regular_associative
 
 
@@ -68,25 +69,44 @@ def analyze_inverse(t: CayleyTable) -> InverseSemigroupAnalysis:
     return InverseSemigroupAnalysis(t, tuple(inv), idems, leq)
 
 
+def order_and_meet_rows(reflexive, antisymmetric, transitive, lower=None, greatest=None,
+                        counts=None):
+    """Under a validator's tags: the partial-order rows over a carrier x, l a
+    pair of the order and u an element above its second; and, given their
+    tags, the meet rows over a meet-semilattice o, m the meet of the two
+    objects before it (None where missing) and w an object below the first,
+    counted under counts. The context s holds the order as ``s.leq``."""
+    rows = (
+        Row(reflexive, "x", lambda s, x: (x, x) in s.leq),
+        Row(antisymmetric, "l", lambda s, p: p[0] == p[1] or (p[1], p[0]) not in s.leq),
+        Row(transitive, "lu", lambda s, p, z: (p[0], z) in s.leq),
+    )
+    if lower is None:
+        return rows
+    return rows + (
+        Row(lower, "oom", lambda s, e, f, m:
+            None if m is None else (m, e) in s.leq and (m, f) in s.leq, counts=counts),
+        Row(greatest, "oomw", lambda s, e, f, m, c:
+            None if m is None else (c, m) in s.leq or (c, f) not in s.leq),
+    )
+
+
+_ORDER_ROWS = order_and_meet_rows("order.reflexive", "order.antisymmetric", "order.transitive")
+
+
 def natural_partial_order(t: CayleyTable, idems=None) -> frozenset:
-    """a <= b iff a = e·b for some idempotent e; verified to be a partial order."""
+    """a <= b iff a = e·b for some idempotent e; verified to be a partial order
+    by the order rows, else OrderAxiomViolation names the first failure."""
     if idems is None:
         idems = idempotents(t)
-    pairs = frozenset(
-        (a, b)
-        for a in t.elements()
-        for b in t.elements()
-        if any(t.product(e, b) == a for e in idems)
-    )
-    for a in t.elements():
-        if (a, a) not in pairs:
-            raise OrderAxiomViolation(f"not reflexive at {a}")
-    for a, b in pairs:
-        if a != b and (b, a) in pairs:
-            raise OrderAxiomViolation(f"not antisymmetric at {(a, b)}")
-        for c in t.elements():
-            if (b, c) in pairs and (a, c) not in pairs:
-                raise OrderAxiomViolation(f"not transitive at {(a, b, c)}")
+    elements = tuple(t.elements())
+    pairs = frozenset((a, b) for a in elements for b in elements
+                      if any(t.product(e, b) == a for e in idems))
+    up = {b: [c for c in elements if (b, c) in pairs] for b in elements}
+    rep = ValidationReport()
+    carriers = {"x": elements, "l": pairs, "u": lambda p: up[p[1]]}
+    if not check_rows(SimpleNamespace(leq=pairs), carriers, _ORDER_ROWS, rep):
+        raise OrderAxiomViolation(f"not a partial order: {rep.summary()}")
     return pairs
 
 

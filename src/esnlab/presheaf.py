@@ -32,8 +32,7 @@ from .errors import (
     json_field,
     keyed,
 )
-from .esn import order_and_meet_rows
-from .inverse import is_clifford
+from .inverse import is_clifford, order_and_meet_rows
 from .report import Row, ValidationReport, Verdict, check_ranges, check_rows, computed_once
 from .tables import is_commutative
 
@@ -77,7 +76,7 @@ _BASE_ROWS = (
 
 
 def validate_semilattice(s: MeetSemilattice) -> ValidationReport:
-    """The range pass, then the partial-order and meet rows of ``esn`` under base.* tags."""
+    """The range pass, then the partial-order and meet rows of ``inverse`` under base.* tags."""
     rep = ValidationReport()
     if check_ranges(s, {"leq": "xx", "meet": "xx:x"}, {"x": set(s.elements)}, rep,
                     {"leq": "base.order-range", "meet": "base.meet-range"}):

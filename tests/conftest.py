@@ -61,3 +61,17 @@ def labeled_pairs_oracle(n, klass):
 
     filt = "inverse" if klass == "inverse" else "all"
     return [(h, v) for h in tables_matching(n, filt) for v in second_table_search(h, klass)]
+
+
+def natural_order_oracle(t):
+    """The relation {(a, b) : a = e·b for some idempotent e} of t, and whether
+    it is reflexive, antisymmetric and transitive, by direct loops."""
+    elements = range(1, t.n + 1)
+    idems = [e for e in elements if t.product(e, e) == e]
+    rel = {(a, b) for a in elements for b in elements if any(t.product(e, b) == a for e in idems)}
+    is_order = (
+        all((a, a) in rel for a in elements)
+        and all(a == b or (b, a) not in rel for a, b in rel)
+        and all((a, c) in rel for a, b in rel for c in elements if (b, c) in rel)
+    )
+    return frozenset(rel), is_order

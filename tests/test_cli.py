@@ -76,6 +76,28 @@ def test_check_hop_vop_flags(tmp_path):
     assert code == 2
 
 
+def test_inputs_a_command_does_not_take_exit_2(tmp_path, capsys):
+    # each used to be ignored, or to fail with a Python error message
+    dig = tmp_path / "z2.dig.json"
+    dig.write_text(json.dumps(json.loads(run("double", "to-dig", fx("z2_pair.cay"),
+                                             "--format", "json")[1])["artifact"]))
+    chain3 = fx("chain3.cay")
+    for argv, message in (
+        (("check", "--inverse"), "need an input file"),
+        (("double", "validate-axioms"), "need an input file"),
+        (("check", chain3, "--hop", fx("brandt_b2.cay")), "--hop only applies to pair inputs"),
+        (("check", chain3, "--vop", chain3), "--vop only applies to pair inputs"),
+        (("double", "validate-axioms", str(dig), "--hop", chain3),
+         "--hop only applies to pair inputs"),
+        (("double", "to-dig", fx("z2_pair.cay"), "--hop", chain3, "--vop", chain3),
+         "give a pair file or --hop/--vop, not both"),
+        (("decompose",), "need a pair file or --hop/--vop"),
+    ):
+        capsys.readouterr()
+        assert run(*argv)[0] == 2, argv
+        assert capsys.readouterr().err == f"esnlab: error: {message}\n", argv
+
+
 def test_check_dot_output():
     code, out = run("check", fx("brandt_b2.cay"), "--inverse", "--format", "dot")
     assert code == 0
@@ -281,9 +303,13 @@ def test_search_cli_filter_flags_that_do_not_apply_exit_2(capsys):
         assert flag in capsys.readouterr().err, argv
 
 
-def test_search_cli_bad_order_exit_2():
+def test_search_cli_bad_order_exit_2(capsys):
     code, _ = run("search", "--order", "9", "--class", "inverse")
     assert code == 2
+    for order in ("0", "-2"):
+        capsys.readouterr()
+        assert run("search", "--order", order)[0] == 2
+        assert f"argument --order: must be at least 1, not {order}" in capsys.readouterr().err
     code, _ = run("search", "--order", "2", "--expect-none")
     assert code == 2
 

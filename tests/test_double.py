@@ -384,6 +384,53 @@ def test_substantive_families_on_two_object_fixture(clifford3):
         assert families.get(family, 0) >= 1, family
 
 
+def _cells_witnesses(tag, *quads):
+    return [(tag, tuple(int(x) for x in q)) for q in quads]
+
+
+_BOUNDARY_PINS = (
+    ("hcompose", (2, 3), 2, _cells_witnesses("interchange.cells",
+                                             "2332", "2333", "3223", "3233", "3323", "3332")),
+    ("hcompose", (2, 2), 3, [
+        *_cells_witnesses("boundary.hcomp-vcod", "22", "23", "32", "33"),
+        *_cells_witnesses("boundary.hcomp-vdom", "22", "23", "32", "33"),
+        ("boundary.hor-closed", (2, 2)),
+        *_cells_witnesses("interchange.cells", "2222", "2223", "2232", "2233", "2322", "2323",
+                          "3222", "3232", "3322", "3333")]),
+    ("vcompose", (2, 2), 3, [
+        *_cells_witnesses("boundary.vcomp-hcod", "22", "23", "32", "33"),
+        *_cells_witnesses("boundary.vcomp-hdom", "22", "23", "32", "33"),
+        ("boundary.ver-closed", (2, 2)),
+        *_cells_witnesses("interchange.cells", "2222", "2223", "2232", "2233", "2322", "2323",
+                          "3222", "3232", "3322", "3333")]),
+    # None deletes the entry, so an interchange side is undefined, which fails
+    ("vcompose", (3, 3), None, _cells_witnesses("interchange.cells", "2332", "3223")),
+    ("hdom", 3, 1, [*_cells_witnesses("boundary.corner", "30", "32"),
+                    *_cells_witnesses("boundary.vcomp-hdom", "23", "32", "33")]),
+    ("hcod", 3, 1, [*_cells_witnesses("boundary.corner", "31", "33"),
+                    *_cells_witnesses("boundary.vcomp-hcod", "23", "32", "33")]),
+    ("vdom", 3, 1, [*_cells_witnesses("boundary.corner", "30", "31"),
+                    *_cells_witnesses("boundary.hcomp-vdom", "23", "32", "33")]),
+    # every arrow of the fixture is an object's identity arrow, so a corrupt
+    # endpoint stops the validator at the embeddings, before the boundary rows
+    ("ver_src", 2, 1, []),
+    ("hor_dst", 2, 1, []),
+)
+
+
+@pytest.mark.parametrize("field, key, value, expected", _BOUNDARY_PINS)
+def test_boundary_and_cell_interchange_witnesses_of_corruptions(field, key, value, expected):
+    # recorded before the boundary and cell-interchange loops were stated as rows
+    g = dig_from_dis(load_pair("clifford3_pair.cay"))
+    table = {k: v for k, v in {**getattr(g, field), key: value}.items() if v is not None}
+    for strict_ix in (False, True):
+        rep = validate_dig(_mutate(g, **{field: table}), strict_ix)
+        found = sorted((v.axiom, v.witness) for v in rep.violations
+                       if v.axiom.startswith(("boundary.", "interchange.cells")))
+        assert found == expected
+        assert not rep.ok
+
+
 def test_validate_dig_counts_of_the_fixture():
     # recorded before the validators were stated as rows; the rows must keep them
     rep = validate_dig(dig_from_dis(load_pair("clifford3_pair.cay")), strict_ix=True)

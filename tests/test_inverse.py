@@ -5,6 +5,7 @@ from esnlab.errors import (
     NonUniqueInverseError,
     NotASemigroupError,
     NotIdempotentError,
+    OrderAxiomViolation,
 )
 from esnlab.inverse import (
     analyze_inverse,
@@ -114,6 +115,23 @@ def test_natural_order_group_is_equality():
 def test_natural_order_standalone(b2):
     pairs = natural_partial_order(b2)
     assert pairs == analyze_inverse(b2).leq
+
+
+def test_natural_partial_order_matches_the_oracle_up_to_order_3():
+    from conftest import natural_order_oracle
+    from esnlab.search import tables_matching
+
+    raised = 0
+    for n in (1, 2, 3):
+        for t in tables_matching(n, "all"):
+            rel, is_order = natural_order_oracle(t)
+            if is_order:
+                assert natural_partial_order(t) == rel
+            else:
+                with pytest.raises(OrderAxiomViolation):
+                    natural_partial_order(t)
+                raised += 1
+    assert raised == 67
 
 
 def test_idempotent_meet(b2):

@@ -9,6 +9,7 @@ data).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -91,17 +92,8 @@ def cmd_check(args, doc):
     wants_pair = args.double or args.double_inverse
     if wants_pair and (args.semigroup or args.inverse or args.clifford):
         raise _InputError("cannot mix single-table and pair checks in one run")
-    selected = [
-        flag
-        for flag, on in (
-            ("semigroup", args.semigroup),
-            ("inverse", args.inverse),
-            ("clifford", args.clifford),
-            ("double", args.double),
-            ("double-inverse", args.double_inverse),
-        )
-        if on
-    ] or ["semigroup"]
+    selected = [flag for flag in ("semigroup", "inverse", "clifford", "double", "double-inverse")
+                if getattr(args, flag.replace("-", "_"))] or ["semigroup"]
     analysis = failure = None
     if wants_pair:
         d = _load_pair(args, doc)
@@ -120,34 +112,21 @@ def cmd_check(args, doc):
             _check_entry(doc, kind, False, getattr(failure, "witness", None), str(failure))
         elif kind == "inverse":
             rep = inverse.characterize_inverse(t, analysis)
-            _check_entry(
-                doc,
-                "inverse",
-                True,
-                info={
-                    "idempotents": list(analysis.idempotent_set),
-                    "inverse_map": list(analysis.inverse_map),
-                    "regular": rep.is_regular,
-                    "idempotents_commute": rep.idempotents_commute,
-                    "equivalence_holds": rep.equivalence_holds,
-                },
-            )
+            _check_entry(doc, "inverse", True, info={
+                "idempotents": list(analysis.idempotent_set),
+                "inverse_map": list(analysis.inverse_map), "regular": rep.is_regular,
+                "idempotents_commute": rep.idempotents_commute,
+                "equivalence_holds": rep.equivalence_holds})
         elif kind == "clifford":
             verdict = inverse.is_clifford(analysis)
             _check_entry(doc, "clifford", verdict, verdict.witness)
         elif kind == "double":
             cls = d.classification
-            _check_entry(
-                doc, "double-semigroup", cls.is_double_semigroup,
-                info=cls.as_json(),
-            )
+            _check_entry(doc, "double-semigroup", cls.is_double_semigroup, info=cls.as_json())
         elif kind == "double-inverse":
             cls = d.classification
-            ok = _check_entry(
-                doc, "double-inverse-semigroup", cls.is_double_inverse_semigroup,
-                info=cls.as_json(),
-            )
-            if ok:
+            if _check_entry(doc, "double-inverse-semigroup", cls.is_double_inverse_semigroup,
+                            info=cls.as_json()):
                 proper = dbl.is_proper(d)
                 _check_entry(doc, "improper", not proper, proper.witness)
     if args.format == "dot":
@@ -198,27 +177,17 @@ def cmd_double(args, doc):
         g = dbl.dig_from_json(_load_json(args, doc))
         if sub == "to-dis":
             d = dbl.dis_from_dig(g)
-            doc["artifact"] = {
-                "kind": "double-semigroup",
-                "cay": tables.format_double(d.hop, d.vop),
-            }
-        elif sub == "validate-axioms":
-            rep = dbl.validate_dig(g, strict_ix=args.strict_axiom_ix)
-            doc["report"] = rep.as_json()
+            doc["artifact"] = {"kind": "double-semigroup",
+                               "cay": tables.format_double(d.hop, d.vop)}
+            return
+        if sub == "validate-axioms":
+            rep, name = dbl.validate_dig(g, strict_ix=args.strict_axiom_ix), "axioms"
             doc["substantive_by_family"] = rep.substantive_by_family()
-            _check_entry(
-                doc, "axioms", rep.ok,
-                rep.violations[0].witness if rep.violations else None,
-                info=rep.violations[0].axiom if rep.violations else None,
-            )
-        elif sub == "verify-interchange":
-            rep = dbl.verify_interchange_identities(g)
-            doc["report"] = rep.as_json()
-            _check_entry(
-                doc, "interchange-identities", rep.ok,
-                rep.violations[0].witness if rep.violations else None,
-                info=rep.violations[0].axiom if rep.violations else None,
-            )
+        else:
+            rep, name = dbl.verify_interchange_identities(g), "interchange-identities"
+        doc["report"] = rep.as_json()
+        first = rep.violations[0] if rep.violations else None
+        _check_entry(doc, name, rep.ok, first and first.witness, first and first.axiom)
 
 
 def cmd_decompose(args, doc):
@@ -240,10 +209,7 @@ def cmd_decompose(args, doc):
 def cmd_compose(args, doc):
     p = presheaf.presheaf_from_json(_load_json(args, doc))
     d = presheaf.compose(p)  # InvalidPresheafError (exit 2) if p is invalid
-    doc["artifact"] = {
-        "kind": "double-semigroup",
-        "cay": tables.format_double(d.hop, d.vop),
-    }
+    doc["artifact"] = {"kind": "double-semigroup", "cay": tables.format_double(d.hop, d.vop)}
 
 
 def cmd_search(args, doc):
@@ -263,10 +229,8 @@ def cmd_search(args, doc):
     for name, value in sorted(report.claims.items()):
         _check_entry(doc, f"claim.{name}", value if isinstance(value, bool) else True)
     if args.expect_none:
-        _check_entry(
-            doc, "no-proper-pairs", report.proper_pair_count == 0,
-            info={"proper_pair_count": report.proper_pair_count},
-        )
+        _check_entry(doc, "no-proper-pairs", report.proper_pair_count == 0,
+                     info={"proper_pair_count": report.proper_pair_count})
 
 
 def cmd_golden(args, doc):
@@ -324,7 +288,10 @@ def _positive(text):
     return value
 
 
+@functools.cache
 def build_parser():
+    """The parser, built once: parsing leaves it unchanged, and building it
+    takes longer than most of the commands it parses."""
     parser = argparse.ArgumentParser(
         prog="esnlab",
         description="Finite inverse semigroups, their groupoids, and the double-"

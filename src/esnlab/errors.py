@@ -1,5 +1,7 @@
 """Exception types shared across the package, and the JSON readers that report
-a missing key, or an id or key listed twice, as a ParseError."""
+a non-object, a missing key, a size not an integer, or a repeated id or key, as a ParseError."""
+
+import json
 
 
 class EsnlabError(Exception):
@@ -16,13 +18,29 @@ class ParseError(EsnlabError):
         self.line = line
 
 
+def _shown(value):
+    """A JSON value for a message: the kind of a container, else the value."""
+    return {dict: "an object", list: "an array"}.get(type(value)) or json.dumps(value)
+
+
 def json_field(doc, key):
-    """doc[key] for a JSON object read from input; a missing key is malformed
-    input and its message names the key."""
+    """doc[key] for a JSON object read from input; a value that is not an
+    object, or a missing key, is malformed input and its message names the key."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"expected an object with field {key!r}, not {_shown(doc)}")
     try:
         return doc[key]
     except KeyError:
         raise ParseError(f"missing field {key!r}") from None
+
+
+def json_int(doc, key, path=None):
+    """doc[key], a declared size, which must be a JSON integer (a bool is not
+    one); else malformed input, named by ``path`` or the key."""
+    value = json_field(doc, key)
+    if type(value) is not int:
+        raise ParseError(f"{path or key} must be an integer, not {_shown(value)}")
+    return value
 
 
 def distinct(ids, path):

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
-    InvalidGroupoidError, ParseError, TheoremViolation, distinct, json_field, keyed,
+    InvalidGroupoidError, ParseError, TheoremViolation, distinct, json_field, json_int, keyed,
 )
 from .inverse import InverseSemigroupAnalysis, analyze_inverse, order_and_meet_rows
 from .report import Row, ValidationReport, Verdict, check_ranges, check_rows, computed_once
@@ -57,7 +57,8 @@ def _only(items):
 # composite, y an arrow starting where it ends; i the inverse of an arrow;
 # d (k) an object below its domain (codomain), and b (c) the arrows below it
 # with that domain (codomain), as one value; R (K) a key of the
-# (co)restriction table.
+# (co)restriction table; q a pair of the order whose domains are the codomains
+# of the pair before it.
 _ROWS = (
     Row("shape.identity", "o", lambda g, e: g.identity[e] == e,
         message="identity arrow of an object must be itself"),
@@ -85,7 +86,8 @@ _ROWS = (
     Row("i", "l", lambda g, p: (g.inv[p[0]], g.inv[p[1]]) in g.leq, counts="i"),
     Row("ii", "ll", lambda g, p, q:
         None if g.cod[p[0]] != g.dom[q[0]] or g.cod[p[1]] != g.dom[q[1]]
-        else (g.compose.get((p[0], q[0])), g.compose.get((p[1], q[1]))) in g.leq, counts="ii"),
+        else (g.compose.get((p[0], q[0])), g.compose.get((p[1], q[1]))) in g.leq, counts="ii",
+        drive="lq"),
     # axioms iii, iv: unique (co)restrictions, matching tables that hold nothing else
     Row("iii.unique", "xdb", lambda g, x, e, ys: len(ys), lambda *_: 1, order=(1, 0),
         counts="iii"),
@@ -114,12 +116,16 @@ def validate_ig(g: InductiveGroupoid) -> ValidationReport:
         up = {x: [y for y in g.arrows if (x, y) in g.leq] for x in g.arrows}
         below = {o: [e for e in g.objects if (e, o) in g.leq] for o in g.objects}
         leaving = {o: [z for z in g.arrows if g.dom[z] == o] for o in g.objects}
+        starting = {}
+        for q in g.leq:
+            starting.setdefault((g.dom[q[0]], g.dom[q[1]]), []).append(q)
         check_rows(g, {
             "x": g.arrows, "o": g.objects, "l": g.leq, "R": g.restriction,
             "K": g.corestriction, "C": [k for k in g.compose if g.cod[k[0]] == g.dom[k[1]]],
             "z": lambda xy: (g.compose[xy],),
             "y": lambda xy, w: leaving[g.cod[xy[1]]],
             "u": lambda p: up[p[1]],
+            "q": lambda p: starting.get((g.cod[p[0]], g.cod[p[1]]), ()),
             "i": lambda x: (g.inv[x],),
             "d": lambda x: below[g.dom[x]],
             "k": lambda x: below[g.cod[x]],
@@ -260,7 +266,7 @@ def groupoid_to_json(g: InductiveGroupoid) -> dict:
 def groupoid_from_json(doc: dict) -> InductiveGroupoid:
     """The inverse of ``groupoid_to_json``; the declared arrow count must match
     the per-arrow lists, which is checked before anything is allocated."""
-    m = int(json_field(doc, "arrows"))
+    m = json_int(doc, "arrows")
     per_arrow = {}
     for name in ("dom", "cod", "inverse"):
         per_arrow[name] = json_field(doc, name)

@@ -30,6 +30,7 @@ from .errors import (
     TheoremViolation,
     distinct,
     json_field,
+    json_int,
     keyed,
 )
 from .inverse import is_clifford, order_and_meet_rows
@@ -470,7 +471,7 @@ def presheaf_from_json(doc: dict) -> AbelianGroupPresheaf:
         at, rows = json_field(entry, "at"), json_field(entry, "op")
         if at in groups:
             raise ParseError(f"groups[{k}].at repeats the element {at!r}")
-        order = int(json_field(entry, "order"))
+        order = json_int(entry, "order", f"groups[{k}].order")
         if len(rows) != order:
             raise ParseError(
                 f"group at {at}: order {order} does not match "
@@ -488,7 +489,7 @@ def presheaf_from_json(doc: dict) -> AbelianGroupPresheaf:
             for i in range(order)
             for j in range(order)
         }
-        unit = carrier[_index(int(json_field(entry, "unit")), order, f"groups[{k}].unit")]
+        unit = carrier[_index(json_field(entry, "unit"), order, f"groups[{k}].unit")]
         # an element without an inverse is missing from inv: validate_group reports it
         inv = {a: b for a in carrier for b in carrier if op[(a, b)] == unit == op[(b, a)]}
         groups[at] = FiniteAbelianGroup(carrier, op, unit, inv)
@@ -512,8 +513,8 @@ def presheaf_from_json(doc: dict) -> AbelianGroupPresheaf:
 
 
 def _index(position, order, path):
-    """The 0-based index of a 1-based position read from a presheaf file."""
-    if not isinstance(position, int) or not 1 <= position <= order:
+    """The 0-based index of a 1-based position, a JSON integer, read from a presheaf file."""
+    if type(position) is not int or not 1 <= position <= order:
         raise ParseError(f"{path} must be a position in 1..{order}, not {position!r}")
     return position - 1
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
+from math import prod
 from typing import Callable
 
 
@@ -174,7 +175,11 @@ class Row:
     the given sorts; each side is a function of a context and the variables,
     and None where undefined, which makes the tuple vacuous. A failing tuple
     is reported under tag, the variables (in ``order`` if given) its witness;
-    substantive and vacuous tuples are counted under ``counts`` if given."""
+    substantive and vacuous tuples are counted under ``counts`` if given. With
+    ``drive``, the variables range over those sorts: the same carriers, but
+    the arguments of a partial table on the left-hand side only over its keys,
+    in carrier order. A tuple skipped has an undefined left-hand side, so
+    vacuous is the product of the carriers of ``sorts`` less substantive."""
 
     tag: str
     sorts: str
@@ -183,6 +188,7 @@ class Row:
     order: tuple | None = None
     counts: str | None = None
     message: str = ""
+    drive: str | None = None
 
 
 def _assignments(domains):
@@ -197,11 +203,11 @@ def _extended(tuples, domain):
 
 def check_rows(context, carriers: dict, rows, rep: ValidationReport) -> bool:
     """Run each row over every tuple of its variables, a variable ranging over
-    ``carriers[sort]``: a collection, or a function of the variables before it.
-    Returns whether no row failed."""
+    ``carriers[sort]`` (of its driven sort, if any): a collection, or a function
+    of the variables before it. Returns whether no row failed."""
     start = len(rep.violations)
     for row in rows:
-        domains = [carriers[s] for s in row.sorts]
+        domains = [carriers[s] for s in row.drive or row.sorts]
         tuples = _assignments(domains) if any(map(callable, domains)) else product(*domains)
         lhs, rhs = row.lhs, row.rhs
         substantive = vacuous = 0
@@ -218,6 +224,8 @@ def check_rows(context, carriers: dict, rows, rep: ValidationReport) -> bool:
                     witness = tuple(witness[i] for i in row.order)
                 rep.add(row.tag, witness, row.message)
         if row.counts is not None:
+            if row.drive:
+                vacuous = prod(len(carriers[s]) for s in row.sorts) - substantive
             rep.bump(row.counts, True, substantive)
             rep.bump(row.counts, False, vacuous)
     return len(rep.violations) == start

@@ -75,3 +75,35 @@ def natural_order_oracle(t):
         and all((a, c) in rel for a, b in rel for c in elements if (b, c) in rel)
     )
     return frozenset(rel), is_order
+
+
+def split_and_meets_oracle(ev, pieces, rep, tags, order):
+    """The split and meet identities of ``double.verify_interchange_identities``
+    for the pseudo-products a·b and c·d of every two pairs of cells, read
+    through the definedness-guarded evaluator ``ev`` of ``double._evaluators``
+    one lookup at a time, as the loop was first written."""
+    substantive, vacuous = [0] * 4, [0] * 4
+    for (a, b), (u, au, ub, x) in pieces.items():
+        for (c, d), (v, cv, vd, y) in pieces.items():
+            m = ev.meet_v(ev.vcod(x), ev.vdom(y))
+            left = ev.meet_v(ev.vcod(au), ev.vdom(cv))
+            right = ev.meet_v(ev.vcod(ub), ev.vdom(vd))
+            uv = ev.meet_v(ev.vcod(u), ev.vdom(v))
+            sides = (
+                (ev.vcorestrict(x, m),
+                 ev.hcomp(ev.vcorestrict(au, left), ev.vcorestrict(ub, right))),
+                (ev.vrestrict(m, y), ev.hcomp(ev.vrestrict(left, cv), ev.vrestrict(right, vd))),
+                (left, ev.hcorestrict(ev.meet_v(ev.vcod(a), ev.vdom(c)), uv)),
+                (right, ev.hrestrict(uv, ev.meet_v(ev.vcod(b), ev.vdom(d)))),
+            )
+            for i, (lhs, rhs) in enumerate(sides):
+                if lhs is None or rhs is None:
+                    vacuous[i] += 1
+                    continue
+                substantive[i] += 1
+                if lhs != rhs:
+                    quad = (a, b, c, d)
+                    rep.add(tags[i], tuple(quad[k] for k in order))
+    for tag, s, v in zip(tags, substantive, vacuous):
+        rep.bump(tag, True, s)
+        rep.bump(tag, False, v)

@@ -552,3 +552,34 @@ def test_presheaf_ids_and_keys_listed_twice_exit_2(tmp_path, capsys):
         (lambda d: d["homs"].append(d["homs"][0]), "homs[3].pair repeats the pair [1, 1]"),
     ):
         _rejected(tmp_path, capsys, ("compose",), edited(edit), message)
+
+
+def test_json_input_that_is_not_an_object_exit_2(tmp_path, capsys):
+    # the loaders name the field they expected, not a Python indexing error
+    for argv, field in ((("esn", "to-semigroup"), "arrows"),
+                        (("double", "validate-axioms"), "objects"), (("compose",), "base")):
+        for doc, shown in (([1, 2], "an array"), ("x", '"x"')):
+            _rejected(tmp_path, capsys, argv, doc,
+                      f"expected an object with field {field!r}, not {shown}")
+
+
+def test_declared_sizes_must_be_json_integers(tmp_path, capsys):
+    groupoid = json.loads((fixture_dir() / "partial_bijections_2.json").read_text())
+    dig = json.loads(run("double", "to-dig", fx("clifford3_pair.cay"), "--format", "json")[1])
+    presheaf = json.loads((fixture_dir() / "clifford3_presheaf.json").read_text())
+    for value, shown in (({}, "an object"), (2.7, "2.7"), (True, "true"), ("3", '"3"')):
+        _rejected(tmp_path, capsys, ("esn", "to-semigroup"), dict(groupoid, arrows=value),
+                  f"arrows must be an integer, not {shown}")
+        for carrier in ("objects", "ver_arrows", "hor_arrows", "cells"):
+            _rejected(tmp_path, capsys, ("double", "validate-axioms"),
+                      dict(dig["artifact"], **{carrier: value}),
+                      f"{carrier} must be an integer, not {shown}")
+        groups = [dict(presheaf["groups"][0], order=value), *presheaf["groups"][1:]]
+        _rejected(tmp_path, capsys, ("compose",), dict(presheaf, groups=groups),
+                  f"groups[0].order must be an integer, not {shown}")
+    # a group's unit is a position, which int() no longer makes of a string or a bool
+    for value in ("1", True):
+        groups = [presheaf["groups"][0], dict(presheaf["groups"][1], unit=value),
+                  *presheaf["groups"][2:]]
+        _rejected(tmp_path, capsys, ("compose",), dict(presheaf, groups=groups),
+                  f"groups[1].unit must be a position in 1..2, not {value!r}")

@@ -1,8 +1,11 @@
+import functools
 import json
+from dataclasses import replace
 
 import pytest
 
 from conftest import all_tables
+from esnlab import double as dbl, esn
 from esnlab.double import (
     DoubleInductiveGroupoid,
     DoubleSemigroup,
@@ -23,8 +26,14 @@ from esnlab.double import (
     verify_interchange_identities,
 )
 from esnlab.errors import InvalidDigError, NotDoubleInverseError, ParseError
-from esnlab.esn import ig_from_is, is_from_ig
-from esnlab.presheaf import dig_from_presheaf
+from esnlab.esn import ig_from_is, is_from_ig, pseudo_products
+from esnlab.presheaf import (
+    AbelianGroupPresheaf,
+    FiniteAbelianGroup,
+    MeetSemilattice,
+    compose,
+    dig_from_presheaf,
+)
 from esnlab.report import ValidationReport
 from esnlab.fixtures import load_pair, load_presheaf
 from esnlab.search import search_double
@@ -324,20 +333,19 @@ def test_validate_dig_flags_corrupt_boundary(clifford3):
     assert not rep.ok
 
 
-def test_validator_total_on_random_mutations(clifford3):
-    """validate_dig reports on corrupted structures instead of crashing, also
-    where a value or a key of a table leaves its carrier."""
+def _random_mutations(base):
+    """200 seeded corruptions of base, each with a seeded strict_ix: a value or
+    a key of a table moved, possibly out of its carrier, then a pair of leq
+    flipped."""
     import random
 
     rng = random.Random(2024)
-    base = dig_from_dis(DoubleSemigroup(clifford3, clifford3))
     dict_fields = [
         "hcompose", "vcompose", "meet_h", "meet_v", "hinv", "vinv",
         "h_restrict", "h_corestrict", "v_restrict", "v_corestrict",
         "hdom", "hcod", "vdom", "vcod",
     ]
     limit = len(base.cells)
-    tags = set()
     for i in range(160):
         field = rng.choice(dict_fields)
         table = dict(getattr(base, field))
@@ -348,18 +356,105 @@ def test_validator_total_on_random_mutations(clifford3):
             table[key] = value
         else:
             table[key] = rng.randint(1, limit)
-        mutated = _mutate(base, **{field: table})
-        rep = validate_dig(mutated, strict_ix=rng.random() < 0.5)
-        assert rep is not None
-        tags.update(v.axiom for v in rep.violations)
-    assert {"range.meet_h", "range.meet_v", "range.h_restrict"} <= tags
+        yield _mutate(base, **{field: table}), rng.random() < 0.5
     for _ in range(40):
         pairs = set(base.leq)
         a = rng.choice(base.cells)
         b = rng.choice(base.cells)
         pairs.symmetric_difference_update({(a, b)})
-        rep = validate_dig(_mutate(base, leq=frozenset(pairs)))
+        yield _mutate(base, leq=frozenset(pairs)), False
+
+
+def test_validator_total_on_random_mutations(clifford3):
+    """validate_dig reports on corrupted structures instead of crashing, also
+    where a value or a key of a table leaves its carrier."""
+    mutations = list(_random_mutations(dig_from_dis(DoubleSemigroup(clifford3, clifford3))))
+    tags = set()
+    for mutated, strict_ix in mutations[:160]:
+        rep = validate_dig(mutated, strict_ix=strict_ix)
         assert rep is not None
+        tags.update(v.axiom for v in rep.violations)
+    assert {"range.meet_h", "range.meet_v", "range.h_restrict"} <= tags
+    for mutated, strict_ix in mutations[160:]:
+        rep = validate_dig(mutated, strict_ix=strict_ix)
+        assert rep is not None
+
+
+@functools.cache
+def _double_inverse_groupoids():
+    """The double groupoid of each of the 301 double inverse pairs of order <= 4."""
+    pairs = [pair for n in (1, 2, 3, 4) for pair in search_double(n, "inverse").pairs]
+    assert len(pairs) == 301
+    return [dig_from_dis(DoubleSemigroup(hop, vop)) for hop, vop in pairs]
+
+
+def test_driven_rows_match_the_full_product(clifford3, monkeypatch):
+    # a driven row skips only tuples whose left-hand side is undefined, so the
+    # reports equal those of the same rows run over the full product: the same
+    # violations in the same order, and the same counts
+    inputs = [(g, strict_ix) for g in _double_inverse_groupoids() for strict_ix in (False, True)]
+    inputs += [(g, strict_ix)
+               for g, _ in _random_mutations(dig_from_dis(DoubleSemigroup(clifford3, clifford3)))
+               for strict_ix in (False, True)]
+
+    def reports():
+        # a fresh copy of each groupoid, so that its views are validated again
+        return [json.dumps(validate_dig(_mutate(g), strict_ix).as_json()) for g, strict_ix in inputs]
+
+    driven = reports()
+    assert any(row.drive for row, _ in dbl._CELL_ROWS) and any(row.drive for row in esn._ROWS)
+    monkeypatch.setattr(dbl, "_CELL_ROWS",
+                        tuple((replace(row, drive=None), twin) for row, twin in dbl._CELL_ROWS))
+    monkeypatch.setattr(esn, "_ROWS", tuple(replace(row, drive=None) for row in esn._ROWS))
+    assert reports() == driven
+
+
+def _presheaf_of_twelve_cells():
+    """Z2 below Z6 and Z4 on the semilattice 1 < 2, 1 < 3, each hom reduction mod 2."""
+    def cyclic(n):
+        carrier = tuple(range(1, n + 1))
+        op = {(a, b): (a + b - 2) % n + 1 for a in carrier for b in carrier}
+        return FiniteAbelianGroup(carrier, op, 1, {a: (1 - a) % n + 1 for a in carrier})
+
+    leq = frozenset({(1, 1), (2, 2), (3, 3), (1, 2), (1, 3)})
+    meet = {(a, b): a if a == b else 1 for a in (1, 2, 3) for b in (1, 2, 3)}
+    groups = {1: cyclic(2), 2: cyclic(6), 3: cyclic(4)}
+    hom = {(a, b): {x: x if a == b else (x - 1) % 2 + 1 for x in groups[b].carrier}
+           for a, b in leq}
+    return AbelianGroupPresheaf(MeetSemilattice((1, 2, 3), leq, meet), groups, hom)
+
+
+def test_split_and_meets_match_the_lookup_oracle(clifford3, monkeypatch):
+    from conftest import split_and_meets_oracle
+
+    composed = dig_from_dis(compose(_presheaf_of_twelve_cells()))
+    assert len(composed.cells) == 12
+    # corrupted groupoids whose views can be built, let past the validity
+    # check, give violations and vacuous checks too
+    base = dig_from_dis(DoubleSemigroup(clifford3, clifford3))
+    corrupted = [g for g, _ in _random_mutations(base) if not any(
+        v.axiom.startswith(("range.", "emb.")) for v in validate_dig(g).violations)]
+    assert len(corrupted) == 145
+    monkeypatch.setattr(DoubleInductiveGroupoid, "report", ValidationReport())
+    tags = ("split.h.i", "split.h.ii", "meets.i", "meets.ii")
+    for g in [*_double_inverse_groupoids(), composed, *corrupted]:
+        h, v = g.views
+        for sides, ev, order in (((h, v), dbl._evaluators(g)[0], (0, 1, 2, 3)),
+                                 ((v, h), dbl._evaluators(g)[1], (0, 2, 1, 3))):
+            pieces = pseudo_products(sides[0])
+            fast, slow = ValidationReport(), ValidationReport()
+            dbl._check_split_and_meets(*sides, pieces, fast, tags, order)
+            split_and_meets_oracle(ev, pieces, slow, tags, order)
+            assert fast.as_json() == slow.as_json()
+    monkeypatch.undo()
+    rep = verify_interchange_identities(composed)
+    assert rep.ok
+    assert rep.substantive == {
+        tag: 12 ** 4
+        for tag in ("interchange.products", "split.h.i", "split.h.ii", "split.v.i",
+                    "split.v.ii", "meets.i", "meets.ii", "meets.iii", "meets.iv")
+    }
+    assert rep.vacuous == {}
 
 
 def test_views_are_the_esn_groupoids_of_the_two_operations(clifford3):

@@ -38,7 +38,7 @@ from .errors import (
 from .esn import InductiveGroupoid, pseudo_product_table, pseudo_products
 from .inverse import InverseSemigroupAnalysis, analyze_inverse
 from .report import PASS, Row, ValidationReport, Verdict, check_ranges, check_rows, computed_once
-from .tables import CayleyTable
+from .tables import CayleyTable, first_difference
 
 
 @dataclass(frozen=True)
@@ -62,16 +62,15 @@ class DoubleSemigroup:
 
 def check_interchange(hop: CayleyTable, vop: CayleyTable) -> Verdict:
     """(a v b) h (c v d) = (a h c) v (b h d) over all quadruples; least witness."""
-    h = hop.rows
-    v = vop.rows
-    n = hop.n
+    h, v, n = hop.flat, vop.flat, hop.n
     for a in range(n):
+        an = a * n
         for b in range(n):
-            ab = v[a][b]
+            abn, bn = v[an + b] * n, b * n
             for c in range(n):
-                ac = h[a][c]
+                acn, cn = h[an + c] * n, c * n
                 for d in range(n):
-                    if h[ab - 1][v[c][d] - 1] != v[ac - 1][h[b][d] - 1]:
+                    if h[abn + v[cn + d]] != v[acn + h[bn + d]]:
                         return Verdict(False, (a + 1, b + 1, c + 1, d + 1))
     return Verdict(True)
 
@@ -148,21 +147,10 @@ def classify_double(hop: CayleyTable, vop: CayleyTable) -> DoubleClassification:
     )
 
 
-def is_double_semigroup(d: DoubleSemigroup) -> bool:
-    return d.classification.is_double_semigroup
-
-
-def is_double_inverse_semigroup(d: DoubleSemigroup) -> bool:
-    return d.classification.is_double_inverse_semigroup
-
-
 def is_proper(d: DoubleSemigroup) -> Verdict:
     """Proper iff the two operations differ somewhere; witness = least such pair."""
-    for a in d.hop.elements():
-        for b in d.hop.elements():
-            if d.hop.product(a, b) != d.vop.product(a, b):
-                return Verdict(True, (a, b))
-    return Verdict(False)
+    cell = first_difference(d.hop, d.vop)
+    return Verdict(cell is not None, cell)
 
 
 @dataclass(frozen=True)
@@ -628,15 +616,12 @@ def roundtrip_double(d: DoubleSemigroup, back: DoubleSemigroup | None = None) ->
     a caller that already built back passes it in."""
     if back is None:
         back = dis_from_dig(dig_from_dis(d))
-    if back.hop.rows == d.hop.rows and back.vop.rows == d.vop.rows:
+    diffs = [(cell, name) for name, x, y in (("hop", back.hop, d.hop), ("vop", back.vop, d.vop))
+             if (cell := first_difference(x, y)) is not None]
+    if not diffs:
         return Verdict(True)
-    for a in d.hop.elements():
-        for b in d.hop.elements():
-            if back.hop.product(a, b) != d.hop.product(a, b):
-                return Verdict(False, ("hop", a, b))
-            if back.vop.product(a, b) != d.vop.product(a, b):
-                return Verdict(False, ("vop", a, b))
-    return Verdict(False, ())
+    cell, name = min(diffs)  # the least cell, hop before vop
+    return Verdict(False, (name, *cell))
 
 
 def roundtrip_dig(

@@ -18,7 +18,7 @@ from .errors import (
 )
 from .inverse import InverseSemigroupAnalysis, analyze_inverse, order_and_meet_rows
 from .report import Row, ValidationReport, Verdict, check_ranges, check_rows, computed_once
-from .tables import CayleyTable
+from .tables import CayleyTable, first_difference
 
 
 @dataclass(frozen=True)
@@ -200,7 +200,7 @@ def pseudo_product_table(g: InductiveGroupoid) -> CayleyTable:
     """The pseudo-product of a groupoid that passes ``validate_ig``, as a table;
     total because object meets are."""
     products = pseudo_products(g)
-    return CayleyTable(tuple(tuple(products[a, b][3] for b in g.arrows) for a in g.arrows))
+    return CayleyTable(tuple(products[a, b][3] - 1 for a in g.arrows for b in g.arrows))
 
 
 def is_from_ig(g: InductiveGroupoid) -> InverseSemigroupAnalysis:
@@ -216,16 +216,8 @@ def semigroup_roundtrip(t: CayleyTable, g: InductiveGroupoid | None = None) -> V
     a caller that already built g passes it in."""
     if g is None:
         g = ig_from_is(analyze_inverse(t))
-    back = is_from_ig(g).table
-    if back.rows == t.rows:
-        return Verdict(True)
-    diff = min(
-        (a, b)
-        for a in t.elements()
-        for b in t.elements()
-        if back.product(a, b) != t.product(a, b)
-    )
-    return Verdict(False, diff)
+    cell = first_difference(is_from_ig(g).table, t)
+    return Verdict(cell is None, cell)
 
 
 def groupoid_roundtrip(

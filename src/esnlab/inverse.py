@@ -42,12 +42,28 @@ class InverseSemigroupAnalysis:
         return tuple(a for a in self.table.elements() if (a, b) in self.leq)
 
 
+def _inverses(T, n, a):
+    """The x with a·x·a = a and x·a·x = x in the flat table T of order n, all
+    counted from 0, ascending."""
+    return [x for x in range(n) if T[T[a * n + x] * n + a] == a and T[T[x * n + a] * n + x] == x]
+
+
 def generalized_inverses(t: CayleyTable, a: int) -> tuple[int, ...]:
-    return tuple(
-        x
-        for x in t.elements()
-        if t.product(t.product(a, x), a) == a and t.product(t.product(x, a), x) == x
-    )
+    return tuple(x + 1 for x in _inverses(t.flat, t.n, a - 1))
+
+
+def unique_inverses(T, n):
+    """The generalized inverse of each element of the flat table T of order n,
+    counted from 0, up to the first element without exactly one: so every
+    element has one iff the list has n entries. This is the one unique-inverse
+    test, which analyze_inverse and the search's filters share."""
+    inv = []
+    for a in range(n):
+        found = _inverses(T, n, a)
+        if len(found) != 1:
+            break
+        inv.append(found[0])
+    return inv
 
 
 def analyze_inverse(t: CayleyTable) -> InverseSemigroupAnalysis:
@@ -56,17 +72,14 @@ def analyze_inverse(t: CayleyTable) -> InverseSemigroupAnalysis:
     assoc = is_associative(t)
     if not assoc:
         raise NotASemigroupError(assoc.witness)
-    inv = []
-    for a in t.elements():
-        candidates = generalized_inverses(t, a)
-        if not candidates:
-            raise NoInverseError(a)
-        if len(candidates) > 1:
-            raise NonUniqueInverseError(a, candidates[0], candidates[1])
-        inv.append(candidates[0])
+    inv = unique_inverses(t.flat, t.n)
+    if len(inv) < t.n:
+        a = len(inv) + 1
+        found = generalized_inverses(t, a)
+        raise NonUniqueInverseError(a, *found[:2]) if found else NoInverseError(a)
     idems = idempotents(t)
     leq = natural_partial_order(t, idems)
-    return InverseSemigroupAnalysis(t, tuple(inv), idems, leq)
+    return InverseSemigroupAnalysis(t, tuple(x + 1 for x in inv), idems, leq)
 
 
 def order_and_meet_rows(reflexive, antisymmetric, transitive, lower=None, greatest=None,
@@ -157,7 +170,8 @@ def idempotent_meet(analysis: InverseSemigroupAnalysis, e: int, f: int) -> int:
         raise NotIdempotentError(f)
     m = analysis.table.product(e, f)
     leq = analysis.leq
-    assert (m, e) in leq and (m, f) in leq, f"{m} is not a lower bound of {e},{f}"
+    if (m, e) not in leq or (m, f) not in leq:
+        raise TheoremViolation(f"product {m} is not a lower bound of idempotents {e},{f}")
     for g in idems:
         if (g, e) in leq and (g, f) in leq and (g, m) not in leq:
             raise TheoremViolation(f"product {m} is not the glb of idempotents {e},{f}")

@@ -393,7 +393,7 @@ def main_theorem_report(d: DoubleSemigroup) -> MainTheoremReport:
     cls = d.classification
     if not cls.is_double_inverse_semigroup:
         return MainTheoremReport(cls, None, None, None, None)
-    improper = d.hop.rows == d.vop.rows
+    improper = d.hop == d.vop
     hc = bool(is_commutative(d.hop))
     vc = bool(is_commutative(d.vop))
     cliff = bool(is_clifford(cls.hop_analysis)) and bool(is_clifford(cls.vop_analysis))

@@ -24,31 +24,28 @@ give that form, a coset of Aut(h), which is the least joint relabeling of the
 pair at |Aut(h)| relabelings rather than n!. Both come from
 ``tables.least_relabeling``, the one canonicaliser.
 
-Hot loops, the second-table backtracker included, work on flat 0-based
-tuples; everything crossing the module boundary is a 1-based CayleyTable.
+Every loop here, the second-table backtracker included, works on the flat
+0-based tuples that a ``CayleyTable`` holds.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import product as iproduct
 from math import factorial
 
-from .errors import EsnlabError, NotASemigroupError, OrderTooLargeError
-from .inverse import analyze_inverse, is_clifford
+from .errors import EsnlabError, NotASemigroupError, OrderTooLargeError, TheoremViolation
+from .inverse import analyze_inverse, is_clifford, unique_inverses
 from .report import computed_once
 from .tables import (
     CayleyTable,
     canonical_form,
-    flat_to_table,
     format_double,
     format_table,
     is_associative,
     is_commutative,
     least_relabeling,
     relabelings,
-    table_to_flat,
 )
 
 SINGLE_CAP = 5
@@ -61,33 +58,14 @@ def _cell_order(n):
     return sorted(range(n * n), key=lambda k: (max(k // n, k % n), k // n, k % n))
 
 
-def _is_inverse_flat(T, n):
-    for a in range(n):
-        count = 0
-        for x in range(n):
-            if T[T[a * n + x] * n + a] == a and T[T[x * n + a] * n + x] == x:
-                count += 1
-                if count > 1:
-                    return False
-        if count != 1:
-            return False
-    return True
-
-
-def _is_commutative_flat(T, n):
-    return all(T[a * n + b] == T[b * n + a] for a in range(n) for b in range(a + 1, n))
-
-
 def _matches(T, n, filt):
     if filt == "all":
         return True
-    if not _is_inverse_flat(T, n):
+    if len(unique_inverses(T, n)) < n:
         return False
     if filt == "inverse":
         return True
-    if filt == "commutative-inverse":
-        return _is_commutative_flat(T, n)
-    return not _is_commutative_flat(T, n)
+    return bool(is_commutative(CayleyTable(T))) == (filt == "commutative-inverse")
 
 
 def _assoc_ok(T, occ, n, a, b, c):
@@ -133,7 +111,8 @@ def _orbit(T, aut, rel):
     images = {}
     for img, src in rel:
         images.setdefault(tuple(img[T[s]] for s in src), (img, src))
-    assert len(images) * aut == len(rel), "orbit size is not n!/|Aut|"
+    if len(images) * aut != len(rel):
+        raise TheoremViolation(f"orbit of {len(images)} tables is not n!/|Aut| = {len(rel)}/{aut}")
     return sorted(images.items())
 
 
@@ -233,11 +212,11 @@ def _enum_worker(args):
     classes = _classes(n, filt, prefix)
     count = sum(len(rel) // aut for _, aut in classes)
     # through the public canonical_form, which per-layer traces count
-    canon = [table_to_flat(canonical_form(flat_to_table(T, n))) for T, _ in classes]
+    canon = [canonical_form(CayleyTable(T)).flat for T, _ in classes]
     if not keep_classes:
         return count, [], canon
     for T, aut in classes:
-        _orbit(T, aut, rel)  # asserts that the orbit holds n!/|Aut| tables
+        _orbit(T, aut, rel)  # checks that the orbit holds n!/|Aut| tables
     return count, [T for T, _ in classes], canon
 
 
@@ -271,7 +250,7 @@ def tables_matching(n, filt):
     if not 1 <= n <= SINGLE_CAP:
         raise OrderTooLargeError(n, SINGLE_CAP)
     rel = relabelings(n)
-    return [flat_to_table(t, n) for T, aut in _classes(n, filt) for t, _ in _orbit(T, aut, rel)]
+    return [CayleyTable(t) for T, aut in _classes(n, filt) for t, _ in _orbit(T, aut, rel)]
 
 
 def enumerate_semigroups(n, filt="all", jobs=1) -> EnumerationReport:
@@ -287,66 +266,29 @@ def enumerate_semigroups(n, filt="all", jobs=1) -> EnumerationReport:
     results = _run_tasks(_enum_worker, [(n, p, filt, keep) for p in prefixes], jobs)
     labeled = sum(r[0] for r in results)
     canon_flat = sorted(T for r in results for T in r[2])
-    reps = tuple(flat_to_table(T, n) for T in canon_flat)
+    reps = tuple(CayleyTable(T) for T in canon_flat)
     claims = {}
     if keep:
         # the claims are invariant under relabeling, so each class is checked once
-        matches = [T for r in results for T in r[1]]
-        claims["all_matches_associative"] = all(
-            bool(is_associative(flat_to_table(T, n))) for T in matches
-        )
-        claims["all_matches_inverse"] = _all_inverse(matches, n)
+        matches = [CayleyTable(T) for r in results for T in r[1]]
+        claims["all_matches_associative"] = all(bool(is_associative(t)) for t in matches)
+        claims["all_matches_inverse"] = _all_inverse(matches)
         if filt == "noncommutative-inverse":
-            claims["all_matches_noncommutative"] = all(
-                not _is_commutative_flat(T, n) for T in matches
-            )
+            claims["all_matches_noncommutative"] = not any(map(is_commutative, matches))
         if filt == "commutative-inverse":
-            claims["all_matches_commutative"] = all(
-                _is_commutative_flat(T, n) for T in matches
-            )
+            claims["all_matches_commutative"] = all(map(is_commutative, matches))
     else:
         claims["representatives_associative"] = all(bool(is_associative(t)) for t in reps)
     return EnumerationReport(n, filt, labeled, len(reps), reps, claims)
 
 
-def _all_inverse(matches, n):
-    for T in matches:
+def _all_inverse(matches):
+    for t in matches:
         try:
-            analyze_inverse(flat_to_table(T, n))
+            analyze_inverse(t)
         except EsnlabError:
             return False
     return True
-
-
-def naive_enumerate(n, filt="all"):
-    """Oracle: scan all n^(n*n) tables directly. Only sane for n <= 3."""
-    if n > 3:
-        raise OrderTooLargeError(n, 3)
-    count = 0
-    canon = set()
-    rng = range(n)
-    for values in iproduct(range(1, n + 1), repeat=n * n):
-        rows = tuple(tuple(values[a * n : (a + 1) * n]) for a in rng)
-        ok = True
-        for a in rng:
-            for b in rng:
-                ab = rows[a][b]
-                for c in rng:
-                    if rows[ab - 1][c] != rows[a][rows[b][c] - 1]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        flat = tuple(v - 1 for v in values)
-        if not _matches(flat, n, filt):
-            continue
-        count += 1
-        canon.add(canonical_form(CayleyTable(rows)).rows)
-    return count, frozenset(canon)
 
 
 def second_table_search(hop: CayleyTable, klass="semigroup"):
@@ -356,11 +298,9 @@ def second_table_search(hop: CayleyTable, klass="semigroup"):
     assoc = is_associative(hop)
     if not assoc:
         raise NotASemigroupError(assoc.witness)
-    n = hop.n
-    H = table_to_flat(hop)
-    if klass == "inverse" and not _is_inverse_flat(H, n):
+    if klass == "inverse" and len(unique_inverses(hop.flat, hop.n)) < hop.n:
         return []
-    return [flat_to_table(V, n) for V in _second_tables(H, n, klass == "inverse")]
+    return [CayleyTable(V) for V in _second_tables(hop.flat, hop.n, klass == "inverse")]
 
 
 def _second_tables(H, n, need_inverse):
@@ -413,7 +353,7 @@ def _second_tables(H, n, need_inverse):
 
     def extend(d):
         if d == size:
-            if not need_inverse or _is_inverse_flat(V, n):
+            if not need_inverse or len(unique_inverses(V, n)) == n:
                 out.append(tuple(V))
             return
         a, b = cells[d]
@@ -440,9 +380,8 @@ def _pair_worker(args):
 
 def canonical_pair(hop: CayleyTable, vop: CayleyTable):
     """Least joint relabeling of the ordered pair, as (hop rows, vop rows)."""
-    n = hop.n
-    [(h, v)] = _pair_keys(table_to_flat(hop), [table_to_flat(vop)], relabelings(n))
-    return flat_to_table(h, n).rows, flat_to_table(v, n).rows
+    [(h, v)] = _pair_keys(hop.flat, [vop.flat], relabelings(hop.n))
+    return CayleyTable(h).rows, CayleyTable(v).rows
 
 
 @dataclass(frozen=True)
@@ -463,10 +402,9 @@ class PairSearchReport:
         """Every labeled pair: (π·h, π·v) for each least first table h, one
         relabeling π per table π·h of its orbit, and each second table v of h
         (the second tables of h are closed under Aut(h))."""
-        n = self.order
-        rel = relabelings(n)
+        rel = relabelings(self.order)
         return tuple(
-            (flat_to_table(t, n), flat_to_table(tuple(img[V[s]] for s in src), n))
+            (CayleyTable(t), CayleyTable(tuple(img[V[s]] for s in src)))
             for H, aut, Vs in self.orbits
             for t, (img, src) in _orbit(H, aut, rel)
             for V in Vs
@@ -525,8 +463,7 @@ def search_double(n, klass="semigroup", jobs=1) -> PairSearchReport:
     }
     if klass == "inverse":
         # each claim is invariant under relabeling, so the least pairs decide it
-        least = [(flat_to_table(H, n), flat_to_table(V, n))
-                 for H, _, Vs, _ in found for V in Vs]
+        least = [(CayleyTable(H), CayleyTable(V)) for H, _, Vs, _ in found for V in Vs]
         claims["all_improper"] = proper_count == 0
         claims["all_commutative"] = all(
             bool(is_commutative(h)) and bool(is_commutative(v)) for h, v in least
@@ -537,7 +474,7 @@ def search_double(n, klass="semigroup", jobs=1) -> PairSearchReport:
         )
 
     def tables(keys):
-        return tuple((flat_to_table(h, n), flat_to_table(v, n)) for h, v in sorted(keys))
+        return tuple((CayleyTable(h), CayleyTable(v)) for h, v in sorted(keys))
 
     return PairSearchReport(
         order=n,

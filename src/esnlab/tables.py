@@ -1,10 +1,12 @@
 """Cayley tables: parsing, elementary predicates, relabelings and canonical forms.
 
-Elements are the integers 1..n throughout; ``rows[a-1][b-1]`` is the product
-a·b (row = left operand). Everything here is pure and immutable. Relabeling
-lives here alone: ``relabelings(n)`` lists the n! permutations once per order,
-and ``least_relabeling`` finds the least image of a flat 0-based table, which
-gives both the canonical forms and the pair search's class keys.
+A table is one flat row-major tuple over 0..n-1, ``flat[a*n + b]`` the product
+of a and b counted from 0 (row = left operand); ``product`` and ``elements``
+name elements 1..n, and ``rows`` renders the table 1-based for output.
+Everything here is pure and immutable. Relabeling lives here alone:
+``relabelings(n)`` lists the n! permutations once per order, and
+``least_relabeling`` finds the least image of a flat table, which gives both
+the canonical forms and the pair search's class keys.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import permutations
+from math import isqrt
 
 from .errors import NotASemigroupError, ParseError
 from .report import Verdict
@@ -19,28 +22,33 @@ from .report import Verdict
 
 @dataclass(frozen=True)
 class CayleyTable:
-    rows: tuple[tuple[int, ...], ...]
+    """The flat table; its order n is worked out once, at construction."""
+
+    flat: tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.rows)
+        flat = self.flat
+        n = isqrt(len(flat))
         if n < 1:
             raise ValueError("empty carrier")
-        for row in self.rows:
-            if len(row) != n:
-                raise ValueError(f"row length {len(row)} != order {n}")
-            for entry in row:
-                if not 1 <= entry <= n:
-                    raise ValueError(f"entry {entry} out of range 1..{n}")
-
-    @property
-    def n(self):
-        return len(self.rows)
+        if n * n != len(flat):
+            raise ValueError(f"{len(flat)} entries do not make a square table")
+        for entry in (min(flat), max(flat)):
+            if not 0 <= entry < n:
+                raise ValueError(f"entry {entry} out of range 0..{n - 1}")
+        object.__setattr__(self, "n", n)
 
     def product(self, a, b):
-        return self.rows[a - 1][b - 1]
+        return self.flat[(a - 1) * self.n + b - 1] + 1
 
     def elements(self):
         return range(1, self.n + 1)
+
+    @property
+    def rows(self):
+        """The table 1-based, one tuple per row: rows[a-1][b-1] is a·b."""
+        n, flat = self.n, self.flat
+        return tuple(tuple(v + 1 for v in flat[k : k + n]) for k in range(0, n * n, n))
 
 
 def parse_table(text: str) -> CayleyTable:
@@ -69,7 +77,7 @@ def parse_double(text: str) -> tuple[CayleyTable, CayleyTable]:
 def _parse_one(lines, start):
     pos = start
     n = None
-    rows = []
+    flat = []
     while pos < len(lines):
         raw = lines[pos]
         pos += 1
@@ -87,7 +95,6 @@ def _parse_one(lines, start):
         tokens = stripped.split()
         if len(tokens) != n:
             raise ParseError(f"expected {n} entries, got {len(tokens)}", line=pos)
-        row = []
         for tok in tokens:
             try:
                 val = int(tok)
@@ -95,13 +102,12 @@ def _parse_one(lines, start):
                 raise ParseError(f"non-numeric entry {tok!r}", line=pos) from None
             if not 1 <= val <= n:
                 raise ParseError(f"entry {val} out of range 1..{n}", line=pos)
-            row.append(val)
-        rows.append(tuple(row))
-        if len(rows) == n:
-            return CayleyTable(tuple(rows)), pos
+            flat.append(val - 1)
+        if len(flat) == n * n:
+            return CayleyTable(tuple(flat)), pos
     if n is None:
         raise ParseError("no table found", line=pos)
-    raise ParseError(f"expected {n} rows, got {len(rows)}", line=pos)
+    raise ParseError(f"expected {n} rows, got {len(flat) // n}", line=pos)
 
 
 def format_table(t: CayleyTable) -> str:
@@ -115,26 +121,34 @@ def format_double(hop: CayleyTable, vop: CayleyTable) -> str:
 
 def is_associative(t: CayleyTable) -> Verdict:
     """O(n^3) scan; witness is the lexicographically least violating (a,b,c)."""
-    rows = t.rows
-    n = t.n
+    T, n = t.flat, t.n
     for a in range(n):
-        ra = rows[a]
+        an = a * n
         for b in range(n):
-            ab = rows[a][b]
-            rb = rows[b]
+            abn = T[an + b] * n
+            bn = b * n
             for c in range(n):
-                if rows[ab - 1][c] != ra[rb[c] - 1]:
+                if T[abn + c] != T[an + T[bn + c]]:
                     return Verdict(False, (a + 1, b + 1, c + 1))
     return Verdict(True)
 
 
 def is_commutative(t: CayleyTable) -> Verdict:
-    rows = t.rows
-    for a in range(t.n):
-        for b in range(t.n):
-            if rows[a][b] != rows[b][a]:
+    """Witness is the least (a, b), a < b, with a·b != b·a."""
+    T, n = t.flat, t.n
+    for a in range(n):
+        for b in range(a + 1, n):
+            if T[a * n + b] != T[b * n + a]:
                 return Verdict(False, (a + 1, b + 1))
     return Verdict(True)
+
+
+def first_difference(s: CayleyTable, t: CayleyTable) -> tuple[int, int] | None:
+    """The least (a, b) at which two tables of one order differ; None if they are equal."""
+    if s.flat == t.flat:
+        return None
+    k = next(k for k, (x, y) in enumerate(zip(s.flat, t.flat)) if x != y)
+    return k // s.n + 1, k % s.n + 1
 
 
 def idempotents(t: CayleyTable) -> tuple[int, ...]:
@@ -155,30 +169,6 @@ def is_regular_associative(t: CayleyTable) -> Verdict:
         if not any(t.product(t.product(a, x), a) == a for x in t.elements()):
             return Verdict(False, (a,))
     return Verdict(True)
-
-
-def relabel(t: CayleyTable, perm: tuple[int, ...]) -> CayleyTable:
-    """Rename element i to perm[i-1]; the result's (perm a)·(perm b) = perm(a·b)."""
-    n = t.n
-    inv = [0] * n
-    for i, img in enumerate(perm):
-        inv[img - 1] = i + 1
-    rows = tuple(
-        tuple(perm[t.product(inv[a], inv[b]) - 1] for b in range(n)) for a in range(n)
-    )
-    return CayleyTable(rows)
-
-
-def flat_to_table(flat, n):
-    """The CayleyTable of a flat row-major table over 0..n-1."""
-    return CayleyTable(
-        tuple(tuple(v + 1 for v in flat[a * n : (a + 1) * n]) for a in range(n))
-    )
-
-
-def table_to_flat(t):
-    """The flat row-major table of t over 0..n-1."""
-    return tuple(v - 1 for row in t.rows for v in row)
 
 
 @cache
@@ -210,33 +200,9 @@ def least_relabeling(T, rel):
 
 def canonical_form(t: CayleyTable) -> CayleyTable:
     """Lexicographically least relabeling; two tables are isomorphic iff equal here."""
-    return flat_to_table(least_relabeling(table_to_flat(t), relabelings(t.n))[0], t.n)
+    return CayleyTable(least_relabeling(t.flat, relabelings(t.n))[0])
 
 
 def is_canonical(t: CayleyTable) -> bool:
     """True iff no relabeling is lexicographically smaller."""
     return canonical_form(t) == t
-
-
-# small constructors used by fixtures and tests
-
-def left_projection(n):
-    """a·b = a (the left-zero semigroup)."""
-    return CayleyTable(tuple(tuple(a for _ in range(n)) for a in range(1, n + 1)))
-
-
-def right_projection(n):
-    """a·b = b (the right-zero semigroup)."""
-    return CayleyTable(tuple(tuple(range(1, n + 1)) for _ in range(n)))
-
-
-def cyclic_group(n):
-    """Z_n written multiplicatively; element 1 is the unit."""
-    return CayleyTable(
-        tuple(tuple((a + b) % n + 1 for b in range(n)) for a in range(n))
-    )
-
-
-def chain_semilattice(n):
-    """The meet table of the chain 1 < 2 < ... < n."""
-    return CayleyTable(tuple(tuple(min(a, b) for b in range(1, n + 1)) for a in range(1, n + 1)))

@@ -1,6 +1,10 @@
+from itertools import product
+
 import pytest
 
-from esnlab.tables import CayleyTable, parse_table
+from esnlab.errors import OrderTooLargeError
+from esnlab.search import _matches
+from esnlab.tables import CayleyTable, canonical_form, parse_table
 
 B2_TEXT = """\
 5
@@ -11,7 +15,14 @@ B2_TEXT = """\
 1 1 3 1 5
 """
 
-CLIFFORD3 = CayleyTable(((1, 1, 1), (1, 2, 3), (1, 3, 2)))
+
+
+def table(rows):
+    """The CayleyTable of a table written 1-based, row by row."""
+    return CayleyTable(tuple(v - 1 for row in rows for v in row))
+
+
+CLIFFORD3 = table(((1, 1, 1), (1, 2, 3), (1, 3, 2)))
 
 
 @pytest.fixture
@@ -26,10 +37,70 @@ def clifford3():
 
 def all_tables(n):
     """Every n-by-n magma table, lexicographic."""
-    from itertools import product
+    for values in product(range(n), repeat=n * n):
+        yield CayleyTable(values)
 
+
+def left_projection(n):
+    """a·b = a (the left-zero semigroup)."""
+    return CayleyTable(tuple(a for a in range(n) for _ in range(n)))
+
+
+def right_projection(n):
+    """a·b = b (the right-zero semigroup)."""
+    return CayleyTable(tuple(b for _ in range(n) for b in range(n)))
+
+
+def cyclic_group(n):
+    """Z_n written multiplicatively; element 1 is the unit."""
+    return CayleyTable(tuple((a + b) % n for a in range(n) for b in range(n)))
+
+
+def chain_semilattice(n):
+    """The meet table of the chain 1 < 2 < ... < n."""
+    return CayleyTable(tuple(min(a, b) for a in range(n) for b in range(n)))
+
+
+def relabel(t, perm):
+    """Rename element i to perm[i-1]; the result's (perm a)·(perm b) = perm(a·b)."""
+    n = t.n
+    inv = [0] * n
+    for i, img in enumerate(perm):
+        inv[img - 1] = i + 1
+    return table(
+        tuple(tuple(perm[t.product(inv[a], inv[b]) - 1] for b in range(n)) for a in range(n))
+    )
+
+
+def naive_enumerate(n, filt="all"):
+    """Oracle: scan all n^(n*n) tables directly. Only sane for n <= 3."""
+    if n > 3:
+        raise OrderTooLargeError(n, 3)
+    count = 0
+    canon = set()
+    rng = range(n)
     for values in product(range(1, n + 1), repeat=n * n):
-        yield CayleyTable(tuple(values[a * n : (a + 1) * n] for a in range(n)))
+        rows = tuple(tuple(values[a * n : (a + 1) * n]) for a in rng)
+        ok = True
+        for a in rng:
+            for b in rng:
+                ab = rows[a][b]
+                for c in rng:
+                    if rows[ab - 1][c] != rows[a][rows[b][c] - 1]:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if not ok:
+                break
+        if not ok:
+            continue
+        flat = tuple(v - 1 for v in values)
+        if not _matches(flat, n, filt):
+            continue
+        count += 1
+        canon.add(canonical_form(CayleyTable(flat)).rows)
+    return count, frozenset(canon)
 
 
 def assoc_oracle(t):
@@ -44,10 +115,8 @@ def assoc_oracle(t):
 
 def least_relabeling_oracle(*tables):
     """Least joint relabeling of the tables, as a tuple of their rows, over all
-    n! permutations through tables.relabel."""
+    n! permutations through relabel."""
     from itertools import permutations
-
-    from esnlab.tables import relabel
 
     return min(
         tuple(relabel(t, perm).rows for t in tables)

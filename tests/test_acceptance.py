@@ -9,7 +9,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import B2_TEXT
+from conftest import B2_TEXT, left_projection, naive_enumerate, right_projection
 from esnlab.cli import main as cli_main
 from esnlab.double import (
     DoubleSemigroup,
@@ -33,7 +33,6 @@ from esnlab.presheaf import (
 from esnlab.search import (
     canonical_pair,
     enumerate_semigroups,
-    naive_enumerate,
     search_double,
     tables_matching,
 )
@@ -127,8 +126,6 @@ def test_criterion_5_proper_double_semigroups_exist():
     with criterion(5, "proper-pairs-at-order-2", 60.0):
         report = search_double(2, "semigroup")
         assert report.proper_pair_count >= 1
-        from esnlab.tables import left_projection, right_projection
-
         expected = canonical_pair(left_projection(2), right_projection(2))
         assert expected in {(h.rows, v.rows) for h, v in report.proper_representatives}
 

@@ -1,10 +1,17 @@
 import functools
 import json
+import random
 from dataclasses import replace
 
 import pytest
 
-from conftest import all_tables
+from conftest import (
+    all_tables,
+    chain_semilattice,
+    cyclic_group,
+    left_projection,
+    right_projection,
+)
 from esnlab import double as dbl, esn
 from esnlab.double import (
     DoubleInductiveGroupoid,
@@ -16,8 +23,6 @@ from esnlab.double import (
     dig_from_json,
     dig_to_json,
     dis_from_dig,
-    is_double_inverse_semigroup,
-    is_double_semigroup,
     is_proper,
     roundtrip_dig,
     roundtrip_double,
@@ -34,15 +39,10 @@ from esnlab.presheaf import (
     compose,
     dig_from_presheaf,
 )
-from esnlab.report import ValidationReport
+from esnlab.report import ValidationReport, Verdict
 from esnlab.fixtures import load_pair, load_presheaf
 from esnlab.search import search_double
-from esnlab.tables import (
-    chain_semilattice,
-    cyclic_group,
-    left_projection,
-    right_projection,
-)
+from esnlab.tables import CayleyTable
 
 
 def test_interchange_projections():
@@ -69,22 +69,58 @@ def test_interchange_swap_symmetry():
             assert check_interchange(hop, vop).holds == check_interchange(vop, hop).holds
 
 
+def test_interchange_witness_is_the_least_failing_quadruple():
+    # against a direct loop through the 1-based products, on every order-2 pair
+    # and a seeded sample of order-3 pairs
+    tables3 = list(all_tables(3))
+    rng = random.Random(3)
+    pairs = [(h, v) for h in all_tables(2) for v in all_tables(2)]
+    pairs += [(rng.choice(tables3), rng.choice(tables3)) for _ in range(300)]
+    for hop, vop in pairs:
+        els = hop.elements()
+        failing = [(a, b, c, d) for a in els for b in els for c in els for d in els
+                   if hop.product(vop.product(a, b), vop.product(c, d))
+                   != vop.product(hop.product(a, c), hop.product(b, d))]
+        want = Verdict(False, failing[0]) if failing else Verdict(True)
+        assert check_interchange(hop, vop) == want
+
+
 def test_classification(b2, clifford3):
     z2 = cyclic_group(2)
-    assert is_double_semigroup(DoubleSemigroup(z2, z2))
-    assert is_double_inverse_semigroup(DoubleSemigroup(z2, z2))
+    assert DoubleSemigroup(z2, z2).classification.is_double_semigroup
+    assert DoubleSemigroup(z2, z2).classification.is_double_inverse_semigroup
     proj = DoubleSemigroup(left_projection(2), right_projection(2))
-    assert is_double_semigroup(proj)
-    assert not is_double_inverse_semigroup(proj)
+    assert proj.classification.is_double_semigroup
+    assert not proj.classification.is_double_inverse_semigroup
     assert "generalized inverses" in classify_double(proj.hop, proj.vop).failure_reason()
-    assert is_double_inverse_semigroup(DoubleSemigroup(clifford3, clifford3))
-    assert not is_double_semigroup(DoubleSemigroup(b2, b2))
+    assert DoubleSemigroup(clifford3, clifford3).classification.is_double_inverse_semigroup
+    assert not DoubleSemigroup(b2, b2).classification.is_double_semigroup
 
 
 def test_proper(b2):
     assert is_proper(DoubleSemigroup(left_projection(2), right_projection(2)))
     z2 = cyclic_group(2)
     assert not is_proper(DoubleSemigroup(z2, z2))
+
+
+def test_proper_and_roundtrip_witnesses_are_the_least_differing_cells():
+    # against direct loops over the cells in row-major order, hop before vop
+    tables3 = list(all_tables(3))
+    rng = random.Random(5)
+    for _ in range(300):
+        h, v, bh, bv = (rng.choice(tables3) for _ in range(4))
+        if rng.random() < 0.5:  # back equal to the pair but for at most one cell
+            flat = list(h.flat)
+            flat[rng.randrange(9)] = rng.randrange(3)
+            bh, bv = CayleyTable(tuple(flat)), v
+        cells = [(a, b) for a in range(1, 4) for b in range(1, 4)]
+        proper = [c for c in cells if h.product(*c) != v.product(*c)]
+        want = Verdict(True, proper[0]) if proper else Verdict(False)
+        assert is_proper(DoubleSemigroup(h, v)) == want
+        diffs = [(name, *c) for c in cells for name, x, y in (("hop", bh, h), ("vop", bv, v))
+                 if x.product(*c) != y.product(*c)]
+        want = Verdict(False, diffs[0]) if diffs else Verdict(True)
+        assert roundtrip_double(DoubleSemigroup(h, v), DoubleSemigroup(bh, bv)) == want
 
 
 def test_dig_shapes(clifford3):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import chain_semilattice, cyclic_group
 from esnlab.errors import InvalidGroupoidError, ParseError
 from esnlab.esn import (
     InductiveGroupoid,
@@ -17,7 +18,7 @@ from esnlab.esn import (
 from esnlab.fixtures import load_groupoid, load_table
 from esnlab.inverse import analyze_inverse
 from esnlab.search import tables_matching
-from esnlab.tables import chain_semilattice, cyclic_group, parse_table
+from esnlab.tables import parse_table
 
 
 def test_ig_from_brandt(b2):

@@ -1,11 +1,14 @@
+from dataclasses import replace
+
 import pytest
 
-from conftest import all_tables
+from conftest import all_tables, chain_semilattice, cyclic_group, left_projection, table
 from esnlab.errors import (
     NonUniqueInverseError,
     NotASemigroupError,
     NotIdempotentError,
     OrderAxiomViolation,
+    TheoremViolation,
 )
 from esnlab.inverse import (
     analyze_inverse,
@@ -18,13 +21,7 @@ from esnlab.inverse import (
     is_clifford,
     natural_partial_order,
 )
-from esnlab.tables import (
-    CayleyTable,
-    chain_semilattice,
-    cyclic_group,
-    is_associative,
-    left_projection,
-)
+from esnlab.tables import is_associative
 
 
 def test_analyze_brandt(b2):
@@ -53,7 +50,7 @@ def test_group_analysis():
 
 def test_not_a_semigroup_rejected():
     with pytest.raises(NotASemigroupError):
-        analyze_inverse(CayleyTable(((2, 1), (1, 1))))
+        analyze_inverse(table(((2, 1), (1, 1))))
 
 
 def test_involution_and_idempotent_self_inverse(b2):
@@ -142,6 +139,10 @@ def test_idempotent_meet(b2):
         assert idempotent_meet(a, e, e) == e
     with pytest.raises(NotIdempotentError):
         idempotent_meet(a, 2, 4)
+    # an order that misses 1 <= 4 makes the product 4·5 = 1 no lower bound
+    broken = replace(a, leq=a.leq - {(1, 4)})
+    with pytest.raises(TheoremViolation, match="not a lower bound"):
+        idempotent_meet(broken, 4, 5)
 
 
 def test_meet_is_glb_on_all_small_inverse_semigroups():

@@ -1,0 +1,132 @@
+"""The JSON reports of the deterministic commands, pinned byte for byte.
+
+Each digest is the sha256 of a report dumped with sorted keys and indent 2,
+without ``timing_ms`` and without ``inputs``, which names the input's path.
+A change that alters any of these bytes alters what a user reads."""
+
+import hashlib
+import io
+import json
+
+from esnlab.cli import main
+from esnlab.fixtures import fixture_dir
+
+FILTERS = {
+    "all": (),
+    "inverse": ("--class", "inverse"),
+    "commutative-inverse": ("--class", "inverse", "--commutative"),
+    "noncommutative-inverse": ("--class", "inverse", "--noncommutative"),
+}
+
+SEARCHES = {
+    (1, "all"):
+        "bc17eec5808ec01d85df60022785d030fe0dd46aa0aab1888b1b669e57e2caad",
+    (1, "inverse"):
+        "0898565f86e81303e2b8c695919177dbc65f6fd71332093aaeab7730b28d48e5",
+    (1, "commutative-inverse"):
+        "da6c244657e3a1598c033113d74bd29798fed2fb4efd7c96a50e510d4a72ee42",
+    (1, "noncommutative-inverse"):
+        "e9bcdf3421dacf5238402765560d3797cb1a7fe7d9c390c29caee11df154755b",
+    (2, "all"):
+        "02616ecc95231908306044a767a3a28371dd18cdd3e2e8ad9b5054aa06146fb8",
+    (2, "inverse"):
+        "a12162bdd14cc9d271ab7139042548b8e1ecef9e9f49246fffe558f00b0bf45d",
+    (2, "commutative-inverse"):
+        "2d3f552ef062bfa3eabb07d8d2f7803e3550029e00f13957b078a026c12240f4",
+    (2, "noncommutative-inverse"):
+        "6458a460974ec3606a4127506229ac118a40b16a1c0778eafa3bc84ee7132f3b",
+    (3, "all"):
+        "112e16345d0081977d8d8b84a5a45178407d4a5e551b15c50ceeec68d0f985f7",
+    (3, "inverse"):
+        "b67a1e10a5da24b117a9f1dce1fe8293104607dddc900e42f11a3aa641c1a7cc",
+    (3, "commutative-inverse"):
+        "861eb37e088546dd94818f6ea848adf7e0800449008264c11dddc626dfb4b67d",
+    (3, "noncommutative-inverse"):
+        "2843031531dd01f8f195b4dbacc10102fff5ec8350a9aae5887f51cce64d9aaa",
+    (4, "all"):
+        "17d3896c58f2f0ee8f14902577bf4bf4d47bdca42d98a1bc26f5a87ff74f4ed8",
+    (4, "inverse"):
+        "1722e14b6f8122b6df8042b0695423692b23a00b66e27e50b2cac1acc70620a6",
+    (4, "commutative-inverse"):
+        "391430e96d454d11713d47bf33251d1983c309ebad756576d30565b13a8219ff",
+    (4, "noncommutative-inverse"):
+        "d176b16a8f0845b67b9e024551ca061cf016d975f908663f5c934a31b6d0a9ac",
+}
+
+PAIR_SEARCHES = {
+    (3, "semigroup"):
+        "10421647e79f7b3d3a761f1e3fde06920afd7f69b2b1c53199cf5cdf682bee26",
+    (4, "inverse"):
+        "458db80c12bc4e1fbe2cc3df839aa46e4d8329cbcccb6e7cb896adf6243b8ed8",
+}
+
+GOLDEN = "9b5546bc71d379967cce59740dc1685a109225fed2f40b9f5823eee985b0a7d4"
+
+CHECK_INVERSE = {
+    "brandt_b2.cay":
+        (0, "3af20be4307cbf0e9ba08cd6d517afac7073174406294cee71fa4736d834686a"),
+    "chain3.cay":
+        (0, "2c3ee0b4d3f1ccb49592635de6678a7c2d8d04a0f8311e0b1031b44f2fd80176"),
+    "nonassociative2.cay":
+        (1, "4d0aeca143812c8fd403e1b2131e1daf01ad58bb9e5aa9fac2382e5257091aac"),
+    "partial_bijections_2.sgp.cay":
+        (0, "c699ba28e4d655f4aca1410c8697f8dfa3a2bb6230ce5f544d517b7a1880c008"),
+}
+
+COMPOSE = {
+    "clifford3_presheaf.json":
+        "021b29c7702de15c893f1746cc6a2426e0655d7dd5db34a3b183ffd6058ed651",
+    "point_z2_presheaf.json":
+        "c6f2548c3cd4a8a188ad424317236fb97cf5c1e83a3aaff41512d2ed331c92bc",
+}
+
+# to-dis of the double groupoid that to-dig makes of each pair
+TO_DIS = {
+    "clifford3_pair.cay":
+        "891d77555fc795d7cf0d2bea2925283538e26663628fcef47f0b27e119de2221",
+    "z2_pair.cay":
+        "94ebc1e5c6b90b7b8e81c85d14c16ce6114ea5ab0eec377d9e970c62eb193b25",
+}
+
+
+def report(*argv):
+    """(exit code, the JSON report without timing_ms and inputs, as text)."""
+    out = io.StringIO()
+    code = main([*argv, "--format", "json"], stream=out)
+    doc = json.loads(out.getvalue())
+    del doc["timing_ms"], doc["inputs"]
+    return code, json.dumps(doc, indent=2, sort_keys=True)
+
+
+def digest(*argv):
+    code, text = report(*argv)
+    return code, hashlib.sha256(text.encode()).hexdigest()
+
+
+def fx(name):
+    return str(fixture_dir() / name)
+
+
+def test_search_reports_are_pinned():
+    for (n, filt), want in SEARCHES.items():
+        assert digest("search", "--order", str(n), *FILTERS[filt]) == (0, want), (n, filt)
+    for (n, klass), want in PAIR_SEARCHES.items():
+        got = digest("search", "--order", str(n), "--class", klass, "--pairs")
+        assert got == (0, want), (n, klass)
+
+
+def test_golden_suite_report_is_pinned():
+    assert digest("golden-suite") == (0, GOLDEN)
+
+
+def test_fixture_reports_are_pinned(tmp_path):
+    for name, want in CHECK_INVERSE.items():
+        assert digest("check", fx(name), "--inverse") == want, name
+    for name, want in COMPOSE.items():
+        assert digest("compose", fx(name)) == (0, want), name
+    for name, want in TO_DIS.items():
+        code, text = report("double", "to-dig", fx(name))
+        assert code == 0, name
+        dig = tmp_path / f"{name}.dig.json"
+        dig.write_text(json.dumps(json.loads(text)["artifact"]))
+        assert digest("double", "to-dis", str(dig)) == (0, want), name

@@ -30,12 +30,7 @@ from esnlab.presheaf import (
     validate_presheaf,
     validate_semilattice,
 )
-from esnlab.tables import (
-    chain_semilattice,
-    cyclic_group,
-    left_projection,
-    right_projection,
-)
+from conftest import chain_semilattice, cyclic_group, left_projection, right_projection
 
 Z2 = FiniteAbelianGroup((1, 2), {(1, 1): 1, (1, 2): 2, (2, 1): 2, (2, 2): 1}, 1, {1: 1, 2: 2})
 TRIV = FiniteAbelianGroup((1,), {(1, 1): 1}, 1, {1: 1})

@@ -2,32 +2,31 @@ from itertools import permutations
 
 import pytest
 
-from conftest import all_tables, assoc_oracle, labeled_pairs_oracle, least_relabeling_oracle
+from conftest import (
+    all_tables,
+    assoc_oracle,
+    cyclic_group,
+    labeled_pairs_oracle,
+    least_relabeling_oracle,
+    left_projection,
+    naive_enumerate,
+    relabel,
+    right_projection,
+    table,
+)
 from esnlab import search
-from esnlab.errors import NotASemigroupError, OrderTooLargeError
+from esnlab.errors import NotASemigroupError, OrderTooLargeError, TheoremViolation
 from esnlab.search import (
     _SPLIT_DEPTH,
     _classes,
     _prefixes,
     canonical_pair,
     enumerate_semigroups,
-    naive_enumerate,
     search_double,
     second_table_search,
     tables_matching,
 )
-from esnlab.tables import (
-    CayleyTable,
-    canonical_form,
-    cyclic_group,
-    flat_to_table,
-    is_associative,
-    least_relabeling,
-    left_projection,
-    relabel,
-    relabelings,
-    right_projection,
-)
+from esnlab.tables import CayleyTable, canonical_form, is_associative, least_relabeling, relabelings
 from esnlab.inverse import analyze_inverse
 
 
@@ -82,7 +81,7 @@ def test_least_relabeling_coset_is_the_automorphism_group():
         for T, aut in _classes(n, "all"):
             least, coset = least_relabeling(T, relabelings(n))
             assert len(coset) == aut, (n, T)
-            assert flat_to_table(least, n) == canonical_form(flat_to_table(T, n))
+            assert CayleyTable(least) == canonical_form(CayleyTable(T))
 
 
 def test_every_emitted_table_is_associative():
@@ -145,7 +144,7 @@ def test_second_table_search_projections():
 
 def test_second_table_search_rejects_non_semigroup():
     with pytest.raises(NotASemigroupError):
-        second_table_search(CayleyTable(((2, 1), (1, 1))), "semigroup")
+        second_table_search(table(((2, 1), (1, 1))), "semigroup")
 
 
 def test_pair_search_order2_semigroup():
@@ -179,8 +178,6 @@ def test_pair_search_matches_commutative_inverse_diagonal():
 
 def test_canonical_pair_invariance():
     lp, rp = left_projection(2), right_projection(2)
-    from esnlab.tables import relabel
-
     base = canonical_pair(lp, rp)
     for perm in ((1, 2), (2, 1)):
         assert canonical_pair(relabel(lp, perm), relabel(rp, perm)) == base
@@ -238,3 +235,10 @@ def test_pools_are_no_larger_than_their_tasks(monkeypatch):
     assert enumerate_semigroups(3, "inverse", jobs=10**6).labeled_count == 24
     assert search_double(2, "semigroup", jobs=10**6).pair_count == 46
     assert sizes == [len(_prefixes(3, _SPLIT_DEPTH)), len(_classes(2, "all"))]
+
+
+def test_orbit_with_a_wrong_automorphism_count_is_a_theorem_violation():
+    [(least, aut)] = _classes(5, "noncommutative-inverse")
+    assert len(search._orbit(least, aut, relabelings(5))) == 60
+    with pytest.raises(TheoremViolation, match=r"n!/\|Aut\|"):
+        search._orbit(least, aut + 1, relabelings(5))

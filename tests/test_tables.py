@@ -3,14 +3,21 @@ from itertools import permutations
 
 import pytest
 
-from conftest import all_tables, assoc_oracle, least_relabeling_oracle
+from conftest import (
+    all_tables,
+    assoc_oracle,
+    chain_semilattice,
+    cyclic_group,
+    least_relabeling_oracle,
+    left_projection,
+    relabel,
+    right_projection,
+    table,
+)
 from esnlab.errors import NotASemigroupError, ParseError
 from esnlab.tables import (
     CayleyTable,
     canonical_form,
-    chain_semilattice,
-    cyclic_group,
-    flat_to_table,
     format_double,
     format_table,
     idempotents,
@@ -19,13 +26,9 @@ from esnlab.tables import (
     is_commutative,
     is_regular,
     least_relabeling,
-    left_projection,
     parse_double,
     parse_table,
-    relabel,
     relabelings,
-    right_projection,
-    table_to_flat,
 )
 from esnlab.search import tables_matching
 
@@ -102,17 +105,30 @@ def test_product_lookups(b2):
 
 def test_rejects_bad_rows():
     with pytest.raises(ValueError):
-        CayleyTable(((1, 2), (1,)))
+        CayleyTable((0, 1, 0))
     with pytest.raises(ValueError):
-        CayleyTable(((3, 1), (1, 1)))
+        CayleyTable((2, 0, 0, 0))
     with pytest.raises(ValueError):
         CayleyTable(())
+
+
+def test_construction_checks_the_flat_tuple():
+    for flat in ((0, 0), (0,) * 5, (0,) * 8):
+        with pytest.raises(ValueError, match="square"):
+            CayleyTable(flat)
+    for flat in ((0, 0, 0, 2), (-1, 0, 0, 0), (0, 9, 0, 0, 0, 0, 0, 0, 0)):
+        with pytest.raises(ValueError, match="out of range"):
+            CayleyTable(flat)
+    t = CayleyTable((0, 1, 1, 2, 0, 2, 1, 2, 0))
+    assert (t.n, t.product(2, 3), list(t.elements())) == (3, 3, [1, 2, 3])
+    assert t.rows == ((1, 2, 2), (3, 1, 3), (2, 3, 1))
+    assert table(t.rows) == t and CayleyTable(t.flat) == t
 
 
 def test_associative_known_cases(b2):
     assert is_associative(b2)
     assert is_associative(left_projection(2))
-    bad = CayleyTable(((2, 1), (1, 1)))
+    bad = table(((2, 1), (1, 1)))
     verdict = is_associative(bad)
     assert not verdict and verdict.witness == (1, 1, 2)
 
@@ -152,14 +168,14 @@ def test_regular(b2):
     assert is_regular(cyclic_group(2))
     assert is_regular(chain_semilattice(2))
     with pytest.raises(NotASemigroupError):
-        is_regular(CayleyTable(((2, 1), (1, 1))))
+        is_regular(table(((2, 1), (1, 1))))
 
 
 def test_regular_witness():
-    t = CayleyTable(((1, 1), (1, 2)))
+    t = table(((1, 1), (1, 2)))
     assert is_regular(t)
     # 2*x*2 = 1 for every x, so 2 has no pseudoinverse
-    t2 = CayleyTable(((1, 1, 1), (1, 1, 1), (1, 1, 2)))
+    t2 = table(((1, 1, 1), (1, 1, 1), (1, 1, 2)))
     verdict = is_regular(t2)
     assert not verdict and verdict.witness == (2,)
 
@@ -177,7 +193,7 @@ def test_canonical_form_is_minimum(b2):
     rng = random.Random(11)
     for _ in range(200):
         n = rng.choice((2, 3))
-        t = CayleyTable(
+        t = table(
             tuple(tuple(rng.randint(1, n) for _ in range(n)) for _ in range(n))
         )
         assert canonical_form(t).rows == least_relabeling_oracle(t)[0]
@@ -205,14 +221,14 @@ def test_is_canonical_consistent():
 def test_relabelings_agree_with_relabel(b2):
     # identity first, built once per order, and image[T[source[k]]] at cell k
     # is the flat form of relabel(t, image shifted to 1..n)
-    T = table_to_flat(b2)
-    assert flat_to_table(T, 5) == b2
+    T = b2.flat
+    assert CayleyTable(T) == b2
     rel = relabelings(5)
     assert rel is relabelings(5)
     assert len(rel) == 120 and rel[0] == (tuple(range(5)), tuple(range(25)))
     for img, src in rel:
         image = tuple(img[T[s]] for s in src)
-        assert flat_to_table(image, 5) == relabel(b2, tuple(i + 1 for i in img))
+        assert CayleyTable(image) == relabel(b2, tuple(i + 1 for i in img))
 
 
 def test_canonical_forms_match_the_oracle_on_every_semigroup_up_to_order_4():

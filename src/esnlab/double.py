@@ -7,22 +7,23 @@ embeddings. Once every table entry is checked against its carriers, it is
 read only through its two views (``DoubleInductiveGroupoid.views``): the
 horizontal inductive groupoid over the vertical arrows (``hcompose``, ``leq``)
 and the vertical one over the horizontal arrows (``vcompose``, ``lesssim``),
-on cell ids; the pseudo-products are ``esn.pseudo_products`` of the views.
-Every check ``validate_dig`` makes is a row of the identity engine
-(``report.check_rows``) after the range pass: the embeddings, the corners,
-boundary coherence, the interchange law on cells and the axioms (iii)-(ix);
-the rows of (iii), (v) and (vi) are driven (``report.Row``), so they visit only
-the tuples at which the first table their left-hand side reads is defined.
-Exchanging the two directions (``transpose``) maps double groupoids to double
-groupoids, so every row about one direction is stated once and also run on
-the transpose. Values are immutable; each keeps the result of its own check
-(``DoubleSemigroup.classification``, ``DoubleInductiveGroupoid.report``), so
-a value that one stage has checked is not checked again by the next.
+on cell ids. ``dig_from_views`` is their inverse and the one assembler:
+``dig_from_dis`` passes it the ESN groupoids of the two operations, and the
+pseudo-products are ``esn.pseudo_products`` of the views. Every check
+``validate_dig`` makes is a row of the identity engine (``report.check_rows``)
+after the range pass: the embeddings, the corners, boundary coherence, the
+interchange law on cells and the axioms (iii)-(ix), the rows on cells reading
+the view tables with ``dict.get``; the rows of (iii), (v) and (vi) are driven
+(``report.Row``). Exchanging the two directions (``transpose``) maps double
+groupoids to double groupoids, so every row about one direction is stated once
+and also run on the transpose. Values are immutable; each keeps the result of
+its own check (``DoubleSemigroup.classification``, ``DoubleInductiveGroupoid.report``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 from .errors import (
     EsnlabError,
@@ -35,7 +36,7 @@ from .errors import (
     json_int,
     keyed,
 )
-from .esn import InductiveGroupoid, pseudo_product_table, pseudo_products
+from .esn import InductiveGroupoid, groupoid_of, pseudo_product_table, pseudo_products
 from .inverse import InverseSemigroupAnalysis, analyze_inverse
 from .report import PASS, Row, ValidationReport, Verdict, check_ranges, check_rows, computed_once
 from .tables import CayleyTable, first_difference
@@ -247,51 +248,35 @@ def transpose(g: DoubleInductiveGroupoid) -> DoubleInductiveGroupoid:
     return DoubleInductiveGroupoid(**{_TWIN[name]: getattr(g, name) for name in _FIELDS})
 
 
-def _lookup(table: dict):
-    get = table.get
-    return lambda x, y: get((x, y))
-
-
-class _Eval:
-    """Definedness-guarded evaluation over the horizontal view h and the vertical
-    view v of one groupoid; ``_Eval(v, h, objects)`` evaluates on its transpose.
-    Every value is a cell id or None, arrows and objects are their identity cells,
-    and each operation is a lookup into one view's table, so it reads None where
-    an argument is None or not of the sort it needs."""
-
-    def __init__(self, h: InductiveGroupoid, v: InductiveGroupoid, objects: tuple):
-        self.hdom, self.hcod = h.dom.get, h.cod.get
-        self.vdom, self.vcod = v.dom.get, v.cod.get
-        self.hcomp, self.vcomp = _lookup(h.compose), _lookup(v.compose)
-        self.meet_h, self.meet_v = _lookup(h.object_meet), _lookup(v.object_meet)
-        self.hrestrict, self.vrestrict = _lookup(h.restriction), _lookup(v.restriction)
-        self.hcorestrict, self.vcorestrict = _lookup(h.corestriction), _lookup(v.corestriction)
-        # the ranges of row variables, by the sort letters of _CELL_ROWS; C is a
-        # composable pair (a, b) of h, x a cell c with vcomp(a, c) defined, and y a
-        # cell d with hcomp(c, d) and vcomp(b, d) defined. The driven ranges keep the
-        # values at which the first table a left-hand side reads is defined: b, g
-        # for vcomp(a, b), vcomp(f, g); p for hcorestrict(p, f), r for hrestrict(f, r),
-        # k for vcorestrict(a, k) and e for vrestrict(e, a).
-        cells, hc, vc, ver, hor = h.arrows, h.compose, v.compose, h.objects, v.objects
-        hco, hre, vco, vre = h.corestriction, h.restriction, v.corestriction, v.restriction
-        self.carriers = {
-            "c": cells, "v": ver, "h": hor, "o": objects, "C": hc,
-            "x": lambda ab: [c for c in cells if (ab[0], c) in vc],
-            "y": lambda ab, c: [d for d in cells if (c, d) in hc and (ab[1], d) in vc],
-            "b": lambda a: [b for b in cells if (a, b) in vc],
-            "g": lambda a, b, f: [g for g in ver if (f, g) in vc],
-            "p": lambda f, h: [p for p in hor if (p, f) in hco],
-            "r": lambda f, h: [r for r in hor if (f, r) in hre],
-            "k": lambda a: [f for f in hor if (a, f) in vco],
-            "e": lambda a: [f for f in hor if (f, a) in vre],
-        }
-
-
-def _evaluators(g: DoubleInductiveGroupoid) -> tuple[_Eval, _Eval]:
-    """The evaluators of g and of ``transpose(g)``, over ``g.views``."""
-    h, v = g.views
-    objects = tuple(sorted(g.obj_cell(o) for o in g.objects))
-    return _Eval(h, v, objects), _Eval(v, h, objects)
+def _side(h: InductiveGroupoid, v: InductiveGroupoid, objects: tuple):
+    """(context, carriers) of the cell rows on the horizontal view h and the
+    vertical view v of one groupoid; ``_side(v, h, objects)`` reads its transpose.
+    The context holds the ``get`` of each view table, keyed as the table is, so
+    a read is None where an argument is None or not of the sort it needs; arrows
+    and objects are their identity cells. The carriers are the ranges of row
+    variables by the sort letters of _CELL_ROWS; C is a composable pair (a, b)
+    of h, x a cell c with vcomp(a, c) defined, and y a cell d with hcomp(c, d)
+    and vcomp(b, d) defined. The driven ranges keep the values at which the
+    first table a left-hand side reads is defined: b, g for vcomp(a, b),
+    vcomp(f, g); p for hcorestrict(p, f), r for hrestrict(f, r), k for
+    vcorestrict(a, k) and e for vrestrict(e, a)."""
+    cells, hc, vc, ver, hor = h.arrows, h.compose, v.compose, h.objects, v.objects
+    hco, hre, vco, vre = h.corestriction, h.restriction, v.corestriction, v.restriction
+    tables = SimpleNamespace(
+        hdom=h.dom.get, hcod=h.cod.get, vdom=v.dom.get, vcod=v.cod.get,
+        hcomp=hc.get, vcomp=vc.get, meet_h=h.object_meet.get, meet_v=v.object_meet.get,
+        hrestrict=hre.get, vrestrict=vre.get, hcorestrict=hco.get, vcorestrict=vco.get, hor=hor)
+    return tables, {
+        "c": cells, "v": ver, "h": hor, "o": objects, "C": hc,
+        "x": lambda ab: [c for c in cells if (ab[0], c) in vc],
+        "y": lambda ab, c: [d for d in cells if (c, d) in hc and (ab[1], d) in vc],
+        "b": lambda a: [b for b in cells if (a, b) in vc],
+        "g": lambda a, b, f: [g for g in ver if (f, g) in vc],
+        "p": lambda f, h: [p for p in hor if (p, f) in hco],
+        "r": lambda f, h: [r for r in hor if (f, r) in hre],
+        "k": lambda a: [f for f in hor if (a, f) in vco],
+        "e": lambda a: [f for f in hor if (f, a) in vre],
+    }
 
 
 def _horizontal_view(g: DoubleInductiveGroupoid) -> InductiveGroupoid:
@@ -309,15 +294,22 @@ def _horizontal_view(g: DoubleInductiveGroupoid) -> InductiveGroupoid:
     )
 
 
+def _twinned(*pairs):
+    """Each (row, twin tag) as (row, the row under the twin tag, or None
+    without one), built once."""
+    return tuple((row, twin and replace(row, tag=twin, counts=row.counts and twin))
+                 for row, twin in pairs)
+
+
 def _check_twinned(table, sides, rep: ValidationReport, skip=()) -> bool:
-    """Run each (row, twin tag) of ``table`` on the first of ``sides``, and
-    under the twin tag, unless it is None or in ``skip``, on the second, the
-    transpose; a side is (context, carriers). Returns whether no row failed."""
+    """Run each (row, twin) of ``table`` on the first of ``sides``, and the twin,
+    unless it is None or its tag is in ``skip``, on the second, the transpose;
+    a side is (context, carriers). Returns whether no row failed."""
     ok = True
     for row, twin in table:
         ok &= check_rows(*sides[0], (row,), rep)
-        if twin is not None and twin not in skip:
-            ok &= check_rows(*sides[1], (replace(row, tag=twin, counts=row.counts and twin),), rep)
+        if twin is not None and twin.tag not in skip:
+            ok &= check_rows(*sides[1], (twin,), rep)
     return ok
 
 
@@ -325,13 +317,13 @@ def _check_twinned(table, sides, rep: ValidationReport, skip=()) -> bool:
 # carriers by the sorts of _CARRIER: each identity-cell embedding is injective
 # (the later of two ids with one image is the witness); then identity cells and
 # the identity arrows of objects are loops, and an object has one identity cell.
-_INJECTIVE = (
+_INJECTIVE = _twinned(
     (Row("emb.obj_ver", "oo", lambda g, x, y: x >= y or g.obj_ver[x] != g.obj_ver[y],
          order=(1,), message="embedding not injective"), "emb.obj_hor"),
     (Row("emb.ver_cell", "vv", lambda g, e, f: e >= f or g.ver_cell[e] != g.ver_cell[f],
          order=(1,), message="embedding not injective"), "emb.hor_cell"),
 )
-_IDENTITIES = (
+_IDENTITIES = _twinned(
     (Row("emb.object-cell", "o", lambda g, o: g.obj_cell(o) == g.hor_cell[g.obj_hor[o]],
          message="the two identity cells of an object differ"), None),
     (Row("emb.ver-identity", "v", lambda g, e: g.hdom[g.ver_cell[e]] == e == g.hcod[g.ver_cell[e]],
@@ -365,92 +357,95 @@ _CORNER = Row("boundary.corner", "ck", _corner_agrees,
 def _axiom(tag, twin, sorts, lhs, rhs, order, drive=None):
     """(row, tag of the transposed identity or None) for one identity lhs = rhs,
     counted under its tag and driven by ``drive``; both sides are functions of
-    an _Eval and the variables, which range over _Eval.carriers."""
+    the context and the variables of a side (``_side``)."""
     return Row(tag, sorts, lhs, rhs, order, counts=tag, drive=drive), twin
 
 
-# The rows on cells, read through an _Eval; a row with a transposed tag runs
-# again on transpose(g) under that tag. First boundary coherence: the top edge
-# of a horizontal composite is the horizontal composite of the top edges, and
+# The rows on cells, read on the view tables of ``_side``; a row with a transposed
+# tag runs again on transpose(g) under that tag. First boundary coherence: the top
+# edge of a horizontal composite is the horizontal composite of the top edges, and
 # likewise the bottom edge; the identity cells of horizontal arrows are closed
 # under hcompose. Then the interchange law on cells, where an undefined side
 # fails, and the compatibility axioms (iii)-(ix), one row per identity.
-_CELL_ROWS = (
+_CELL_ROWS = _twinned(
     (Row("boundary.hcomp-vdom", "C", lambda e, ab:
-         e.hcomp(e.vdom(ab[0]), e.vdom(ab[1])) == e.vdom(e.hcomp(*ab)),
+         e.hcomp((e.vdom(ab[0]), e.vdom(ab[1]))) == e.vdom(e.hcomp(ab)),
          counts="boundary.hcomp-vdom"), "boundary.vcomp-hdom"),
     (Row("boundary.hcomp-vcod", "C", lambda e, ab:
-         e.hcomp(e.vcod(ab[0]), e.vcod(ab[1])) == e.vcod(e.hcomp(*ab)),
+         e.hcomp((e.vcod(ab[0]), e.vcod(ab[1]))) == e.vcod(e.hcomp(ab)),
          counts="boundary.hcomp-vcod"), "boundary.vcomp-hcod"),
     (Row("boundary.hor-closed", "hh", lambda e, x, y:
-         (c := e.hcomp(x, y)) is None or c in e.carriers["h"]), "boundary.ver-closed"),
+         (c := e.hcomp((x, y))) is None or c in e.hor), "boundary.ver-closed"),
     (Row("interchange.cells", "Cxy", lambda e, ab, c, d:
-         (lhs := e.vcomp(e.hcomp(*ab), e.hcomp(c, d))) is not None
-         and lhs == e.hcomp(e.vcomp(ab[0], c), e.vcomp(ab[1], d)),
+         (lhs := e.vcomp((e.hcomp(ab), e.hcomp((c, d))))) is not None
+         and lhs == e.hcomp((e.vcomp((ab[0], c)), e.vcomp((ab[1], d)))),
          counts="interchange.cells"), None),
     # (iii) composition against (co)restriction in the transverse direction
     _axiom("iii.a", "iii.b", "ccvv",
-        lambda e, a, b, f, g: e.hcorestrict(e.vcomp(a, b), e.vcomp(f, g)),
-        lambda e, a, b, f, g: e.vcomp(e.hcorestrict(a, f), e.hcorestrict(b, g)), None, "cbvg"),
+        lambda e, a, b, f, g: e.hcorestrict((e.vcomp((a, b)), e.vcomp((f, g)))),
+        lambda e, a, b, f, g: e.vcomp((e.hcorestrict((a, f)), e.hcorestrict((b, g)))), None,
+        "cbvg"),
     _axiom("iii.c", "iii.d", "ccvv",
-        lambda e, a, b, f, g: e.hrestrict(e.vcomp(f, g), e.vcomp(a, b)),
-        lambda e, a, b, f, g: e.vcomp(e.hrestrict(f, a), e.hrestrict(g, b)), (2, 3, 0, 1),
+        lambda e, a, b, f, g: e.hrestrict((e.vcomp((f, g)), e.vcomp((a, b)))),
+        lambda e, a, b, f, g: e.vcomp((e.hrestrict((f, a)), e.hrestrict((g, b)))), (2, 3, 0, 1),
         "cbvg"),
     # (iv) composition against the transverse meet
     _axiom("iv.a", "iv.b", "hhhh",
-        lambda e, p, q, r, s: e.hcomp(e.meet_v(p, q), e.meet_v(r, s)),
-        lambda e, p, q, r, s: e.meet_v(e.hcomp(p, r), e.hcomp(q, s)), None),
+        lambda e, p, q, r, s: e.hcomp((e.meet_v((p, q)), e.meet_v((r, s)))),
+        lambda e, p, q, r, s: e.meet_v((e.hcomp((p, r)), e.hcomp((q, s)))), None),
     # (v) meet against (co)restriction in the transverse direction
     _axiom("v.a", "v.b", "oohh",
-        lambda e, f, h, p, q: e.meet_v(e.hcorestrict(p, f), e.hcorestrict(q, h)),
-        lambda e, f, h, p, q: e.hcorestrict(e.meet_v(p, q), e.meet_v(f, h)), (2, 0, 3, 1),
+        lambda e, f, h, p, q: e.meet_v((e.hcorestrict((p, f)), e.hcorestrict((q, h)))),
+        lambda e, f, h, p, q: e.hcorestrict((e.meet_v((p, q)), e.meet_v((f, h)))), (2, 0, 3, 1),
         "ooph"),
     _axiom("v.c", "v.d", "oohh",
-        lambda e, f, h, p, q: e.meet_v(e.hrestrict(f, p), e.hrestrict(h, q)),
-        lambda e, f, h, p, q: e.hrestrict(e.meet_v(f, h), e.meet_v(p, q)), (0, 2, 1, 3),
+        lambda e, f, h, p, q: e.meet_v((e.hrestrict((f, p)), e.hrestrict((h, q)))),
+        lambda e, f, h, p, q: e.hrestrict((e.meet_v((f, h)), e.meet_v((p, q)))), (0, 2, 1, 3),
         "oorh"),
     # (vi) the two (co)restriction families against each other
     _axiom("vi.a", "vi.b", "chv",
-        lambda e, a, f, g: e.hcorestrict(
-            e.vcorestrict(a, f), e.vcorestrict(g, e.meet_h(e.hcod(f), e.vcod(g)))),
-        lambda e, a, f, g: e.vcorestrict(
-            e.hcorestrict(a, g), e.hcorestrict(f, e.meet_h(e.hcod(f), e.vcod(g)))), None, "ckv"),
+        lambda e, a, f, g: e.hcorestrict((
+            e.vcorestrict((a, f)), e.vcorestrict((g, e.meet_h((e.hcod(f), e.vcod(g))))))),
+        lambda e, a, f, g: e.vcorestrict((
+            e.hcorestrict((a, g)), e.hcorestrict((f, e.meet_h((e.hcod(f), e.vcod(g))))))),
+        None, "ckv"),
     _axiom("vi.c", "vi.d", "chv",
-        lambda e, a, f, g: e.hrestrict(
-            e.vrestrict(e.meet_h(e.hdom(f), e.vdom(g)), g), e.vrestrict(f, a)),
-        lambda e, a, f, g: e.vrestrict(
-            e.hrestrict(e.meet_h(e.hdom(f), e.vdom(g)), f), e.hrestrict(g, a)), None, "cev"),
+        lambda e, a, f, g: e.hrestrict((
+            e.vrestrict((e.meet_h((e.hdom(f), e.vdom(g))), g)), e.vrestrict((f, a)))),
+        lambda e, a, f, g: e.vrestrict((
+            e.hrestrict((e.meet_h((e.hdom(f), e.vdom(g))), f)), e.hrestrict((g, a)))),
+        None, "cev"),
     # (vii) the two meets against each other; its own transpose
     _axiom("vii", None, "oooo",
-        lambda e, p, q, r, s: e.meet_v(e.meet_h(p, q), e.meet_h(r, s)),
-        lambda e, p, q, r, s: e.meet_h(e.meet_v(p, r), e.meet_v(q, s)), None),
+        lambda e, p, q, r, s: e.meet_v((e.meet_h((p, q)), e.meet_h((r, s)))),
+        lambda e, p, q, r, s: e.meet_h((e.meet_v((p, r)), e.meet_v((q, s)))), None),
     # (viii) (co)domains are functorial for the transverse meet
     _axiom("viii.a", "viii.c", "vv",
-        lambda e, p, q: e.vdom(e.meet_h(p, q)),
-        lambda e, p, q: e.meet_h(e.vdom(p), e.vdom(q)), None),
+        lambda e, p, q: e.vdom(e.meet_h((p, q))),
+        lambda e, p, q: e.meet_h((e.vdom(p), e.vdom(q))), None),
     _axiom("viii.b", "viii.d", "vv",
-        lambda e, p, q: e.vcod(e.meet_h(p, q)),
-        lambda e, p, q: e.meet_h(e.vcod(p), e.vcod(q)), None),
+        lambda e, p, q: e.vcod(e.meet_h((p, q))),
+        lambda e, p, q: e.meet_h((e.vcod(p), e.vcod(q))), None),
     # (ix) (co)domains are functorial for the transverse (co)restrictions; the
     # transpose of (ix.c) is the pattern-consistent reading of (ix.g), which
     # runs only under strict_ix
     _axiom("ix.a", "ix.e", "cv",
-        lambda e, a, c: e.vdom(e.hcorestrict(a, c)),
-        lambda e, a, c: e.hcorestrict(e.vdom(a), e.vdom(c)), None),
+        lambda e, a, c: e.vdom(e.hcorestrict((a, c))),
+        lambda e, a, c: e.hcorestrict((e.vdom(a), e.vdom(c))), None),
     _axiom("ix.b", "ix.f", "cv",
-        lambda e, a, c: e.vcod(e.hcorestrict(a, c)),
-        lambda e, a, c: e.hcorestrict(e.vcod(a), e.vcod(c)), None),
+        lambda e, a, c: e.vcod(e.hcorestrict((a, c))),
+        lambda e, a, c: e.hcorestrict((e.vcod(a), e.vcod(c))), None),
     _axiom("ix.c", "ix.g-strict", "cv",
-        lambda e, a, c: e.vdom(e.hrestrict(c, a)),
-        lambda e, a, c: e.hrestrict(e.vdom(c), e.vdom(a)), (1, 0)),
+        lambda e, a, c: e.vdom(e.hrestrict((c, a))),
+        lambda e, a, c: e.hrestrict((e.vdom(c), e.vdom(a))), (1, 0)),
     _axiom("ix.d", "ix.h", "cv",
-        lambda e, a, c: e.vcod(e.hrestrict(c, a)),
-        lambda e, a, c: e.hrestrict(e.vcod(c), e.vcod(a)), (1, 0)),
+        lambda e, a, c: e.vcod(e.hrestrict((c, a))),
+        lambda e, a, c: e.hrestrict((e.vcod(c), e.vcod(a))), (1, 0)),
     # (ix.g) as printed restricts by the *vertical* domain of e; the pattern of
     # (e), (f), (h) suggests the horizontal one instead
     _axiom("ix.g", None, "ch",
-        lambda e, a, c: e.hdom(e.vrestrict(c, a)),
-        lambda e, a, c: e.vrestrict(e.vdom(c), e.hdom(a)), (1, 0)),
+        lambda e, a, c: e.hdom(e.vrestrict((c, a))),
+        lambda e, a, c: e.vrestrict((e.vdom(c), e.hdom(a))), (1, 0)),
 )
 
 
@@ -468,14 +463,15 @@ def validate_dig(g: DoubleInductiveGroupoid, strict_ix=False) -> ValidationRepor
     for view, prefix in zip(g.views, ("i.", "ii.")):
         rep.merge(view.report, prefix=prefix)
     check_rows(g, {"c": g.cells, "k": range(4)}, (_CORNER,), rep)
-    ev, transposed = _evaluators(g)
-    _check_twinned(_CELL_ROWS, ((ev, ev.carriers), (transposed, transposed.carriers)), rep,
+    h, v = g.views
+    objects = tuple(sorted(g.obj_cell(o) for o in g.objects))
+    _check_twinned(_CELL_ROWS, (_side(h, v, objects), _side(v, h, objects)), rep,
                    skip=() if strict_ix else ("ix.g-strict",))
     if strict_ix:
         for a in g.cells:
-            for ec in ev.carriers["h"]:
-                literal = ev.vrestrict(ev.vdom(ec), ev.hdom(a))
-                patterned = ev.vrestrict(ev.hdom(ec), ev.hdom(a))
+            for ec in v.objects:
+                literal = v.restriction.get((v.dom[ec], h.dom[a]))
+                patterned = v.restriction.get((h.dom[ec], h.dom[a]))
                 if literal is not None and patterned is not None and literal != patterned:
                     rep.notes.append(
                         f"ix.g readings disagree at cell {a}, horizontal arrow cell {ec}"
@@ -483,68 +479,47 @@ def validate_dig(g: DoubleInductiveGroupoid, strict_ix=False) -> ValidationRepor
     return rep
 
 
-def _horizontal_fields(op, a, other, b, obj_ids) -> dict:
-    """The fields of ``dig_from_dis`` that belong to the horizontal structure,
-    for the horizontal operation op with analysis a; with the two operations
-    exchanged it gives the vertical fields, under their twin names."""
-    idems = a.idempotent_set
-    ids = {x: i + 1 for i, x in enumerate(idems)}
-    cells = tuple(op.elements())
+def _horizontal_fields(h: InductiveGroupoid, v: InductiveGroupoid, obj_of: dict) -> dict:
+    """The fields of ``dig_from_views`` that the view h gives: its objects,
+    numbered in the order h lists them, become the vertical arrows, whose
+    endpoints are their dom and cod in v, and its tables are renamed to them.
+    With the views exchanged it gives the vertical fields, under their twins'
+    names. ``obj_of`` numbers the shared objects."""
+    ids = {e: i for i, e in enumerate(h.objects, 1)}
 
     def endpoint(x):
-        if x not in obj_ids:
+        if x not in obj_of:
             raise TheoremViolation(f"arrow endpoint {x} is not a shared idempotent")
-        return obj_ids[x]
+        return obj_of[x]
 
-    dom = {c: ids[op.product(c, a.inverse(c))] for c in cells}
-    cod = {c: ids[op.product(a.inverse(c), c)] for c in cells}
     return {
-        "ver_arrows": tuple(range(1, len(idems) + 1)),
-        "obj_ver": {obj_ids[x]: ids[x] for x in obj_ids},
-        "ver_cell": {ids[x]: x for x in idems},
-        "ver_src": {ids[x]: endpoint(other.product(x, b.inverse(x))) for x in idems},
-        "ver_dst": {ids[x]: endpoint(other.product(b.inverse(x), x)) for x in idems},
-        "hdom": dom,
-        "hcod": cod,
-        "hcompose": {
-            (x, y): op.product(x, y) for x in cells for y in cells if cod[x] == dom[y]
-        },
-        "hinv": {c: a.inverse(c) for c in cells},
-        "leq": a.leq,
-        "meet_h": {(ids[e], ids[f]): ids[op.product(e, f)] for e in idems for f in idems},
-        "h_restrict": {
-            (ids[e], c): op.product(e, c)
-            for e in idems
-            for c in cells
-            if a.leq_holds(e, op.product(c, a.inverse(c)))
-        },
-        "h_corestrict": {
-            (c, ids[e]): op.product(c, e)
-            for e in idems
-            for c in cells
-            if a.leq_holds(e, op.product(a.inverse(c), c))
-        },
+        "ver_arrows": tuple(ids.values()),
+        "obj_ver": {o: ids[x] for x, o in obj_of.items()},
+        "ver_cell": {i: e for e, i in ids.items()},
+        "ver_src": {i: endpoint(v.dom[e]) for e, i in ids.items()},
+        "ver_dst": {i: endpoint(v.cod[e]) for e, i in ids.items()},
+        "hdom": {a: ids[e] for a, e in h.dom.items()},
+        "hcod": {a: ids[e] for a, e in h.cod.items()},
+        "hcompose": h.compose,
+        "hinv": h.inv,
+        "leq": h.leq,
+        "meet_h": {(ids[e], ids[f]): ids[m] for (e, f), m in h.object_meet.items()},
+        "h_restrict": {(ids[e], a): b for (e, a), b in h.restriction.items()},
+        "h_corestrict": {(a, ids[e]): b for (a, e), b in h.corestriction.items()},
     }
 
 
-def dig_from_dis(d: DoubleSemigroup) -> DoubleInductiveGroupoid:
-    """Objects are the shared idempotents, vertical arrows the hop-idempotents,
-    horizontal arrows the vop-idempotents, cells the elements; boundaries,
-    orders, meets and (co)restrictions all come from the two products."""
-    cls = d.classification
-    if not cls.is_double_inverse_semigroup:
-        raise NotDoubleInverseError(cls.failure_reason())
-    ah, av = cls.hop_analysis, cls.vop_analysis
-    obj_elems = sorted(set(ah.idempotent_set) & set(av.idempotent_set))
-    if not obj_elems:
-        raise TheoremViolation("the idempotent sets of a double inverse semigroup intersect")
-    obj_ids = {x: i + 1 for i, x in enumerate(obj_elems)}
-    g = dig_from_halves(
-        _horizontal_fields(d.hop, ah, d.vop, av, obj_ids),
-        _horizontal_fields(d.vop, av, d.hop, ah, obj_ids),
-        objects=tuple(range(1, len(obj_elems) + 1)),
-        cells=tuple(d.hop.elements()),
-    )
+def dig_from_views(h: InductiveGroupoid, v: InductiveGroupoid) -> DoubleInductiveGroupoid:
+    """The double groupoid whose horizontal and vertical views are h and v, the
+    inverse of ``DoubleInductiveGroupoid.views``: cells are the arrows,
+    vertical (horizontal) arrows the objects of h (v), objects the objects they
+    share, in the order of h. It must pass ``validate_dig`` and have one object
+    at the four corners of each cell."""
+    shared = set(v.objects)
+    obj_of = {x: o for o, x in enumerate((x for x in h.objects if x in shared), 1)}
+    fields = _horizontal_fields(h, v, obj_of)
+    fields.update((_TWIN[name], value) for name, value in _horizontal_fields(v, h, obj_of).items())
+    g = DoubleInductiveGroupoid(objects=tuple(obj_of.values()), cells=h.arrows, **fields)
     if not g.report:
         raise TheoremViolation(
             f"construction produced an invalid double groupoid: {g.report.summary()}"
@@ -556,11 +531,14 @@ def dig_from_dis(d: DoubleSemigroup) -> DoubleInductiveGroupoid:
     return g
 
 
-def dig_from_halves(horizontal: dict, vertical: dict, **shared) -> DoubleInductiveGroupoid:
-    """The double groupoid with these horizontal fields, and vertical fields given
-    under their twins' names; a groupoid that is its own transpose passes one half twice."""
-    twins = {_TWIN[name]: value for name, value in vertical.items()}
-    return DoubleInductiveGroupoid(**shared, **horizontal, **twins)
+def dig_from_dis(d: DoubleSemigroup) -> DoubleInductiveGroupoid:
+    """The double groupoid of the ESN groupoids of the two operations: objects are
+    the shared idempotents, vertical arrows the hop-idempotents, horizontal
+    arrows the vop-idempotents, cells the elements."""
+    cls = d.classification
+    if not cls.is_double_inverse_semigroup:
+        raise NotDoubleInverseError(cls.failure_reason())
+    return dig_from_views(groupoid_of(cls.hop_analysis), groupoid_of(cls.vop_analysis))
 
 
 def dis_from_dig(g: DoubleInductiveGroupoid) -> DoubleSemigroup:

@@ -3,10 +3,11 @@
 Objects are identified with their identity arrows: an object *is* the id of its
 identity arrow, so roundtrips can demand literal equality instead of hunting for
 isomorphisms. Arrows are always 1..m. Partial tables (compose, restriction,
-corestriction) store exactly their defined cells, never a sentinel. The
-pseudo-product is written once, in ``pseudo_products``, for ``is_from_ig`` and
-for both views of a double groupoid. A groupoid keeps its own validation
-report, so a groupoid one construction has checked is not checked again by the next.
+corestriction) store exactly their defined cells, never a sentinel. The ESN
+construction is written once, in ``groupoid_of``, for ``ig_from_is`` and both
+views of ``double.dig_from_dis``; the pseudo-product once, in ``pseudo_products``,
+for ``is_from_ig`` and both views of a double groupoid. A groupoid keeps its own
+validation report, so one that a construction has checked is not checked again.
 """
 
 from __future__ import annotations
@@ -137,42 +138,33 @@ def validate_ig(g: InductiveGroupoid) -> ValidationReport:
     return rep
 
 
-def ig_from_is(analysis: InverseSemigroupAnalysis) -> InductiveGroupoid:
-    """Objects are the idempotents, arrows the elements; dom a = a·a', cod a = a'·a,
-    composition is the product where boundaries match, restriction is left and
-    corestriction right multiplication."""
+def groupoid_of(analysis: InverseSemigroupAnalysis) -> InductiveGroupoid:
+    """The ESN construction, unchecked: objects are the idempotents, arrows the
+    elements; dom a = a·a', cod a = a'·a, composition is the product where
+    boundaries match, restriction is left and corestriction right multiplication.
+    This is the one place that reads a groupoid off an inverse semigroup."""
     t = analysis.table
     objects = analysis.idempotent_set
     arrows = tuple(t.elements())
     dom = {a: t.product(a, analysis.inverse(a)) for a in arrows}
     cod = {a: t.product(analysis.inverse(a), a) for a in arrows}
-    compose = {
-        (a, b): t.product(a, b) for a in arrows for b in arrows if cod[a] == dom[b]
-    }
     leq = analysis.leq
-    g = InductiveGroupoid(
-        objects=objects,
-        arrows=arrows,
-        dom=dom,
-        cod=cod,
-        compose=compose,
+    return InductiveGroupoid(
+        objects=objects, arrows=arrows, dom=dom, cod=cod,
+        compose={(a, b): t.product(a, b) for a in arrows for b in arrows if cod[a] == dom[b]},
         inv={a: analysis.inverse(a) for a in arrows},
-        identity={e: e for e in objects},
-        leq=leq,
+        identity={e: e for e in objects}, leq=leq,
         object_meet={(e, f): t.product(e, f) for e in objects for f in objects},
-        restriction={
-            (e, a): t.product(e, a)
-            for e in objects
-            for a in arrows
-            if (e, dom[a]) in leq
-        },
-        corestriction={
-            (a, e): t.product(a, e)
-            for e in objects
-            for a in arrows
-            if (e, cod[a]) in leq
-        },
+        restriction={(e, a): t.product(e, a) for e in objects for a in arrows
+                     if (e, dom[a]) in leq},
+        corestriction={(a, e): t.product(a, e) for e in objects for a in arrows
+                       if (e, cod[a]) in leq},
     )
+
+
+def ig_from_is(analysis: InverseSemigroupAnalysis) -> InductiveGroupoid:
+    """``groupoid_of`` the analysis, proved to be an inductive groupoid."""
+    g = groupoid_of(analysis)
     if not g.report:
         raise TheoremViolation(f"construction produced an invalid groupoid: {g.report.summary()}")
     return g

@@ -113,8 +113,7 @@ def natural_partial_order(t: CayleyTable, idems=None) -> frozenset:
     if idems is None:
         idems = idempotents(t)
     elements = tuple(t.elements())
-    pairs = frozenset((a, b) for a in elements for b in elements
-                      if any(t.product(e, b) == a for e in idems))
+    pairs = frozenset((t.product(e, b), b) for b in elements for e in idems)
     up = {b: [c for c in elements if (b, c) in pairs] for b in elements}
     rep = ValidationReport()
     carriers = {"x": elements, "l": pairs, "u": lambda p: up[p[1]]}

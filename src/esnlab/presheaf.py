@@ -3,9 +3,10 @@ decomposition of a double inverse semigroup into one.
 
 The pipeline: shared idempotents carry one product, the two orders and meets
 collapse on objects, the cells over each object form an Abelian group, and
-restriction between comparable objects is a group homomorphism. Composing
-the two directions of the correspondence is the identity, which is what the
-``decompose``/``compose`` commands replay on files.
+restriction between comparable objects is a group homomorphism. Back, the
+strong semilattice of groups is one inductive groupoid, both views of the
+double groupoid (``double.dig_from_views``). Composing the two directions is
+the identity, which the ``decompose``/``compose`` commands replay on files.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .double import (
     DoubleInductiveGroupoid,
     DoubleSemigroup,
     dig_from_dis,
-    dig_from_halves,
+    dig_from_views,
     dis_from_dig,
 )
 from .errors import (
@@ -33,6 +34,7 @@ from .errors import (
     json_int,
     keyed,
 )
+from .esn import InductiveGroupoid
 from .inverse import is_clifford, order_and_meet_rows
 from .report import Row, ValidationReport, Verdict, check_ranges, check_rows, computed_once
 from .tables import is_commutative
@@ -257,73 +259,38 @@ def presheaf_from_dig(g: DoubleInductiveGroupoid) -> AbelianGroupPresheaf:
 
 
 def dig_from_presheaf(p: AbelianGroupPresheaf) -> DoubleInductiveGroupoid:
-    """One object, one vertical and one horizontal arrow per base element; the
-    cells over an element are its group, both compositions the group product,
-    restriction along u <= A the homomorphism. Cell ids reuse the group carriers
-    when those already partition 1..m, so decomposing and recomposing a double
-    inverse semigroup is the identity on element ids."""
+    """The double groupoid whose two views are both the strong semilattice of
+    groups of p (Howie 1995, §4.2) as an inductive groupoid h: its objects are
+    the unit cells, in the order of the base, the cells over an element are its
+    group, composition is the group product, and restriction along u <= A is
+    the homomorphism. Cell ids reuse the group carriers when those already
+    partition 1..m, so decomposing and recomposing a double inverse semigroup
+    is the identity on element ids."""
     if not p.report:
         raise InvalidPresheafError(p.report)
-    elems = p.base.elements
-    ids = {x: i + 1 for i, x in enumerate(elems)}
-    k = len(elems)
-    all_cells = [x for e in elems for x in p.group_at[e].carrier]
-    if sorted(all_cells) == list(range(1, len(all_cells) + 1)):
-        cell_of = {(e, x): x for e in elems for x in p.group_at[e].carrier}
-    else:
-        cell_of = {}
-        nxt = 1
-        for e in elems:
-            for x in p.group_at[e].carrier:
-                cell_of[(e, x)] = nxt
-                nxt += 1
-    m = len(all_cells)
-    cells = tuple(range(1, m + 1))
-    home = {cell_of[(e, x)]: (e, x) for e in elems for x in p.group_at[e].carrier}
-
-    leq = frozenset(
-        (cell_of[(a, phi[x])], cell_of[(b, x)])
+    groups = [(e, p.group_at[e]) for e in p.base.elements]
+    homes = [(e, x) for e, grp in groups for x in grp.carrier]
+    reuse = sorted(x for _, x in homes) == list(range(1, len(homes) + 1))
+    cell_of = {(e, x): x if reuse else i for i, (e, x) in enumerate(homes, 1)}
+    unit = {e: cell_of[e, grp.unit] for e, grp in groups}
+    over = {cell_of[e, x]: unit[e] for e, x in homes}
+    restriction = {
+        (unit[a], cell_of[b, x]): cell_of[a, phi[x]]
         for (a, b), phi in p.hom.items()
         for x in p.group_at[b].carrier
+    }
+    objects = tuple(unit.values())
+    h = InductiveGroupoid(
+        objects=objects, arrows=tuple(range(1, len(homes) + 1)), dom=over, cod=over,
+        compose={(cell_of[e, x], cell_of[e, y]): cell_of[e, grp.op[x, y]]
+                 for e, grp in groups for x in grp.carrier for y in grp.carrier},
+        inv={cell_of[e, x]: cell_of[e, grp.inv[x]] for e, grp in groups for x in grp.carrier},
+        leq=frozenset((y, x) for (_, x), y in restriction.items()),
+        object_meet={(unit[a], unit[b]): unit[m] for (a, b), m in p.base.meet.items()},
+        restriction=restriction, identity={o: o for o in objects},
+        corestriction={(x, e): y for (e, x), y in restriction.items()},
     )
-    hcompose = {}
-    hinv = {}
-    for e in elems:
-        grp = p.group_at[e]
-        for x in grp.carrier:
-            hinv[cell_of[(e, x)]] = cell_of[(e, grp.inv[x])]
-            for y in grp.carrier:
-                hcompose[(cell_of[(e, x)], cell_of[(e, y)])] = cell_of[(e, grp.op[(x, y)])]
-    restrict = {
-        (ids[a], cell_of[(b, x)]): cell_of[(a, phi[x])]
-        for (a, b), phi in p.hom.items()
-        for x in p.group_at[b].carrier
-    }
-    arrows = tuple(range(1, k + 1))
-    identity = {i: i for i in arrows}
-    over = {c: ids[home[c][0]] for c in cells}
-    # the groupoid is its own transpose: its vertical half is its horizontal one
-    half = {
-        "ver_arrows": arrows,
-        "obj_ver": identity,
-        "ver_cell": {ids[e]: cell_of[(e, p.group_at[e].unit)] for e in elems},
-        "ver_src": identity,
-        "ver_dst": identity,
-        "hdom": over,
-        "hcod": over,
-        "hcompose": hcompose,
-        "hinv": hinv,
-        "leq": leq,
-        "meet_h": {(ids[a], ids[b]): ids[p.base.meet[(a, b)]] for a in elems for b in elems},
-        "h_restrict": restrict,
-        "h_corestrict": {(a, e): v for (e, a), v in restrict.items()},
-    }
-    g = dig_from_halves(half, half, objects=arrows, cells=cells)
-    if not g.report:
-        raise TheoremViolation(
-            f"presheaf produced an invalid double groupoid: {g.report.summary()}"
-        )
-    return g
+    return dig_from_views(h, h)
 
 
 def presheaf_skeleton(p: AbelianGroupPresheaf) -> tuple:

@@ -53,25 +53,29 @@ class CayleyTable:
 
 def parse_table(text: str) -> CayleyTable:
     """Parse the .cay format: '#' comments, order line, then n rows of n entries."""
-    table, pos = _parse_one(text.splitlines(), 0)
-    lines = text.splitlines()
-    for i in range(pos, len(lines)):
-        if lines[i].strip() and not lines[i].lstrip().startswith("#"):
-            raise ParseError("unexpected trailing content", line=i + 1)
-    return table
+    return _parse_tables(text, 1)[0]
 
 
 def parse_double(text: str) -> tuple[CayleyTable, CayleyTable]:
     """Parse two .cay tables from one stream (blank lines/comments between them)."""
-    lines = text.splitlines()
-    first, pos = _parse_one(lines, 0)
-    second, pos = _parse_one(lines, pos)
-    for i in range(pos, len(lines)):
-        if lines[i].strip() and not lines[i].lstrip().startswith("#"):
-            raise ParseError("unexpected trailing content", line=i + 1)
+    first, second = _parse_tables(text, 2)
     if first.n != second.n:
         raise ParseError(f"tables have different orders {first.n} and {second.n}")
     return first, second
+
+
+def _parse_tables(text, count):
+    """The first ``count`` tables of the text, after which it may hold only
+    blank lines and comments."""
+    lines = text.splitlines()
+    tables, pos = [], 0
+    for _ in range(count):
+        table, pos = _parse_one(lines, pos)
+        tables.append(table)
+    for i in range(pos, len(lines)):
+        if lines[i].strip() and not lines[i].lstrip().startswith("#"):
+            raise ParseError("unexpected trailing content", line=i + 1)
+    return tables
 
 
 def _parse_one(lines, start):

@@ -146,11 +146,29 @@ def natural_order_oracle(t):
     return frozenset(rel), is_order
 
 
-def split_and_meets_oracle(ev, pieces, rep, tags, order):
+class LookupEvaluator:
+    """Definedness-guarded evaluation over the horizontal view h and the vertical
+    view v of one double groupoid, one lookup per call: every value is a cell id
+    or None, arrows and objects are their identity cells, and each operation
+    reads one view's table, so it gives None where an argument is None or not of
+    the sort it needs. ``LookupEvaluator(v, h)`` evaluates on the transpose."""
+
+    def __init__(self, h, v):
+        def lookup(table):
+            return lambda x, y: table.get((x, y))
+
+        self.vdom, self.vcod = v.dom.get, v.cod.get
+        self.hcomp, self.meet_v = lookup(h.compose), lookup(v.object_meet)
+        self.hrestrict, self.vrestrict = lookup(h.restriction), lookup(v.restriction)
+        self.hcorestrict, self.vcorestrict = lookup(h.corestriction), lookup(v.corestriction)
+
+
+def split_and_meets_oracle(h, v, pieces, rep, tags, order):
     """The split and meet identities of ``double.verify_interchange_identities``
-    for the pseudo-products a·b and c·d of every two pairs of cells, read
-    through the definedness-guarded evaluator ``ev`` of ``double._evaluators``
-    one lookup at a time, as the loop was first written."""
+    for the pseudo-products a·b and c·d of every two pairs of cells, read on the
+    views h and v through a ``LookupEvaluator`` one lookup at a time, as the
+    loop was first written."""
+    ev = LookupEvaluator(h, v)
     substantive, vacuous = [0] * 4, [0] * 4
     for (a, b), (u, au, ub, x) in pieces.items():
         for (c, d), (v, cv, vd, y) in pieces.items():

@@ -21,6 +21,7 @@ from esnlab.double import (
     dig_equal,
     dig_from_dis,
     dig_from_json,
+    dig_from_views,
     dig_to_json,
     dis_from_dig,
     is_proper,
@@ -439,8 +440,9 @@ def test_driven_rows_match_the_full_product(clifford3, monkeypatch):
 
     driven = reports()
     assert any(row.drive for row, _ in dbl._CELL_ROWS) and any(row.drive for row in esn._ROWS)
-    monkeypatch.setattr(dbl, "_CELL_ROWS",
-                        tuple((replace(row, drive=None), twin) for row, twin in dbl._CELL_ROWS))
+    monkeypatch.setattr(dbl, "_CELL_ROWS", tuple(
+        (replace(row, drive=None), twin and replace(twin, drive=None))
+        for row, twin in dbl._CELL_ROWS))
     monkeypatch.setattr(esn, "_ROWS", tuple(replace(row, drive=None) for row in esn._ROWS))
     assert reports() == driven
 
@@ -475,12 +477,11 @@ def test_split_and_meets_match_the_lookup_oracle(clifford3, monkeypatch):
     tags = ("split.h.i", "split.h.ii", "meets.i", "meets.ii")
     for g in [*_double_inverse_groupoids(), composed, *corrupted]:
         h, v = g.views
-        for sides, ev, order in (((h, v), dbl._evaluators(g)[0], (0, 1, 2, 3)),
-                                 ((v, h), dbl._evaluators(g)[1], (0, 2, 1, 3))):
+        for sides, order in (((h, v), (0, 1, 2, 3)), ((v, h), (0, 2, 1, 3))):
             pieces = pseudo_products(sides[0])
             fast, slow = ValidationReport(), ValidationReport()
             dbl._check_split_and_meets(*sides, pieces, fast, tags, order)
-            split_and_meets_oracle(ev, pieces, slow, tags, order)
+            split_and_meets_oracle(*sides, pieces, slow, tags, order)
             assert fast.as_json() == slow.as_json()
     monkeypatch.undo()
     rep = verify_interchange_identities(composed)
@@ -506,6 +507,13 @@ def test_views_are_the_esn_groupoids_of_the_two_operations(clifford3):
         assert g.views == (ig_from_is(cls.hop_analysis), ig_from_is(cls.vop_analysis))
         back = dis_from_dig(g)
         assert (back.hop, back.vop) == tuple(is_from_ig(view).table for view in g.views)
+
+
+def test_dig_from_views_inverts_the_views():
+    presheaves = [dig_from_presheaf(load_presheaf(name))
+                  for name in ("point_z2_presheaf.json", "clifford3_presheaf.json")]
+    for g in [*_double_inverse_groupoids(), *presheaves]:
+        assert dig_equal(dig_from_views(*g.views), g)
 
 
 def test_substantive_families_on_two_object_fixture(clifford3):

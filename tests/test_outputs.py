@@ -88,6 +88,35 @@ TO_DIS = {
         "94ebc1e5c6b90b7b8e81c85d14c16ce6114ea5ab0eec377d9e970c62eb193b25",
 }
 
+# to-dig of each pair, then the commands that read its double groupoid
+DIG = {
+    "clifford3_pair.cay": {
+        ("to-dig",):
+            "73b974a42c250aff2ad94aaec082afad713fd355cf134d5c22b7be3a76e5ea3e",
+        ("validate-axioms", "--strict-axiom-ix"):
+            "04268344e80a056bc29fcd7323115a862d05642e38e7043d807247a0fdaa17e7",
+        ("verify-interchange",):
+            "5d736b9dc3606bdda63d7a4b1ddffbe841ef7f63980a8393af30b5aa5856e217",
+    },
+    "z2_pair.cay": {
+        ("to-dig",):
+            "1d7881a0c1eb135f01687d103fad508393469de8d5d6cbda3fff1b1cee973cab",
+        ("validate-axioms", "--strict-axiom-ix"):
+            "c7fb9412aeaf94b768fdbe355dff12b97bd1b2488ae0fe2ec52fb49d43d25d97",
+        ("verify-interchange",):
+            "41e5fa3e4c9ec8e2693df757e952dc35b6c71deaba27306316a5999f156089ea",
+    },
+}
+
+DECOMPOSE = {
+    "clifford3_pair.cay":
+        (0, "e4e7077367a463f8a647110b76c97f42877bd9f0193f5c01aa5ade769111d6b9"),
+    "z2_pair.cay":
+        (0, "3387bd3e23d251b7264b5111e2c00b5234013da4aa718eba5c9f6d19411314db"),
+    "projection_pair.cay":
+        (1, "c45897724abc2c13705d4b8feb7d7ab1a5f7d5c4332a59dbbead98edaf5e491f"),
+}
+
 
 def report(*argv):
     """(exit code, the JSON report without timing_ms and inputs, as text)."""
@@ -130,3 +159,16 @@ def test_fixture_reports_are_pinned(tmp_path):
         dig = tmp_path / f"{name}.dig.json"
         dig.write_text(json.dumps(json.loads(text)["artifact"]))
         assert digest("double", "to-dis", str(dig)) == (0, want), name
+
+
+def test_double_reports_are_pinned(tmp_path):
+    for name, want in DECOMPOSE.items():
+        assert digest("decompose", fx(name)) == want, name
+    for name, wants in DIG.items():
+        code, text = report("double", "to-dig", fx(name))
+        assert (code, hashlib.sha256(text.encode()).hexdigest()) == (0, wants["to-dig",]), name
+        dig = tmp_path / f"{name}.dig.json"
+        dig.write_text(json.dumps(json.loads(text)["artifact"]))
+        for (sub, *flags), want in wants.items():
+            if sub != "to-dig":
+                assert digest("double", sub, str(dig), *flags) == (0, want), (name, sub)

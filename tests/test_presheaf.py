@@ -168,6 +168,22 @@ def test_dig_from_presheaf_fixtures():
         assert presheaf_equal(presheaf_from_dig(g), p)
 
 
+def test_dig_from_presheaf_keeps_base_order_of_unit_cells():
+    # the unit cells 3 and 1 of the groups at 1 and 2 run against the base
+    # order, so the objects and arrows of the double groupoid must follow the
+    # base, not the cell ids, for the decomposition to give the presheaf back
+    shifted = FiniteAbelianGroup((3,), {(3, 3): 3}, 3, {3: 3})
+    for low, high, hom in ((1, 2, {1: 3, 2: 3}), (2, 1, {3: 1})):
+        leq = frozenset({(1, 1), (2, 2), (low, high)})
+        meet = {(a, b): a if a == b else low for a in (1, 2) for b in (1, 2)}
+        homs = {(1, 1): {3: 3}, (2, 2): {1: 1, 2: 2}, (low, high): hom}
+        p = AbelianGroupPresheaf(MeetSemilattice((1, 2), leq, meet), {1: shifted, 2: Z2}, homs)
+        assert p.report.ok
+        g = dig_from_presheaf(p)
+        assert g.ver_cell == g.hor_cell == {1: 3, 2: 1}
+        assert presheaf_equal(presheaf_from_dig(g), p)
+
+
 def test_dig_from_presheaf_rejects_invalid():
     base = _chain2()
     missing = AbelianGroupPresheaf(base, {1: TRIV, 2: Z2}, {(1, 1): {1: 1}, (2, 2): {1: 1, 2: 2}})

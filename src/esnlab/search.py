@@ -15,9 +15,12 @@ a complete table. Where every labeled table is needed a survivor's orbit is
 expanded, and classes are reported by their row-major canonical form.
 
 The pair search is isomorph-free in its first table. It backtracks the second
-table, with the interchange law propagated the same way, only under the least
-first table h of each class. The second tables of a relabeled first table are
-the relabeled second tables, so the labeled pairs number the sum of
+table only under the least first table h of each class. An interchange
+quadruple reads three cells of the second table, which h fixes, so each is
+filed once under the last of them in block order and checked once, when that
+cell is set. A second table that must be inverse is pruned as soon as two of
+its idempotents fail to commute. The second tables of a relabeled first table
+are the relabeled second tables, so the labeled pairs number the sum of
 n!/|Aut(h)| times the second tables of h. A pair's class is keyed by the
 row-major least form of h and the least image of v under the relabelings that
 give that form, a coset of Aut(h), which is the least joint relabeling of the
@@ -49,7 +52,7 @@ from .tables import (
 )
 
 SINGLE_CAP = 5
-PAIR_CAP = 4
+PAIR_CAPS = {"semigroup": 4, "inverse": 5}
 FILTERS = ("all", "inverse", "commutative-inverse", "noncommutative-inverse")
 _SPLIT_DEPTH = 4
 
@@ -102,6 +105,22 @@ def _assoc_ok(T, occ, n, a, b, c):
             l = T[p * n + cell % n]
             if l >= 0 and l != c:
                 return False
+    return True
+
+
+def _idempotents_commute(T, n, a, b):
+    """Whether setting T[a][b] left no two idempotents e, f (T[e][e] = e) of
+    the partial table T with T[e][f] and T[f][e] set and different. One that
+    fails has no inverse completion: the idempotents of an inverse semigroup
+    commute."""
+    if a == b:
+        fs = [f for f in range(n) if T[f * n + f] == f] if T[a * n + a] == a else ()
+    else:
+        fs = (b,) if T[a * n + a] == a and T[b * n + b] == b else ()
+    for f in fs:
+        p, q = T[a * n + f], T[f * n + a]
+        if p != q and p >= 0 and q >= 0:
+            return False
     return True
 
 
@@ -306,48 +325,30 @@ def second_table_search(hop: CayleyTable, klass="semigroup"):
 def _second_tables(H, n, need_inverse):
     """The flat second tables V (inverse ones if need_inverse) completing the
     flat semigroup H to a double semigroup, found by backtracking V in block
-    order under associativity and the interchange law."""
+    order under associativity and the interchange law. An interchange
+    quadruple hop(V[a][b], V[c][d]) = V[hop(a,c)][hop(b,d)] reads three cells
+    that H fixes, and is checked once, when the last of them is set. For an
+    inverse V, a partial table in which two idempotents e, f have V[e][f] and
+    V[f][e] set and different is refused, since idempotents commute there."""
     size = n * n
     order = _cell_order(n)
     cells = [(k // n, k % n) for k in order]
     rng = range(n)
-
-    # for each flat cell of the second table, the interchange quadruples whose
-    # right-hand lookup V[hop(a,c)][hop(b,d)] lives there
-    rc_of = [[] for _ in range(size)]
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                hac = H[a * n + c]
-                for d in rng:
-                    rc_of[hac * n + H[b * n + d]].append((a, b, c, d))
+    pos = {k: p for p, k in enumerate(order)}
+    quads = [[] for _ in range(size)]  # the cells (k1, k2, k3) of each quadruple
+    for k1, k2, k3 in {
+        (a * n + b, c * n + d, H[a * n + c] * n + H[b * n + d])
+        for a in rng for b in rng for c in rng for d in rng
+    }:
+        quads[max(k1, k2, k3, key=pos.get)].append((k1, k2, k3))
 
     V = [-1] * size
     occ = [[] for _ in range(n)]
     out = []
 
-    def quad_ok(a, b, c, d):
-        # interchange: hop(V[a][b], V[c][d]) == V[hop(a,c)][hop(b,d)]
-        p = V[a * n + b]
-        if p < 0:
-            return True
-        q = V[c * n + d]
-        if q < 0:
-            return True
-        r = V[H[a * n + c] * n + H[b * n + d]]
-        if r < 0:
-            return True
-        return H[p * n + q] == r
-
-    def interchange_ok(a, b, k):
-        for c in rng:
-            for d in rng:
-                if not quad_ok(a, b, c, d):
-                    return False
-                if not quad_ok(c, d, a, b):
-                    return False
-        for quad in rc_of[k]:
-            if not quad_ok(*quad):
+    def quads_ok(k):
+        for k1, k2, k3 in quads[k]:
+            if H[V[k1] * n + V[k2]] != V[k3]:
                 return False
         return True
 
@@ -360,7 +361,8 @@ def _second_tables(H, n, need_inverse):
         k = order[d]
         for c in rng:
             V[k] = c
-            if _assoc_ok(V, occ, n, a, b, c) and interchange_ok(a, b, k):
+            if (_assoc_ok(V, occ, n, a, b, c) and quads_ok(k)
+                    and (not need_inverse or _idempotents_commute(V, n, a, b))):
                 occ[c].append(k)
                 extend(d + 1)
                 occ[c].pop()
@@ -434,8 +436,8 @@ def search_double(n, klass="semigroup", jobs=1) -> PairSearchReport:
     times its vops, and key each class by its least joint relabeling."""
     if klass not in ("semigroup", "inverse"):
         raise ValueError(f"unknown class {klass!r}")
-    if not 1 <= n <= PAIR_CAP:
-        raise OrderTooLargeError(n, PAIR_CAP)
+    if not 1 <= n <= PAIR_CAPS[klass]:
+        raise OrderTooLargeError(n, PAIR_CAPS[klass])
     filt = "inverse" if klass == "inverse" else "all"
     tasks = [(n, H, aut, klass) for H, aut in _classes(n, filt)]
     found = _run_tasks(_pair_worker, tasks, jobs)

@@ -1,7 +1,9 @@
+from functools import cache
 from itertools import product
 
 import pytest
 
+from esnlab.double import check_interchange
 from esnlab.errors import OrderTooLargeError
 from esnlab.search import _matches
 from esnlab.tables import CayleyTable, canonical_form, parse_table
@@ -76,31 +78,8 @@ def naive_enumerate(n, filt="all"):
     """Oracle: scan all n^(n*n) tables directly. Only sane for n <= 3."""
     if n > 3:
         raise OrderTooLargeError(n, 3)
-    count = 0
-    canon = set()
-    rng = range(n)
-    for values in product(range(1, n + 1), repeat=n * n):
-        rows = tuple(tuple(values[a * n : (a + 1) * n]) for a in rng)
-        ok = True
-        for a in rng:
-            for b in rng:
-                ab = rows[a][b]
-                for c in rng:
-                    if rows[ab - 1][c] != rows[a][rows[b][c] - 1]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        flat = tuple(v - 1 for v in values)
-        if not _matches(flat, n, filt):
-            continue
-        count += 1
-        canon.add(canonical_form(CayleyTable(flat)).rows)
-    return count, frozenset(canon)
+    matches = [t for t in associative_tables(n) if _matches(t.flat, n, filt)]
+    return len(matches), frozenset(canonical_form(t).rows for t in matches)
 
 
 def assoc_oracle(t):
@@ -124,12 +103,41 @@ def least_relabeling_oracle(*tables):
     )
 
 
-def labeled_pairs_oracle(n, klass):
-    """Every labeled pair: the second tables of every labeled first table."""
-    from esnlab.search import second_table_search, tables_matching
+@cache
+def associative_tables(n):
+    """Every labeled associative table of order n, lexicographic, by a scan of
+    all n^(n*n) tables through assoc_oracle. Only sane for n <= 3."""
+    return tuple(t for t in all_tables(n) if assoc_oracle(t) is None)
 
-    filt = "inverse" if klass == "inverse" else "all"
-    return [(h, v) for h in tables_matching(n, filt) for v in second_table_search(h, klass)]
+
+def inverse_oracle(t):
+    """Whether every element a has exactly one x with a·x·a = a and x·a·x = x,
+    by direct loops."""
+    p = t.product
+    return all(
+        sum(p(p(a, x), a) == a and p(p(x, a), x) == x for x in t.elements()) == 1
+        for a in t.elements()
+    )
+
+
+def second_tables_oracle(h, klass):
+    """Every second table v completing the semigroup h to a double semigroup,
+    lexicographic: the associative tables of h's order that pass
+    double.check_interchange, and for the inverse class only when h and v both
+    pass inverse_oracle."""
+    if klass == "inverse" and not inverse_oracle(h):
+        return []
+    return [
+        v
+        for v in associative_tables(h.n)
+        if check_interchange(h, v) and (klass == "semigroup" or inverse_oracle(v))
+    ]
+
+
+def labeled_pairs_oracle(n, klass):
+    """Every labeled pair: the second tables of every labeled first table, both
+    found by scanning, with no backtracking."""
+    return [(h, v) for h in associative_tables(n) for v in second_tables_oracle(h, klass)]
 
 
 def natural_order_oracle(t):

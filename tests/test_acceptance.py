@@ -202,3 +202,17 @@ def test_criterion_10_determinism():
             assert first == second, base
             code1b, repeat = _cli_json(base + ["--jobs", "1"])
             assert repeat == first
+
+
+def test_criterion_11_order5_inverse_pairs():
+    with criterion(11, "order-5-double-inverse-pairs", 20.0):
+        report = search_double(5, "inverse", jobs=2)
+        assert (report.pair_count, report.class_count) == (4065, 51)
+        assert report.proper_pair_count == 0
+        assert all(report.claims.values()), report.claims
+        assert report.class_count == enumerate_semigroups(5, "commutative-inverse").class_count
+        base = ["search", "--order", "5", "--class", "inverse", "--pairs", "--format", "json"]
+        code1, first = _cli_json(base + ["--jobs", "1"])
+        code2, second = _cli_json(base + ["--jobs", "2"])
+        assert code1 == code2 == 0
+        assert first == second

@@ -10,6 +10,7 @@ from conftest import (
     chain_semilattice,
     cyclic_group,
     left_projection,
+    relabel,
     right_projection,
 )
 from esnlab import double as dbl, esn
@@ -33,6 +34,7 @@ from esnlab.double import (
 )
 from esnlab.errors import InvalidDigError, NotDoubleInverseError, ParseError
 from esnlab.esn import ig_from_is, is_from_ig, pseudo_products
+from esnlab.inverse import analyze_inverse
 from esnlab.presheaf import (
     AbelianGroupPresheaf,
     FiniteAbelianGroup,
@@ -568,6 +570,37 @@ def test_boundary_and_cell_interchange_witnesses_of_corruptions(field, key, valu
                        if v.axiom.startswith(("boundary.", "interchange.cells")))
         assert found == expected
         assert not rep.ok
+
+
+def _unchecked_dig(h, v):
+    """The double groupoid whose views are h and v, assembled as dig_from_views
+    assembles it, but not validated."""
+    shared = set(v.objects)
+    obj_of = {x: o for o, x in enumerate((x for x in h.objects if x in shared), 1)}
+    fields = dbl._horizontal_fields(h, v, obj_of)
+    fields.update((dbl._TWIN[name], x) for name, x in dbl._horizontal_fields(v, h, obj_of).items())
+    return DoubleInductiveGroupoid(objects=tuple(obj_of.values()), cells=h.arrows, **fields)
+
+
+def test_iii_and_ix_witnesses_where_dom_and_cod_differ(b2):
+    # In a valid double groupoid every cell has dom = cod, so a right-hand side
+    # of (iii) or (ix) that reads one for the other, or one vertical identity for
+    # another, agrees there. The views of B2 and of B2 with 1 and 3 exchanged
+    # give cells whose dom and cod differ, and these witnesses pin those sides.
+    views = (esn.groupoid_of(analyze_inverse(t)) for t in (b2, relabel(b2, (3, 2, 1, 4, 5))))
+    g = _unchecked_dig(*views)
+    assert [a for a in g.cells if g.hdom[a] != g.hcod[a]] == [2, 3]
+    expected = [
+        *_cells_witnesses("iii.a", "2151", "2551"), *_cells_witnesses("iii.b", "2353", "2553"),
+        *_cells_witnesses("iii.c", "1412", "1442"), *_cells_witnesses("iii.d", "3432", "3442"),
+        ("ix.b", (3, 1)), ("ix.c", (1, 3)), ("ix.f", (1, 3)),
+        *_cells_witnesses("ix.g", "31", "32", "33", "34", "35"),
+    ]
+    for strict_ix in (False, True):
+        rep = validate_dig(g, strict_ix)
+        found = sorted((v.axiom, v.witness) for v in rep.violations
+                       if v.axiom.startswith(("iii.", "ix.")))
+        assert found == sorted(expected + [("ix.g-strict", (3, 1))] * strict_ix)
 
 
 def test_validate_dig_counts_of_the_fixture():

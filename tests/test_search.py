@@ -5,6 +5,7 @@ import pytest
 from conftest import (
     all_tables,
     assoc_oracle,
+    associative_tables,
     cyclic_group,
     labeled_pairs_oracle,
     least_relabeling_oracle,
@@ -12,13 +13,16 @@ from conftest import (
     naive_enumerate,
     relabel,
     right_projection,
+    second_tables_oracle,
     table,
 )
 from esnlab import search
 from esnlab.errors import NotASemigroupError, OrderTooLargeError, TheoremViolation
 from esnlab.search import (
     _SPLIT_DEPTH,
+    _cell_order,
     _classes,
+    _idempotents_commute,
     _prefixes,
     canonical_pair,
     enumerate_semigroups,
@@ -104,7 +108,9 @@ def test_order_caps():
     with pytest.raises(OrderTooLargeError):
         enumerate_semigroups(6)
     with pytest.raises(OrderTooLargeError):
-        search_double(5, "inverse")
+        search_double(5, "semigroup")
+    with pytest.raises(OrderTooLargeError):
+        search_double(6, "inverse")
     with pytest.raises(OrderTooLargeError):
         naive_enumerate(4)
     with pytest.raises(ValueError):
@@ -140,6 +146,29 @@ def test_second_table_search_projections():
     for vop in completions:
         assert is_associative(vop)
         assert check_interchange(lp, vop)
+
+
+def test_second_table_search_matches_the_scan_oracle():
+    assert [len(associative_tables(n)) for n in (1, 2, 3)] == [1, 8, 113]  # OEIS A023814
+    for n in (1, 2, 3):
+        for h in associative_tables(n):
+            for klass in ("semigroup", "inverse"):
+                found = {v.flat for v in second_table_search(h, klass)}
+                assert found == {v.flat for v in second_tables_oracle(h, klass)}, (h.rows, klass)
+
+
+def test_idempotent_prune_keeps_every_prefix_of_an_inverse_table():
+    # sound: no prefix in block order of a labeled inverse table is refused,
+    # the 60 labelings of the noncommutative B2 among them
+    for n in range(1, 6):
+        order = _cell_order(n)
+        for t in tables_matching(n, "inverse"):
+            T = [-1] * (n * n)
+            for k in order:
+                T[k] = t.flat[k]
+                assert _idempotents_commute(T, n, k // n, k % n), (t.rows, k)
+    # and not vacuous: the left-zero band's two idempotents do not commute
+    assert not _idempotents_commute(list(left_projection(2).flat), 2, 1, 1)
 
 
 def test_second_table_search_rejects_non_semigroup():

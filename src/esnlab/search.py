@@ -9,10 +9,14 @@ than row-major order.
 The single-table search is isomorph-free. Lex-leader pruning compares the
 partial table with each of its relabelings in that block order and drops it
 once a relabeling is smaller, so one table per isomorphism class survives:
-the block-order least. Labeled tables are counted as the sum of n!/|Aut(T)|
-over the survivors, the automorphisms being the relabelings still tied with
-a complete table. Where every labeled table is needed a survivor's orbit is
-expanded, and classes are reported by their row-major canonical form.
+the block-order least. Like a SAT solver's watched literal, a relabeling
+still tied with the table waits in the bucket of the cell its comparison
+needs next, so setting a cell advances one bucket. Labeled tables are counted
+as the sum of n!/|Aut(T)| over the survivors, the automorphisms being the
+relabelings still tied with a complete table. Every inverse filter also
+refuses a partial table as soon as two of its idempotents fail to commute.
+Where every labeled table is needed a survivor's orbit is expanded, and
+classes are reported by their row-major canonical form.
 
 The pair search is isomorph-free in its first table. It backtracks the second
 table only under the least first table h of each class. An interchange
@@ -152,74 +156,85 @@ def _run_tasks(worker, tasks, jobs):
     return [worker(task) for task in tasks]
 
 
-def _search_tables(n, prefix, emit, depth=None):
+def _search_tables(n, prefix, emit, depth=None, prune=False):
     """Backtrack the associative tables extending `prefix` (values for the first
     len(prefix) cells in block order) that are the block-order least of their
     isomorphism class, calling emit(flat_tuple, aut) per assignment of the
     first `depth` cells (all by default; unassigned cells read -1; aut is
-    |Aut(T)| at full depth). After each cell is set, every relabeling still
-    tied with T is compared with it in block order up to the first cell either
-    side lacks: a smaller one prunes T, a larger one is dropped for the
-    subtree, and those tied with a complete table are its automorphisms."""
+    |Aut(T)| at full depth). With prune, a partial table in which two
+    idempotents fail to commute is refused, as it has no inverse completion.
+    Each relabeling still tied with T waits in the bucket of the block position
+    whose setting lets its comparison go on, max(p, pos[src[p]]) for the first
+    position p it has not compared. Setting the cell at position d advances
+    bucket d only: a smaller relabeling prunes T, a larger one is dropped for
+    the subtree, and an equal one moves to the bucket it waits on next, to be
+    popped from it on backtrack. Those in the last bucket, `size`, are tied
+    with a complete table: its automorphisms."""
     size = n * n
     depth = size if depth is None else depth
     order = _cell_order(n)
+    pos = {k: p for p, k in enumerate(order)}
     cells = [(k // n, k % n) for k in order]
     T = [-1] * size
     occ = [[] for _ in range(n)]
+    buckets = [[] for _ in range(size + 1)]
+    for img, src in relabelings(n)[1:]:
+        src = [src[k] for k in order]
+        wait = [max(p, pos[k]) for p, k in enumerate(src)] + [size]
+        buckets[wait[0]].append((img, src, wait, 0))
 
-    def tied(live):
-        """The relabelings in `live` still tied with T, each with the block
-        position its comparison stopped at; None if one is smaller."""
-        out = []
-        for img, src, p in live:
-            while p < size:
-                t = T[order[p]]
-                s = T[src[p]]
-                if t < 0 or s < 0:
-                    out.append((img, src, p))
-                    break
-                s = img[s]
-                if s < t:
-                    return None
-                if s > t:
-                    break
-                p += 1
-            else:
-                out.append((img, src, p))
-        return out
-
-    def extend(d, live):
+    def extend(d):
         if d == depth:
-            emit(tuple(T), len(live) + 1)
+            emit(tuple(T), len(buckets[size]) + 1)
             return
         a, b = cells[d]
         k = order[d]
         for c in (prefix[d],) if d < len(prefix) else range(n):
             T[k] = c
-            if _assoc_ok(T, occ, n, a, b, c):
-                rest = tied(live)
-                if rest is not None:
-                    occ[c].append(k)
-                    extend(d + 1, rest)
-                    occ[c].pop()
+            if not _assoc_ok(T, occ, n, a, b, c) or prune and not _idempotents_commute(T, n, a, b):
+                continue
+            moved = []
+            for img, src, wait, p in buckets[d]:
+                while True:
+                    s = img[T[src[p]]]
+                    t = T[order[p]]
+                    if s != t:
+                        break
+                    p += 1
+                    if wait[p] > d:
+                        break
+                if s < t:
+                    break
+                if s == t:
+                    buckets[wait[p]].append((img, src, wait, p))
+                    moved.append(wait[p])
+            else:
+                occ[c].append(k)
+                extend(d + 1)
+                occ[c].pop()
+            for w in moved:
+                buckets[w].pop()
         T[k] = -1
 
-    extend(0, [(img, [src[k] for k in order], 0) for img, src in relabelings(n)[1:]])
+    extend(0)
 
 
-def _prefixes(n, depth):
-    """The assignments of the first `depth` cells that the pruned search keeps."""
+def _prefixes(n, depth, filt):
+    """The assignments of the first `depth` cells that the search for the
+    filter keeps: lex-leader pruned, and for an inverse filter pruned on
+    idempotents that fail to commute, which leaves 23 of order 5 against 28."""
     order = _cell_order(n)[:depth]
     out = []
-    _search_tables(n, (), lambda T, aut: out.append(tuple(T[k] for k in order)), depth)
+    _search_tables(n, (), lambda T, aut: out.append(tuple(T[k] for k in order)), depth,
+                   prune=filt != "all")
     return out
 
 
 def _classes(n, filt, prefix=()):
     """(block-order least table, |Aut|) for each class matching the filter."""
     out = []
-    _search_tables(n, prefix, lambda T, aut: _matches(T, n, filt) and out.append((T, aut)))
+    _search_tables(n, prefix, lambda T, aut: _matches(T, n, filt) and out.append((T, aut)),
+                   prune=filt != "all")
     return out
 
 
@@ -281,7 +296,7 @@ def enumerate_semigroups(n, filt="all", jobs=1) -> EnumerationReport:
     if not 1 <= n <= SINGLE_CAP:
         raise OrderTooLargeError(n, SINGLE_CAP)
     keep = filt != "all"
-    prefixes = _prefixes(n, _SPLIT_DEPTH) if jobs > 1 and n >= 3 else [()]
+    prefixes = _prefixes(n, _SPLIT_DEPTH, filt) if jobs > 1 and n >= 3 else [()]
     results = _run_tasks(_enum_worker, [(n, p, filt, keep) for p in prefixes], jobs)
     labeled = sum(r[0] for r in results)
     canon_flat = sorted(T for r in results for T in r[2])

@@ -5,8 +5,8 @@ import pytest
 
 from esnlab.double import check_interchange
 from esnlab.errors import OrderTooLargeError
-from esnlab.search import _matches
-from esnlab.tables import CayleyTable, canonical_form, parse_table
+from esnlab.search import _assoc_ok, _cell_order, _matches
+from esnlab.tables import CayleyTable, canonical_form, parse_table, relabelings
 
 B2_TEXT = """\
 5
@@ -80,6 +80,63 @@ def naive_enumerate(n, filt="all"):
         raise OrderTooLargeError(n, 3)
     matches = [t for t in associative_tables(n) if _matches(t.flat, n, filt)]
     return len(matches), frozenset(canonical_form(t).rows for t in matches)
+
+
+@cache
+def _lex_leaders(n):
+    """(block-order least table, |Aut|) for every class of order n, by a
+    backtrack that rescans every relabeling still tied with the partial table
+    after each cell, with no bucket and no prune."""
+    size = n * n
+    order = _cell_order(n)
+    T = [-1] * size
+    occ = [[] for _ in range(n)]
+    out = []
+
+    def tied(live):
+        """The relabelings in `live` still tied with T, each with the block
+        position its comparison stopped at; None if one is smaller."""
+        rest = []
+        for img, src, p in live:
+            while p < size:
+                t = T[order[p]]
+                s = T[src[p]]
+                if t < 0 or s < 0:
+                    rest.append((img, src, p))
+                    break
+                s = img[s]
+                if s < t:
+                    return None
+                if s > t:
+                    break
+                p += 1
+            else:
+                rest.append((img, src, p))
+        return rest
+
+    def extend(d, live):
+        if d == size:
+            out.append((tuple(T), len(live) + 1))
+            return
+        k = order[d]
+        for c in range(n):
+            T[k] = c
+            if _assoc_ok(T, occ, n, k // n, k % n, c):
+                rest = tied(live)
+                if rest is not None:
+                    occ[c].append(k)
+                    extend(d + 1, rest)
+                    occ[c].pop()
+        T[k] = -1
+
+    extend(0, [(img, [src[k] for k in order], 0) for img, src in relabelings(n)[1:]])
+    return out
+
+
+def lex_leader_oracle(n, filt):
+    """(block-order least table, |Aut|) for each class of order n matching the
+    filter, in search order, from the rescanning backtrack of _lex_leaders."""
+    return [(T, aut) for T, aut in _lex_leaders(n) if _matches(T, n, filt)]
 
 
 def assoc_oracle(t):

@@ -10,6 +10,7 @@ from conftest import (
     labeled_pairs_oracle,
     least_relabeling_oracle,
     left_projection,
+    lex_leader_oracle,
     naive_enumerate,
     relabel,
     right_projection,
@@ -19,6 +20,7 @@ from conftest import (
 from esnlab import search
 from esnlab.errors import NotASemigroupError, OrderTooLargeError, TheoremViolation
 from esnlab.search import (
+    FILTERS,
     _SPLIT_DEPTH,
     _cell_order,
     _classes,
@@ -64,6 +66,24 @@ def test_iter_semigroup_tables_is_every_labeled_table_once():
         assert len(tables) == len(set(tables)), n
         if n <= 3:
             assert set(tables) == {t.rows for t in all_tables(n) if assoc_oracle(t) is None}, n
+
+
+def test_classes_match_the_rescanning_lex_leader_oracle():
+    # the bucketed, pruned search keeps the same least tables, in the same
+    # order and with the same |Aut|, as a rescan of every tied relabeling
+    for n in range(1, 6):
+        for filt in FILTERS:
+            assert _classes(n, filt) == lex_leader_oracle(n, filt), (n, filt)
+
+
+def test_pruned_prefixes_hold_every_inverse_least_table():
+    for n in range(2, 6):
+        order = _cell_order(n)[:_SPLIT_DEPTH]
+        kept = set(_prefixes(n, _SPLIT_DEPTH, "inverse"))
+        for T, _ in lex_leader_oracle(n, "inverse"):
+            assert tuple(T[k] for k in order) in kept, (n, T)
+    # and the prune splits order 5 into fewer tasks
+    assert [len(_prefixes(5, _SPLIT_DEPTH, f)) for f in ("all", "inverse")] == [28, 23]
 
 
 def test_brandt_b2_has_two_automorphisms(b2):
@@ -124,6 +144,13 @@ def test_jobs_do_not_change_reports():
     pa = search_double(3, "inverse", jobs=1)
     pb = search_double(3, "inverse", jobs=4)
     assert pa.as_json() == pb.as_json()
+
+
+def test_jobs_do_not_change_inverse_reports_at_orders_4_and_5():
+    for n in (4, 5):
+        for filt in ("inverse", "commutative-inverse", "noncommutative-inverse"):
+            serial = enumerate_semigroups(n, filt, jobs=1).as_json()
+            assert enumerate_semigroups(n, filt, jobs=2).as_json() == serial, (n, filt)
 
 
 def test_second_table_search_brandt_empty(b2):
@@ -263,7 +290,7 @@ def test_pools_are_no_larger_than_their_tasks(monkeypatch):
     monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
     assert enumerate_semigroups(3, "inverse", jobs=10**6).labeled_count == 24
     assert search_double(2, "semigroup", jobs=10**6).pair_count == 46
-    assert sizes == [len(_prefixes(3, _SPLIT_DEPTH)), len(_classes(2, "all"))]
+    assert sizes == [len(_prefixes(3, _SPLIT_DEPTH, "inverse")), len(_classes(2, "all"))]
 
 
 def test_orbit_with_a_wrong_automorphism_count_is_a_theorem_violation():

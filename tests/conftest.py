@@ -5,7 +5,7 @@ import pytest
 
 from esnlab.double import check_interchange
 from esnlab.errors import OrderTooLargeError
-from esnlab.search import _assoc_ok, _cell_order, _matches
+from esnlab.search import _matches
 from esnlab.tables import CayleyTable, canonical_form, parse_table, relabelings
 
 B2_TEXT = """\
@@ -82,15 +82,39 @@ def naive_enumerate(n, filt="all"):
     return len(matches), frozenset(canonical_form(t).rows for t in matches)
 
 
+def block_order(n):
+    """The cells of an order-n table, each top-left k-by-k block before the
+    next border, then by row and column."""
+    return sorted(range(n * n), key=lambda k: (max(k // n, k % n), k // n, k % n))
+
+
+def associates_at(T, n, filled, a, b):
+    """Whether every triple (x, y, z) that reads the cell (a, b) of the partial
+    flat table T, with the four cells x·y, y·z, (x·y)·z and x·(y·z) set,
+    associates. The triples are found by scanning the set cells in filled: the
+    cell (a, b) is x·y or y·z, or holds the value of x·y or of y·z; a triple
+    listed twice is checked twice."""
+    triples = [(a, b, z) for z in range(n)] + [(x, a, b) for x in range(n)]
+    triples += [(k // n, k % n, b) for k in filled if T[k] == a]
+    triples += [(a, k // n, k % n) for k in filled if T[k] == b]
+    for x, y, z in triples:
+        xy, yz = T[x * n + y], T[y * n + z]
+        if xy >= 0 and yz >= 0:
+            left, right = T[xy * n + z], T[x * n + yz]
+            if left != right and left >= 0 and right >= 0:
+                return False
+    return True
+
+
 @cache
 def _lex_leaders(n):
     """(block-order least table, |Aut|) for every class of order n, by a
-    backtrack that rescans every relabeling still tied with the partial table
-    after each cell, with no bucket and no prune."""
+    backtrack that checks associativity through associates_at and rescans
+    every relabeling still tied with the partial table after each cell, with
+    no bucket and no prune."""
     size = n * n
-    order = _cell_order(n)
+    order = block_order(n)
     T = [-1] * size
-    occ = [[] for _ in range(n)]
     out = []
 
     def tied(live):
@@ -121,12 +145,10 @@ def _lex_leaders(n):
         k = order[d]
         for c in range(n):
             T[k] = c
-            if _assoc_ok(T, occ, n, k // n, k % n, c):
+            if associates_at(T, n, order[: d + 1], k // n, k % n):
                 rest = tied(live)
                 if rest is not None:
-                    occ[c].append(k)
                     extend(d + 1, rest)
-                    occ[c].pop()
         T[k] = -1
 
     extend(0, [(img, [src[k] for k in order], 0) for img, src in relabelings(n)[1:]])

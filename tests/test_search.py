@@ -1,3 +1,4 @@
+from functools import cache
 from itertools import permutations
 
 import pytest
@@ -22,10 +23,11 @@ from esnlab.errors import NotASemigroupError, OrderTooLargeError, TheoremViolati
 from esnlab.search import (
     FILTERS,
     _SPLIT_DEPTH,
-    _cell_order,
     _classes,
     _idempotents_commute,
+    _lex_plan,
     _prefixes,
+    _search_tables,
     canonical_pair,
     enumerate_semigroups,
     search_double,
@@ -34,6 +36,13 @@ from esnlab.search import (
 )
 from esnlab.tables import CayleyTable, canonical_form, is_associative, least_relabeling, relabelings
 from esnlab.inverse import analyze_inverse
+
+
+@cache
+def serial_report(n, filt):
+    """enumerate_semigroups(n, filt) with jobs=1, computed once a session for
+    the known counts and the jobs comparisons."""
+    return enumerate_semigroups(n, filt, jobs=1)
 
 
 def test_enumeration_matches_naive_oracle():
@@ -49,14 +58,14 @@ def test_known_counts():
     assert enumerate_semigroups(1, "all").labeled_count == 1
     assert enumerate_semigroups(2, "all").labeled_count == 8
     assert enumerate_semigroups(3, "all").labeled_count == 113
-    rep4 = enumerate_semigroups(4, "all")
+    rep4 = serial_report(4, "all")
     assert (rep4.labeled_count, rep4.class_count) == (3492, 188)
-    inv = [enumerate_semigroups(n, "inverse") for n in (1, 2, 3, 4)]
+    inv = [serial_report(n, "inverse") for n in (1, 2, 3, 4)]
     assert [r.labeled_count for r in inv] == [1, 4, 24, 272]
     assert [r.class_count for r in inv] == [1, 2, 5, 16]
     for filt, counts in (("all", (183732, 1915)), ("inverse", (4125, 52)),
                          ("commutative-inverse", (4065, 51))):
-        rep5 = enumerate_semigroups(5, filt)
+        rep5 = serial_report(5, filt)
         assert (rep5.labeled_count, rep5.class_count) == counts, filt
 
 
@@ -78,12 +87,39 @@ def test_classes_match_the_rescanning_lex_leader_oracle():
 
 def test_pruned_prefixes_hold_every_inverse_least_table():
     for n in range(2, 6):
-        order = _cell_order(n)[:_SPLIT_DEPTH]
-        kept = set(_prefixes(n, _SPLIT_DEPTH, "inverse"))
-        for T, _ in lex_leader_oracle(n, "inverse"):
-            assert tuple(T[k] for k in order) in kept, (n, T)
-    # and the prune splits order 5 into fewer tasks
-    assert [len(_prefixes(5, _SPLIT_DEPTH, f)) for f in ("all", "inverse")] == [28, 23]
+        for depth in {4, _SPLIT_DEPTH.get(n, 4)}:
+            order = _lex_plan(n)[0][:depth]
+            kept = set(_prefixes(n, depth, "inverse"))
+            for T, _ in lex_leader_oracle(n, "inverse"):
+                assert tuple(T[k] for k in order) in kept, (n, depth, T)
+    # and the prune splits order 5 into fewer tasks, at depth 4 and at the split's 6
+    assert [len(_prefixes(5, 4, f)) for f in ("all", "inverse")] == [28, 23]
+    assert [len(_prefixes(5, _SPLIT_DEPTH[5], f)) for f in ("all", "inverse")] == [63, 51]
+    # orders 3 and 4 keep their depth-4 split
+    assert [len(_prefixes(n, _SPLIT_DEPTH[n], "inverse")) for n in (3, 4)] == [14, 22]
+
+
+def test_the_pool_split_is_the_serial_search_in_order():
+    # exhaustive and disjoint: the tasks' classes, concatenated in task order,
+    # are the serial search's list; and the serial search, run after the
+    # prefixed ones, still gives the oracle's list, so they left the cached
+    # plan that every call starts from as it was
+    for n in (3, 4, 5):
+        for filt in FILTERS:
+            tasks = _prefixes(n, _SPLIT_DEPTH[n], filt)
+            split = [c for p in tasks for c in _classes(n, filt, p)]
+            assert split == _classes(n, filt) == lex_leader_oracle(n, filt), (n, filt)
+
+    # nor does a search that an exception stops at its first table
+    class Stop(Exception):
+        pass
+
+    def stop(T, aut):
+        raise Stop
+
+    with pytest.raises(Stop):
+        _search_tables(4, (), stop)
+    assert _classes(4, "all") == lex_leader_oracle(4, "all")
 
 
 def test_brandt_b2_has_two_automorphisms(b2):
@@ -149,8 +185,15 @@ def test_jobs_do_not_change_reports():
 def test_jobs_do_not_change_inverse_reports_at_orders_4_and_5():
     for n in (4, 5):
         for filt in ("inverse", "commutative-inverse", "noncommutative-inverse"):
-            serial = enumerate_semigroups(n, filt, jobs=1).as_json()
+            serial = serial_report(n, filt).as_json()
             assert enumerate_semigroups(n, filt, jobs=2).as_json() == serial, (n, filt)
+
+
+def test_jobs_do_not_change_the_all_report_at_orders_4_and_5():
+    # 188 and 1,915 classes, split 27 and 63 ways
+    for n in (4, 5):
+        serial = serial_report(n, "all").as_json()
+        assert enumerate_semigroups(n, "all", jobs=2).as_json() == serial, n
 
 
 def test_second_table_search_brandt_empty(b2):
@@ -188,7 +231,7 @@ def test_idempotent_prune_keeps_every_prefix_of_an_inverse_table():
     # sound: no prefix in block order of a labeled inverse table is refused,
     # the 60 labelings of the noncommutative B2 among them
     for n in range(1, 6):
-        order = _cell_order(n)
+        order = _lex_plan(n)[0]
         for t in tables_matching(n, "inverse"):
             T = [-1] * (n * n)
             for k in order:
@@ -290,7 +333,7 @@ def test_pools_are_no_larger_than_their_tasks(monkeypatch):
     monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
     assert enumerate_semigroups(3, "inverse", jobs=10**6).labeled_count == 24
     assert search_double(2, "semigroup", jobs=10**6).pair_count == 46
-    assert sizes == [len(_prefixes(3, _SPLIT_DEPTH, "inverse")), len(_classes(2, "all"))]
+    assert sizes == [len(_prefixes(3, _SPLIT_DEPTH[3], "inverse")), len(_classes(2, "all"))]
 
 
 def test_orbit_with_a_wrong_automorphism_count_is_a_theorem_violation():

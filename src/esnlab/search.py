@@ -21,11 +21,11 @@ the root buckets are built once per order. A pool task extends one kept
 assignment of the first 4 cells, 6 at order 5, so none holds half the work.
 
 The pair search is isomorph-free in its first table. It backtracks the second
-table only under the least first table h of each class. An interchange
-quadruple reads three cells of the second table, which h fixes, so each is
-filed once under the last of them in block order and checked once, when that
-cell is set. A second table that must be inverse is pruned as soon as two of
-its idempotents fail to commute. The second tables of a relabeled first table
+table, with no symmetry to break, only under the least first table h of each
+class. An interchange quadruple reads three cells of the second table, which h
+fixes, so each is filed once under the last of them in block order and checked
+once, when that cell is set. The idempotent prune applies to an inverse second
+table as to a first. The second tables of a relabeled first table
 are the relabeled second tables, so the labeled pairs number the sum of
 n!/|Aut(h)| times the second tables of h. A pair's class is keyed by the
 row-major least form of h and the least image of v under the relabelings that
@@ -33,8 +33,8 @@ give that form, a coset of Aut(h), which is the least joint relabeling of the
 pair at |Aut(h)| relabelings rather than n!. Both come from
 ``tables.least_relabeling``, the one canonicaliser.
 
-Every loop here, the second-table backtracker included, works on the flat
-0-based tuples that a ``CayleyTable`` holds.
+One backtracking loop, ``_search_tables``, serves both tables, and every loop
+here works on the flat 0-based tuples that a ``CayleyTable`` holds.
 """
 
 from __future__ import annotations
@@ -42,11 +42,10 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cache
-from math import factorial
+from math import factorial, inf
 
 from .errors import EsnlabError, NotASemigroupError, OrderTooLargeError, TheoremViolation
 from .inverse import analyze_inverse, is_clifford, unique_inverses
-from .report import computed_once
 from .tables import (
     CayleyTable,
     canonical_form,
@@ -171,13 +170,20 @@ def _run_tasks(worker, tasks, jobs):
     return [worker(task) for task in tasks]
 
 
-def _search_tables(n, prefix, emit, depth=None, prune=False):
+def _search_tables(n, prefix, emit, depth=None, prune=False, H=None):
     """Backtrack the associative tables extending `prefix` (values for the first
-    len(prefix) cells in block order) that are the block-order least of their
-    isomorphism class, calling emit(flat_tuple, aut) per assignment of the
-    first `depth` cells (all by default; unassigned cells read -1; aut is
-    |Aut(T)| at full depth). With prune, a partial table in which two
-    idempotents fail to commute is refused, as it has no inverse completion.
+    len(prefix) cells in block order), calling emit(flat_tuple, aut) per
+    assignment of the first `depth` cells (all by default; unassigned cells
+    read -1). With prune, a partial table in which two idempotents fail to
+    commute is refused, as it has no inverse completion.
+
+    Without H, the tables kept are the block-order least of their isomorphism
+    class, and aut is |Aut(T)| at full depth. Given a first table H, they are
+    the second tables T that complete H to a double semigroup, and no symmetry
+    is broken: the buckets start empty and aut is 1. An interchange quadruple
+    H[T[a][b]][T[c][d]] = T[H[a][c]][H[b][d]] reads three cells of T, so it is
+    checked once, when the last of them in block order is set.
+
     Each relabeling still tied with T waits in the bucket of the block position
     whose setting lets its comparison go on, max(p, pos[src[p]]) for the first
     position p it has not compared. Setting the cell at position d advances
@@ -187,10 +193,24 @@ def _search_tables(n, prefix, emit, depth=None, prune=False):
     with a complete table: its automorphisms."""
     size = n * n
     depth = size if depth is None else depth
-    order, cells, _, seed = _lex_plan(n)
-    buckets = [list(b) for b in seed]
+    order, cells, pos, seed = _lex_plan(n)
+    buckets = [list(b) if H is None else [] for b in seed]
+    quads = [[] for _ in range(size)]  # the cells (k1, k2, k3) of each quadruple, by position
+    if H is not None:
+        rng = range(n)
+        for q in {
+            (a * n + b, c * n + d, H[a * n + c] * n + H[b * n + d])
+            for a in rng for b in rng for c in rng for d in rng
+        }:
+            quads[max(map(pos.get, q))].append(q)
     T = [-1] * size
     occ = [[] for _ in range(n)]
+
+    def interchange_ok(qs):
+        for k1, k2, k3 in qs:
+            if H[T[k1] * n + T[k2]] != T[k3]:
+                return False
+        return True
 
     def extend(d):
         if d == depth:
@@ -198,9 +218,11 @@ def _search_tables(n, prefix, emit, depth=None, prune=False):
             return
         a, b = cells[d]
         k = order[d]
+        qs = quads[d]
         for c in (prefix[d],) if d < len(prefix) else range(n):
             T[k] = c
-            if not _assoc_ok(T, occ, n, a, b, c) or prune and not _idempotents_commute(T, n, a, b):
+            if (qs and not interchange_ok(qs) or not _assoc_ok(T, occ, n, a, b, c)
+                    or prune and not _idempotents_commute(T, n, a, b)):
                 continue
             moved = []
             for img, src, wait, p in buckets[d]:
@@ -240,11 +262,13 @@ def _prefixes(n, depth, filt):
     return out
 
 
-def _classes(n, filt, prefix=()):
-    """(block-order least table, |Aut|) for each class matching the filter."""
+def _classes(n, filt, prefix=(), H=None):
+    """(block-order least table, |Aut|) for each class matching the filter; with
+    a flat first table H, (second table, 1) for each second table matching the
+    filter that completes H to a double semigroup."""
     out = []
     _search_tables(n, prefix, lambda T, aut: _matches(T, n, filt) and out.append((T, aut)),
-                   prune=filt != "all")
+                   prune=filt != "all", H=H)
     return out
 
 
@@ -286,13 +310,20 @@ class EnumerationReport:
         }
 
 
+def _check_request(n, noun, kind, kinds, cap):
+    """Refuse a `noun` (filter or class) not in kinds, and an order below 1 or above cap."""
+    if kind not in kinds:
+        raise ValueError(f"unknown {noun} {kind!r}")
+    if n < 1:
+        raise ValueError(f"order {n} is below 1")
+    if n > cap:
+        raise OrderTooLargeError(n, cap)
+
+
 def tables_matching(n, filt):
     """The labeled tables of order n that match the filter (an isomorphism
     invariant), as the orbits of the matching block-order least tables."""
-    if filt not in FILTERS:
-        raise ValueError(f"unknown filter {filt!r}")
-    if not 1 <= n <= SINGLE_CAP:
-        raise OrderTooLargeError(n, SINGLE_CAP)
+    _check_request(n, "filter", filt, FILTERS, SINGLE_CAP)
     rel = relabelings(n)
     return [CayleyTable(t) for T, aut in _classes(n, filt) for t, _ in _orbit(T, aut, rel)]
 
@@ -301,10 +332,7 @@ def enumerate_semigroups(n, filt="all", jobs=1) -> EnumerationReport:
     """Find the block-order least table of each isomorphism class of order n,
     count the labeled tables matching the filter as the sum of n!/|Aut(T)| over
     the matching classes, and report each class by its canonical form."""
-    if filt not in FILTERS:
-        raise ValueError(f"unknown filter {filt!r}")
-    if not 1 <= n <= SINGLE_CAP:
-        raise OrderTooLargeError(n, SINGLE_CAP)
+    _check_request(n, "filter", filt, FILTERS, SINGLE_CAP)
     keep = filt != "all"
     prefixes = _prefixes(n, _SPLIT_DEPTH[n], filt) if jobs > 1 and n >= 3 else [()]
     results = _run_tasks(_enum_worker, [(n, p, filt, keep) for p in prefixes], jobs)
@@ -337,69 +365,21 @@ def _all_inverse(matches):
 
 def second_table_search(hop: CayleyTable, klass="semigroup"):
     """Every second operation completing hop to a double (inverse) semigroup."""
-    if klass not in ("semigroup", "inverse"):
-        raise ValueError(f"unknown class {klass!r}")
+    _check_request(hop.n, "class", klass, PAIR_CAPS, inf)
     assoc = is_associative(hop)
     if not assoc:
         raise NotASemigroupError(assoc.witness)
     if klass == "inverse" and len(unique_inverses(hop.flat, hop.n)) < hop.n:
         return []
-    return [CayleyTable(V) for V in _second_tables(hop.flat, hop.n, klass == "inverse")]
-
-
-def _second_tables(H, n, need_inverse):
-    """The flat second tables V (inverse ones if need_inverse) completing the
-    flat semigroup H to a double semigroup, found by backtracking V in block
-    order under associativity and the interchange law. An interchange
-    quadruple hop(V[a][b], V[c][d]) = V[hop(a,c)][hop(b,d)] reads three cells
-    that H fixes, and is checked once, when the last of them is set. For an
-    inverse V, a partial table in which two idempotents e, f have V[e][f] and
-    V[f][e] set and different is refused, since idempotents commute there."""
-    size = n * n
-    order, cells, pos, _ = _lex_plan(n)
-    rng = range(n)
-    quads = [[] for _ in range(size)]  # the cells (k1, k2, k3) of each quadruple
-    for k1, k2, k3 in {
-        (a * n + b, c * n + d, H[a * n + c] * n + H[b * n + d])
-        for a in rng for b in rng for c in rng for d in rng
-    }:
-        quads[max(k1, k2, k3, key=pos.get)].append((k1, k2, k3))
-
-    V = [-1] * size
-    occ = [[] for _ in range(n)]
-    out = []
-
-    def quads_ok(k):
-        for k1, k2, k3 in quads[k]:
-            if H[V[k1] * n + V[k2]] != V[k3]:
-                return False
-        return True
-
-    def extend(d):
-        if d == size:
-            if not need_inverse or len(unique_inverses(V, n)) == n:
-                out.append(tuple(V))
-            return
-        a, b = cells[d]
-        k = order[d]
-        for c in rng:
-            V[k] = c
-            if (_assoc_ok(V, occ, n, a, b, c) and quads_ok(k)
-                    and (not need_inverse or _idempotents_commute(V, n, a, b))):
-                occ[c].append(k)
-                extend(d + 1)
-                occ[c].pop()
-        V[k] = -1
-
-    extend(0)
-    return out
+    filt = "inverse" if klass == "inverse" else "all"
+    return [CayleyTable(V) for V, _ in _classes(hop.n, filt, H=hop.flat)]
 
 
 def _pair_worker(args):
     """(H, |Aut(H)|, the second tables of H, the class key of each pair) for a
     least first table H."""
-    n, H, aut, klass = args
-    Vs = _second_tables(H, n, klass == "inverse")
+    n, H, aut, filt = args
+    Vs = [V for V, _ in _classes(n, filt, H=H)]
     return H, aut, Vs, _pair_keys(H, Vs, relabelings(n))
 
 
@@ -419,21 +399,6 @@ class PairSearchReport:
     representatives: tuple
     proper_representatives: tuple
     claims: dict
-    # (least first table, |Aut|, its second tables), flat; not serialized
-    orbits: tuple = ()
-
-    @computed_once
-    def pairs(self):
-        """Every labeled pair: (π·h, π·v) for each least first table h, one
-        relabeling π per table π·h of its orbit, and each second table v of h
-        (the second tables of h are closed under Aut(h))."""
-        rel = relabelings(self.order)
-        return tuple(
-            (CayleyTable(t), CayleyTable(tuple(img[V[s]] for s in src)))
-            for H, aut, Vs in self.orbits
-            for t, (img, src) in _orbit(H, aut, rel)
-            for V in Vs
-        )
 
     def as_json(self):
         return {
@@ -457,12 +422,9 @@ def search_double(n, klass="semigroup", jobs=1) -> PairSearchReport:
     semigroup: backtrack vop under associativity and interchange for the least
     hop of each class, count the labeled pairs as the sum of n!/|Aut(hop)|
     times its vops, and key each class by its least joint relabeling."""
-    if klass not in ("semigroup", "inverse"):
-        raise ValueError(f"unknown class {klass!r}")
-    if not 1 <= n <= PAIR_CAPS[klass]:
-        raise OrderTooLargeError(n, PAIR_CAPS[klass])
+    _check_request(n, "class", klass, PAIR_CAPS, PAIR_CAPS.get(klass))
     filt = "inverse" if klass == "inverse" else "all"
-    tasks = [(n, H, aut, klass) for H, aut in _classes(n, filt)]
+    tasks = [(n, H, aut, filt) for H, aut in _classes(n, filt)]
     found = _run_tasks(_pair_worker, tasks, jobs)
     orbit = factorial(n)
     canon, canon_proper = set(), set()
@@ -510,5 +472,4 @@ def search_double(n, klass="semigroup", jobs=1) -> PairSearchReport:
         representatives=tables(canon),
         proper_representatives=tables(canon_proper),
         claims=claims,
-        orbits=tuple((H, aut, tuple(Vs)) for H, aut, Vs, _ in found),
     )

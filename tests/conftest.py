@@ -5,7 +5,7 @@ import pytest
 
 from esnlab.double import check_interchange
 from esnlab.errors import OrderTooLargeError
-from esnlab.search import _matches
+from esnlab.search import _classes, _matches, _orbit
 from esnlab.tables import CayleyTable, canonical_form, parse_table, relabelings
 
 B2_TEXT = """\
@@ -210,6 +210,21 @@ def second_tables_oracle(h, klass):
         v
         for v in associative_tables(h.n)
         if check_interchange(h, v) and (klass == "semigroup" or inverse_oracle(v))
+    ]
+
+
+def labeled_pairs(report):
+    """Every labeled pair of a pair search's order and class: (π·h, π·v) for
+    each least first table h, one relabeling π per table π·h of its orbit, and
+    each second table v of h (the second tables of h are closed under Aut(h))."""
+    n = report.order
+    filt = "inverse" if report.klass == "inverse" else "all"
+    rel = relabelings(n)
+    return [
+        (CayleyTable(t), CayleyTable(tuple(img[V[s]] for s in src)))
+        for H, aut in _classes(n, filt)
+        for t, (img, src) in _orbit(H, aut, rel)
+        for V, _ in _classes(n, filt, H=H)
     ]
 
 

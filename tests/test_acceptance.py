@@ -9,7 +9,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import B2_TEXT, left_projection, naive_enumerate, right_projection
+from conftest import B2_TEXT, labeled_pairs, left_projection, naive_enumerate, right_projection
 from esnlab.cli import main as cli_main
 from esnlab.double import (
     DoubleSemigroup,
@@ -69,7 +69,7 @@ def digs_by_order(inverse_pairs_by_order):
     return {
         n: [
             (DoubleSemigroup(h, v), dig_from_dis(DoubleSemigroup(h, v)))
-            for h, v in report.pairs
+            for h, v in labeled_pairs(report)
         ]
         for n, report in inverse_pairs_by_order.items()
     }
@@ -116,7 +116,7 @@ def test_criterion_4_main_theorem_sweep(inverse_pairs_by_order):
             assert report.claims["all_improper"]
             assert report.claims["all_commutative"]
             assert report.claims["all_clifford"]
-            for hop, vop in report.pairs:
+            for hop, vop in labeled_pairs(report):
                 assert hop.rows == vop.rows
                 assert is_commutative(hop)
                 assert is_clifford(analyze_inverse(hop))

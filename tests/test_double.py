@@ -9,6 +9,7 @@ from conftest import (
     all_tables,
     chain_semilattice,
     cyclic_group,
+    labeled_pairs,
     left_projection,
     relabel,
     right_projection,
@@ -422,7 +423,7 @@ def test_validator_total_on_random_mutations(clifford3):
 @functools.cache
 def _double_inverse_groupoids():
     """The double groupoid of each of the 301 double inverse pairs of order <= 4."""
-    pairs = [pair for n in (1, 2, 3, 4) for pair in search_double(n, "inverse").pairs]
+    pairs = [pair for n in (1, 2, 3, 4) for pair in labeled_pairs(search_double(n, "inverse"))]
     assert len(pairs) == 301
     return [dig_from_dis(DoubleSemigroup(hop, vop)) for hop, vop in pairs]
 
@@ -500,7 +501,7 @@ def test_views_are_the_esn_groupoids_of_the_two_operations(clifford3):
     # the shared pseudo-product rests on this: the two views of dig_from_dis(d)
     # are the inductive groupoids of d's operations, so dis_from_dig is
     # is_from_ig of each view
-    pairs = [pair for n in (1, 2, 3) for pair in search_double(n, "inverse").pairs]
+    pairs = [pair for n in (1, 2, 3) for pair in labeled_pairs(search_double(n, "inverse"))]
     assert len(pairs) == 29
     for hop, vop in pairs + [(clifford3, clifford3)]:
         d = DoubleSemigroup(hop, vop)

@@ -8,6 +8,7 @@ from conftest import (
     assoc_oracle,
     associative_tables,
     cyclic_group,
+    labeled_pairs,
     labeled_pairs_oracle,
     least_relabeling_oracle,
     left_projection,
@@ -120,6 +121,9 @@ def test_the_pool_split_is_the_serial_search_in_order():
     with pytest.raises(Stop):
         _search_tables(4, (), stop)
     assert _classes(4, "all") == lex_leader_oracle(4, "all")
+    # nor does a second-table search, which starts from empty buckets
+    assert second_table_search(cyclic_group(4), "inverse") == [cyclic_group(4)]
+    assert _classes(4, "all") == lex_leader_oracle(4, "all")
 
 
 def test_brandt_b2_has_two_automorphisms(b2):
@@ -171,6 +175,11 @@ def test_order_caps():
         naive_enumerate(4)
     with pytest.raises(ValueError):
         enumerate_semigroups(3, "weird")
+    # an order below 1 is no order, not one above the cap
+    for n in (0, -1):
+        for run in (enumerate_semigroups, search_double, lambda n: tables_matching(n, "all")):
+            with pytest.raises(ValueError, match=f"order {n} is below 1"):
+                run(n)
 
 
 def test_jobs_do_not_change_reports():
@@ -223,8 +232,11 @@ def test_second_table_search_matches_the_scan_oracle():
     for n in (1, 2, 3):
         for h in associative_tables(n):
             for klass in ("semigroup", "inverse"):
-                found = {v.flat for v in second_table_search(h, klass)}
-                assert found == {v.flat for v in second_tables_oracle(h, klass)}, (h.rows, klass)
+                found = [v.flat for v in second_table_search(h, klass)]
+                assert set(found) == {v.flat for v in second_tables_oracle(h, klass)}, (h.rows, klass)
+                # in block order, as the search fills the cells
+                keys = [tuple(V[k] for k in _lex_plan(n)[0]) for V in found]
+                assert all(x < y for x, y in zip(keys, keys[1:])), (h.rows, klass)
 
 
 def test_idempotent_prune_keeps_every_prefix_of_an_inverse_table():
@@ -306,8 +318,9 @@ def test_pair_search_matches_labeled_oracle():
                 {least_relabeling_oracle(h, v) for h, v in proper}
             )
             labeled = {(h.rows, v.rows) for h, v in pairs}
-            assert len(rep.pairs) == len(pairs)
-            assert {(h.rows, v.rows) for h, v in rep.pairs} == labeled
+            expanded = labeled_pairs(rep)
+            assert len(expanded) == len(pairs)
+            assert {(h.rows, v.rows) for h, v in expanded} == labeled
             assert rep.claims["swap_closed"] == (labeled == {(v, h) for h, v in labeled})
             assert all(canonical_pair(h, v) == least_relabeling_oracle(h, v) for h, v in pairs)
 

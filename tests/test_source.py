@@ -18,3 +18,22 @@ def test_no_assert_statements_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_search_has_one_backtracker():
+    # a backtracker is a function holding a nested function that calls itself;
+    # the first and the second tables share one, so that a sharper check or a
+    # new prune lands in both searches at once
+    path = SRC / "search.py"
+    holders = [
+        outer.name
+        for outer in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(outer, ast.FunctionDef)
+        if any(
+            isinstance(inner, ast.FunctionDef) and inner is not outer
+            and any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id == inner.name for call in ast.walk(inner))
+            for inner in ast.walk(outer)
+        )
+    ]
+    assert holders == ["_search_tables"]

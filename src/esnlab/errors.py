@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the JSON readers that report
-a non-object, a missing key, a size not an integer, or a repeated id or key, as a ParseError."""
+a non-object, a missing key, a size not an integer or below 1, or a repeated id
+or key, as a ParseError."""
 
 import json
 
@@ -36,10 +37,13 @@ def json_field(doc, key):
 
 def json_int(doc, key, path=None):
     """doc[key], a declared size, which must be a JSON integer (a bool is not
-    one); else malformed input, named by ``path`` or the key."""
+    one) of at least 1, since no carrier here is empty; else malformed input,
+    named by ``path`` or the key."""
     value = json_field(doc, key)
     if type(value) is not int:
         raise ParseError(f"{path or key} must be an integer, not {_shown(value)}")
+    if value < 1:
+        raise ParseError(f"{path or key} must be at least 1, not {value}")
     return value
 
 

@@ -248,8 +248,9 @@ def groupoid_to_json(g: InductiveGroupoid) -> dict:
 
 
 def groupoid_from_json(doc: dict) -> InductiveGroupoid:
-    """The inverse of ``groupoid_to_json``; the declared arrow count must match
-    the per-arrow lists, which is checked before anything is allocated."""
+    """The inverse of ``groupoid_to_json``; the declared arrow count must be at
+    least 1 and match the per-arrow lists, which is checked before anything
+    is allocated."""
     m = json_int(doc, "arrows")
     per_arrow = {}
     for name in ("dom", "cod", "inverse"):

@@ -418,6 +418,36 @@ def test_declared_sizes_bounded_by_payload(tmp_path, capsys):
     assert "order" in capsys.readouterr().err
 
 
+def test_empty_carriers_exit_2(tmp_path, capsys):
+    # a declared size below 1 is malformed input named by its field: an empty
+    # double groupoid does not pass the checks, nor fail as a bare "empty carrier"
+    dig = json.loads(run("double", "to-dig", fx("clifford3_pair.cay"), "--format", "json")[1])
+    dig = dig["artifact"]
+    lists = {name: [] for name, value in dig.items() if isinstance(value, list)}
+    groupoid = json.loads((fixture_dir() / "partial_bijections_2.json").read_text())
+    presheaf = json.loads((fixture_dir() / "point_z2_presheaf.json").read_text())
+    presheaf["groups"][0].update(order=0, carrier=[], op=[])
+    cases = (
+        (dict(dig, cells=0, **lists), ("double", ("validate-axioms", "verify-interchange",
+                                                  "to-dis")), "cells must be at least 1, not 0"),
+        (dict(dig, objects=0, ver_arrows=0, hor_arrows=0, cells=0, **lists),
+         ("double", ("validate-axioms",)), "objects must be at least 1, not 0"),
+        (dict(groupoid, arrows=0, dom=[], cod=[], inverse=[]), ("esn", ("to-semigroup",)),
+         "arrows must be at least 1, not 0"),
+        (dict(dig, cells=-1), ("double", ("verify-interchange",)),
+         "cells must be at least 1, not -1"),
+        (presheaf, (None, ("compose",)), "groups[0].order must be at least 1, not 0"),
+    )
+    for i, (doc, (group, commands), message) in enumerate(cases):
+        path = tmp_path / f"empty{i}.json"
+        path.write_text(json.dumps(doc))
+        for command in commands:
+            argv = [*([group] if group else []), command, str(path)]
+            capsys.readouterr()
+            assert run(*argv) == (2, ""), argv
+            assert capsys.readouterr().err == f"esnlab: error: {message}\n", argv
+
+
 def _count_checks(monkeypatch):
     """Wrap every checker in each esnlab module that binds it; monkeypatch
     restores the originals."""

@@ -476,16 +476,29 @@ def test_split_and_meets_match_the_lookup_oracle(clifford3, monkeypatch):
     corrupted = [g for g, _ in _random_mutations(base) if not any(
         v.axiom.startswith(("range.", "emb.")) for v in validate_dig(g).violations)]
     assert len(corrupted) == 145
+    # corruptions of composed, whose edge keys group many pairs each, so a wrong
+    # order within a key group shows in the witness order
+    grouped = [g for g, _ in _random_mutations(composed) if not any(
+        v.axiom.startswith(("range.", "emb.")) for v in validate_dig(g).violations)]
+    assert len(grouped) == 118
     monkeypatch.setattr(DoubleInductiveGroupoid, "report", ValidationReport())
     tags = ("split.h.i", "split.h.ii", "meets.i", "meets.ii")
-    for g in [*_double_inverse_groupoids(), composed, *corrupted]:
+    checked = [*_double_inverse_groupoids(), composed, *corrupted]
+    failing = {0: set(), 1: set()}  # the tags of the violations in grouped, by direction
+    for k, g in enumerate(checked + grouped):
         h, v = g.views
-        for sides, order in (((h, v), (0, 1, 2, 3)), ((v, h), (0, 2, 1, 3))):
+        directions = (((h, v), (0, 1, 2, 3)), ((v, h), (0, 2, 1, 3)))
+        for direction, (sides, order) in enumerate(directions):
             pieces = pseudo_products(sides[0])
             fast, slow = ValidationReport(), ValidationReport()
             dbl._check_split_and_meets(*sides, pieces, fast, tags, order)
             split_and_meets_oracle(*sides, pieces, slow, tags, order)
             assert fast.as_json() == slow.as_json()
+            for tag in tags:
+                assert fast.substantive.get(tag, 0) + fast.vacuous.get(tag, 0) == len(g.cells) ** 4
+            if k >= len(checked):
+                failing[direction] |= {violation.axiom for violation in fast.violations}
+    assert failing == {0: set(tags), 1: set(tags)}
     monkeypatch.undo()
     rep = verify_interchange_identities(composed)
     assert rep.ok

@@ -18,19 +18,13 @@ from pathlib import Path
 
 from . import double as dbl
 from . import esn, fixtures, inverse, presheaf, search, tables
-from .errors import (
-    EsnlabError,
-    NotDoubleInverseError,
-    OrderTooLargeError,
-    ParseError,
-    TheoremViolation,
-)
+from .errors import EsnlabError, NotDoubleInverseError, TheoremViolation
 
 SCHEMA_VERSION = 1
 
 
-class _InputError(Exception):
-    pass
+class _InputError(EsnlabError):
+    """Bad usage or an unreadable input file."""
 
 
 def _read(path, doc):
@@ -161,10 +155,7 @@ def cmd_double(args, doc):
     sub = args.subcommand
     if sub in ("to-dig", "roundtrip"):
         d = _load_pair(args, doc)
-        try:
-            g = dbl.dig_from_dis(d)
-        except NotDoubleInverseError as exc:
-            raise _InputError(str(exc)) from exc
+        g = dbl.dig_from_dis(d)  # NotDoubleInverseError (exit 2) unless double inverse
         if sub == "to-dig":
             doc["artifact"] = dbl.dig_to_json(g)
         else:
@@ -382,19 +373,7 @@ def main(argv=None, stream=None):
     except TheoremViolation as exc:
         print(f"esnlab: theorem violated (a bug, not bad input): {exc}", file=sys.stderr)
         return 3
-    except (
-        _InputError,
-        ParseError,
-        OrderTooLargeError,
-        ValueError,
-        KeyError,
-        TypeError,
-        IndexError,
-        AttributeError,
-    ) as exc:
-        print(f"esnlab: error: {exc}", file=sys.stderr)
-        return 2
-    except EsnlabError as exc:
+    except (EsnlabError, ValueError, KeyError, TypeError, IndexError, AttributeError) as exc:
         print(f"esnlab: error: {exc}", file=sys.stderr)
         return 2
     if args.format == "dot" and "dot" not in doc:

@@ -31,15 +31,12 @@ from .errors import (
     InvalidDigError,
     NotASemigroupError,
     NotDoubleInverseError,
-    ParseError,
     TheoremViolation,
-    json_field,
-    json_int,
-    keyed,
 )
 from .esn import InductiveGroupoid, groupoid_of, pseudo_product_table, pseudo_products
 from .inverse import InverseSemigroupAnalysis, analyze_inverse
-from .report import PASS, Row, ValidationReport, Verdict, check_ranges, check_rows, computed_once
+from .report import PASS, Row, ValidationReport, Verdict, check_ranges, check_rows
+from .report import computed_once, from_json, to_json
 from .tables import CayleyTable, first_difference
 
 
@@ -713,45 +710,10 @@ def verify_interchange_identities(g: DoubleInductiveGroupoid) -> ValidationRepor
 
 
 def dig_to_json(g: DoubleInductiveGroupoid) -> dict:
-    doc = {"schema_version": 1, "kind": "double-inductive-groupoid"}
-    for name, sorts in _FIELDS.items():
-        value = getattr(g, name)
-        keys, _, val = sorts.partition(":")
-        if len(sorts) == 1:
-            doc[name] = len(value)
-        elif not val:
-            doc[name] = sorted(list(k) for k in value)
-        elif len(keys) == 1:
-            doc[name] = [value[i] for i in getattr(g, _CARRIER[keys])]
-        else:
-            doc[name] = sorted([*k, v] for k, v in value.items())
-    return doc
+    return to_json(g, "double-inductive-groupoid", _FIELDS, {}, ())
 
 
 def dig_from_json(doc: dict) -> DoubleInductiveGroupoid:
-    """The inverse of ``dig_to_json``. Every declared carrier size must be at
-    least 1 and match the per-id lists indexed by that carrier, which is checked
-    before anything is allocated; the structure itself is left to ``validate_dig``."""
-    sizes = {sort: json_int(doc, carrier) for sort, carrier in _CARRIER.items()}
-    for name, sorts in _FIELDS.items():
-        keys, _, val = sorts.partition(":")
-        if val and len(keys) == 1:
-            seq = json_field(doc, name)
-            if not isinstance(seq, list) or len(seq) != sizes[keys]:
-                raise ParseError(
-                    f"{name} must list one entry per id of {_CARRIER[keys]} "
-                    f"({sizes[keys]} declared)"
-                )
-    ids = {sort: tuple(range(1, n + 1)) for sort, n in sizes.items()}
-    values = {}
-    for name, sorts in _FIELDS.items():
-        keys, _, val = sorts.partition(":")
-        if len(sorts) == 1:
-            values[name] = ids[sorts]
-        elif not val:
-            values[name] = frozenset((a, b) for a, b in json_field(doc, name))
-        elif len(keys) == 1:
-            values[name] = dict(zip(ids[keys], json_field(doc, name)))
-        else:
-            values[name] = keyed(json_field(doc, name), name, 2)
-    return DoubleInductiveGroupoid(**values)
+    """The inverse of ``dig_to_json``, read by ``report.from_json``: every
+    carrier is declared as a size; the structure itself is left to ``validate_dig``."""
+    return DoubleInductiveGroupoid(**from_json(doc, _FIELDS, {}, ()))

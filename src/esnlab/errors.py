@@ -1,6 +1,6 @@
 """Exception types shared across the package, and the JSON readers that report
-a non-object, a missing key, a size not an integer or below 1, or a repeated id
-or key, as a ParseError."""
+a non-object, a missing key, a size not an integer or below 1, an id not an
+integer, or a repeated id or key, as a ParseError."""
 
 import json
 
@@ -35,15 +35,33 @@ def json_field(doc, key):
         raise ParseError(f"missing field {key!r}") from None
 
 
+def _integer(value, path):
+    if type(value) is not int:  # a bool is not one
+        raise ParseError(f"{path} must be an integer, not {_shown(value)}")
+    return value
+
+
 def json_int(doc, key, path=None):
-    """doc[key], a declared size, which must be a JSON integer (a bool is not
-    one) of at least 1, since no carrier here is empty; else malformed input,
-    named by ``path`` or the key."""
-    value = json_field(doc, key)
-    if type(value) is not int:
-        raise ParseError(f"{path or key} must be an integer, not {_shown(value)}")
+    """doc[key], a declared size, which must be a JSON integer of at least 1,
+    since no carrier here is empty; else malformed input, named by ``path`` or
+    the key."""
+    value = _integer(json_field(doc, key), path or key)
     if value < 1:
         raise ParseError(f"{path or key} must be at least 1, not {value}")
+    return value
+
+
+def json_ids(value, path, length=None, *inner):
+    """A JSON list of ids, each a JSON integer, of ``length`` entries if given;
+    with ``inner``, a list of such lists, each of the shape ``inner`` gives.
+    Anything else is malformed input, and the message names its JSON path."""
+    if length is not None and not (isinstance(value, list) and len(value) == length):
+        raise ParseError(f"{path} must be a list of {length} ids")
+    if not isinstance(value, list):
+        raise ParseError(f"{path} must be a list, not {_shown(value)}")
+    for i, x in enumerate(value):
+        if inner or type(x) is not int:
+            (json_ids if inner else _integer)(x, f"{path}[{i}]", *inner)
     return value
 
 

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    InvalidGroupoidError, ParseError, TheoremViolation, distinct, json_field, json_int, keyed,
-)
+from .errors import InvalidGroupoidError, TheoremViolation
 from .inverse import InverseSemigroupAnalysis, analyze_inverse, order_and_meet_rows
-from .report import Row, ValidationReport, Verdict, check_ranges, check_rows, computed_once
+from .report import PASS, Row, ValidationReport, Verdict, check_ranges, check_rows
+from .report import computed_once, from_json, to_json
 from .tables import CayleyTable, first_difference
 
 
@@ -48,6 +47,10 @@ _FIELDS = {"dom": "x:o", "cod": "x:o", "inv": "x:x", "identity": "o:x", "compose
            "leq": "xx", "object_meet": "oo:o", "restriction": "ox:x", "corestriction": "xo:x"}
 _RANGE_TAGS = {"dom": "shape.boundary", "cod": "shape.boundary", "inv": "shape.inverse",
                "identity": "shape.identity", "leq": "order.range", "object_meet": "meet.range"}
+# Every field, the two carriers first, as the JSON has them: objects listed by
+# id, arrows (1..m) by their count, and two fields under other names.
+_JSON_FIELDS = {"objects": "o", "arrows": "x", **_FIELDS}
+_JSON_NAMES = {"inv": "inverse", "object_meet": "meet"}
 
 
 def _only(items):
@@ -216,61 +219,25 @@ def groupoid_roundtrip(
     g: InductiveGroupoid, analysis: InverseSemigroupAnalysis | None = None
 ) -> Verdict:
     """ig_from_is(analysis) must reproduce g on the nose (same ids), analysis =
-    is_from_ig(g); a caller that already built it passes it in."""
+    is_from_ig(g); a caller that already built it passes it in. The witness is
+    the first field that differs."""
     if analysis is None:
         analysis = is_from_ig(g)
     back = ig_from_is(analysis)
-    if back == g:
-        return Verdict(True)
-    for name in ("objects", "arrows", "dom", "cod", "compose", "inv", "leq",
-                 "object_meet", "restriction", "corestriction"):
+    for name in _JSON_FIELDS:
         if getattr(back, name) != getattr(g, name):
             return Verdict(False, (name,))
-    return Verdict(False, ("identity",))
+    return PASS
 
 
 def groupoid_to_json(g: InductiveGroupoid) -> dict:
-    return {
-        "schema_version": 1,
-        "kind": "inductive-groupoid",
-        "objects": list(g.objects),
-        "arrows": len(g.arrows),
-        "dom": [g.dom[a] for a in g.arrows],
-        "cod": [g.cod[a] for a in g.arrows],
-        "compose": sorted([x, y, z] for (x, y), z in g.compose.items()),
-        "inverse": [g.inv[a] for a in g.arrows],
-        "identity": sorted([e, a] for e, a in g.identity.items()),
-        "leq": sorted([x, y] for (x, y) in g.leq),
-        "meet": sorted([e, f, m] for (e, f), m in g.object_meet.items()),
-        "restriction": sorted([e, x, y] for (e, x), y in g.restriction.items()),
-        "corestriction": sorted([x, e, y] for (x, e), y in g.corestriction.items()),
-    }
+    return to_json(g, "inductive-groupoid", _JSON_FIELDS, _JSON_NAMES, ("objects",))
 
 
 def groupoid_from_json(doc: dict) -> InductiveGroupoid:
-    """The inverse of ``groupoid_to_json``; the declared arrow count must be at
-    least 1 and match the per-arrow lists, which is checked before anything
-    is allocated."""
-    m = json_int(doc, "arrows")
-    per_arrow = {}
-    for name in ("dom", "cod", "inverse"):
-        per_arrow[name] = json_field(doc, name)
-        if not isinstance(per_arrow[name], list) or len(per_arrow[name]) != m:
-            raise ParseError(f"{name} must list one entry per arrow ({m} declared)")
-    arrows = tuple(range(1, m + 1))
-    return InductiveGroupoid(
-        objects=distinct(json_field(doc, "objects"), "objects"),
-        arrows=arrows,
-        dom={a: per_arrow["dom"][a - 1] for a in arrows},
-        cod={a: per_arrow["cod"][a - 1] for a in arrows},
-        compose=keyed(json_field(doc, "compose"), "compose", 2),
-        inv={a: per_arrow["inverse"][a - 1] for a in arrows},
-        identity=keyed(json_field(doc, "identity"), "identity", 1),
-        leq=frozenset((x, y) for x, y in json_field(doc, "leq")),
-        object_meet=keyed(json_field(doc, "meet"), "meet", 2),
-        restriction=keyed(json_field(doc, "restriction"), "restriction", 2),
-        corestriction=keyed(json_field(doc, "corestriction"), "corestriction", 2),
-    )
+    """The inverse of ``groupoid_to_json``, read by ``report.from_json``; the
+    structure itself is left to ``validate_ig``."""
+    return InductiveGroupoid(**from_json(doc, _JSON_FIELDS, _JSON_NAMES, ("objects",)))
 
 
 def groupoid_dot(g: InductiveGroupoid) -> str:

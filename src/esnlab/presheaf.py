@@ -293,41 +293,28 @@ def dig_from_presheaf(p: AbelianGroupPresheaf) -> DoubleInductiveGroupoid:
     return dig_from_views(h, h)
 
 
-def presheaf_skeleton(p: AbelianGroupPresheaf) -> tuple:
-    """Position-normalized form; presheaf equality is equality of skeletons."""
-    elems = p.base.elements
-    pos = {x: i + 1 for i, x in enumerate(elems)}
-    groups = []
-    for e in elems:
-        grp = p.group_at[e]
-        gpos = {x: i + 1 for i, x in enumerate(grp.carrier)}
-        groups.append(
-            (
-                grp.order,
-                tuple(
-                    tuple(gpos[grp.op[(a, b)]] for b in grp.carrier) for a in grp.carrier
-                ),
-                gpos[grp.unit],
-            )
-        )
-    homs = []
-    for a, b in sorted((pos[a], pos[b]) for (a, b) in p.hom):
-        ea, eb = elems[a - 1], elems[b - 1]
-        phi = p.hom[(ea, eb)]
-        ga, gb = p.group_at[ea], p.group_at[eb]
-        apos = {x: i + 1 for i, x in enumerate(ga.carrier)}
-        homs.append((a, b, tuple(apos[phi[x]] for x in gb.carrier)))
-    return (
-        len(elems),
-        frozenset((pos[a], pos[b]) for a, b in p.base.leq),
-        tuple(sorted((pos[a], pos[b], pos[m]) for (a, b), m in p.base.meet.items())),
-        tuple(groups),
-        tuple(homs),
-    )
-
-
 def presheaf_equal(p: AbelianGroupPresheaf, q: AbelianGroupPresheaf) -> bool:
-    return presheaf_skeleton(p) == presheaf_skeleton(q)
+    """Equality up to the ids of base and group elements: the two
+    ``presheaf_to_json`` documents, read by position."""
+    return _by_position(p) == _by_position(q)
+
+
+def _by_position(p: AbelianGroupPresheaf) -> dict:
+    """``presheaf_to_json`` of p with each base id replaced by its position and
+    the group carriers dropped; op, unit and hom values are positions already."""
+    doc = presheaf_to_json(p)
+    pos = {x: i + 1 for i, x in enumerate(p.base.elements)}
+    base = doc["base"]
+    base["elements"] = [pos[x] for x in base["elements"]]
+    for name in ("leq", "meet"):
+        base[name] = sorted([pos[x] for x in entry] for entry in base[name])
+    for group in doc["groups"]:
+        del group["carrier"]
+        group["at"] = pos[group["at"]]
+    for hom in doc["homs"]:
+        hom["pair"] = [pos[x] for x in hom["pair"]]
+    doc["homs"].sort(key=lambda hom: hom["pair"])
+    return doc
 
 
 @dataclass(frozen=True)

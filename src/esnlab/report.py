@@ -1,6 +1,7 @@
-"""Verdict and validation-report containers, and the identity engine every
+"""Verdict and validation-report containers, the identity engine every
 validator runs: a range pass derived from the sorts of a value's fields, then
-rows of identities over the carriers those sorts name."""
+rows of identities over the carriers those sorts name; and the JSON codec of
+a value, derived from the same sorts."""
 
 from __future__ import annotations
 
@@ -9,6 +10,8 @@ from functools import reduce
 from itertools import product
 from math import prod
 from typing import Callable
+
+from .errors import ParseError, distinct, json_field, json_ids, json_int, keyed
 
 
 @dataclass(frozen=True)
@@ -167,6 +170,59 @@ def check_ranges(value, fields: dict, carriers: dict, rep: ValidationReport, tag
             rep.add((tags or {}).get(name, f"range.{name}"), _flat(entry),
                     "entry outside the carriers of its sorts")
     return len(rep.violations) == start
+
+
+def to_json(value, kind: str, fields: dict, rename: dict, listed: tuple) -> dict:
+    """``value`` as a JSON document of ``kind``, each field, named as in
+    ``rename`` or by itself, written by its sorts (see ``check_ranges``): a
+    carrier as its size, or as its ids if ``listed``; a one-key map on a sized
+    carrier as its values in id order; a relation as its sorted pairs; any
+    other map as its sorted [*key, value] entries."""
+    doc = {"schema_version": 1, "kind": kind}
+    carrier = {sorts: name for name, sorts in fields.items() if len(sorts) == 1}
+    for name, sorts in fields.items():
+        data = getattr(value, name)
+        keys, is_map, _ = sorts.partition(":")
+        if len(sorts) == 1:
+            data = list(data) if name in listed else len(data)
+        elif not is_map:
+            data = sorted(map(list, data))
+        elif len(keys) == 1 and carrier[keys] not in listed:
+            data = [data[i] for i in getattr(value, carrier[keys])]
+        else:
+            data = sorted([*(k if len(keys) > 1 else (k,)), v] for k, v in data.items())
+        doc[rename.get(name, name)] = data
+    return doc
+
+
+def from_json(doc, fields: dict, rename: dict, listed: tuple) -> dict:
+    """The field values that ``to_json`` wrote to doc, by field name. Every
+    size must be a JSON integer of at least 1 and match the per-id lists, and
+    only then are its ids allocated; every id must be a JSON integer. A fault
+    is a ParseError naming its JSON path; what the values mean is left to the
+    validators."""
+    carrier = {sorts: name for name, sorts in fields.items() if len(sorts) == 1}
+    sizes = {sorts: json_int(doc, rename.get(name, name))
+             for sorts, name in carrier.items() if name not in listed}
+    values = {}
+    for name, sorts in fields.items():
+        if sorts in sizes:
+            continue
+        path = rename.get(name, name)
+        data = json_field(doc, path)
+        keys, is_map, _ = sorts.partition(":")
+        if len(sorts) == 1:
+            values[name] = distinct(json_ids(data, path), path)
+        elif is_map and keys in sizes:
+            if not isinstance(data, list) or len(data) != sizes[keys]:
+                raise ParseError(f"{path} must list one entry per id of {carrier[keys]} "
+                                 f"({sizes[keys]} declared)")
+            values[name] = dict(enumerate(json_ids(data, path), 1))
+        elif is_map:  # on pairs, or on a listed carrier
+            values[name] = keyed(json_ids(data, path, None, len(keys) + 1), path, len(keys))
+        else:
+            values[name] = frozenset(map(tuple, json_ids(data, path, None, 2)))
+    return {**{carrier[s]: tuple(range(1, n + 1)) for s, n in sizes.items()}, **values}
 
 
 @dataclass(frozen=True)

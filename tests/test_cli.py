@@ -613,3 +613,53 @@ def test_declared_sizes_must_be_json_integers(tmp_path, capsys):
                   *presheaf["groups"][2:]]
         _rejected(tmp_path, capsys, ("compose",), dict(presheaf, groups=groups),
                   f"groups[1].unit must be a position in 1..2, not {value!r}")
+
+
+def test_groupoid_ids_must_be_json_integers(tmp_path, capsys):
+    # every id of a groupoid file is a JSON integer; any other value is
+    # malformed input named by its JSON path, not a Python error such as
+    # "unhashable type: 'list'" or "not enough values to unpack"
+    groupoid = json.loads((fixture_dir() / "partial_bijections_2.json").read_text())
+    dig = json.loads(run("double", "to-dig", fx("clifford3_pair.cay"), "--format", "json")[1])
+    dig = dig["artifact"]
+
+    def edited(doc, field, edit):
+        value = json.loads(json.dumps(doc[field]))
+        edit(value)
+        return dict(doc, **{field: value})
+
+    for doc, argv, field, edit, message in (
+        (groupoid, ("esn", "to-semigroup"), "objects", lambda v: v.append([1]),
+         "objects[4] must be an integer, not an array"),
+        (groupoid, ("esn", "to-semigroup"), "leq", lambda v: v.append([[1], 2]),
+         "leq[17][0] must be an integer, not an array"),
+        (groupoid, ("esn", "to-semigroup"), "leq", lambda v: v.append([1]),
+         "leq[17] must be a list of 2 ids"),
+        (groupoid, ("esn", "to-semigroup"), "compose", lambda v: v.append([1, [2], 3]),
+         "compose[13][1] must be an integer, not an array"),
+        (groupoid, ("esn", "to-semigroup"), "dom", lambda v: v.__setitem__(0, "1"),
+         'dom[0] must be an integer, not "1"'),
+        (groupoid, ("esn", "to-semigroup"), "identity", lambda v: v[0].__setitem__(1, True),
+         "identity[0][1] must be an integer, not true"),
+        (dig, ("double", "validate-axioms"), "hdom", lambda v: v.__setitem__(0, [1]),
+         "hdom[0] must be an integer, not an array"),
+        (dig, ("double", "validate-axioms"), "hcompose", lambda v: v.append([[1], 2, 3]),
+         f"hcompose[{len(dig['hcompose'])}][0] must be an integer, not an array"),
+        (dig, ("double", "validate-axioms"), "lesssim", lambda v: v.append([1]),
+         f"lesssim[{len(dig['lesssim'])}] must be a list of 2 ids"),
+        (dig, ("double", "to-dis"), "meet_h", lambda v: v[0].__setitem__(2, None),
+         "meet_h[0][2] must be an integer, not null"),
+        (dig, ("double", "verify-interchange"), "leq", lambda v: v.__setitem__(0, 5),
+         "leq[0] must be a list of 2 ids"),
+    ):
+        _rejected(tmp_path, capsys, argv, edited(doc, field, edit), message)
+    _rejected(tmp_path, capsys, ("double", "validate-axioms"), dict(dig, leq=5),
+              "leq must be a list, not 5")
+
+
+def test_to_dig_of_a_pair_that_is_not_double_inverse_exit_2(capsys):
+    capsys.readouterr()
+    assert run("double", "to-dig", fx("projection_pair.cay")) == (2, "")
+    assert capsys.readouterr().err == (
+        "esnlab: error: not a double inverse semigroup: hop: element 1 has at least two "
+        "generalized inverses: 1, 2\n")

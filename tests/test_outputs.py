@@ -117,6 +117,18 @@ DECOMPOSE = {
         (1, "c45897724abc2c13705d4b8feb7d7ab1a5f7d5c4332a59dbbead98edaf5e491f"),
 }
 
+# esn to-groupoid --roundtrip of each table, to-semigroup --roundtrip of the groupoid
+ESN = {
+    ("to-groupoid", "brandt_b2.cay"):
+        "b6a331cb1cfb5b8f194cc591de08ee463f387252fd84b95749648138b6167ecf",
+    ("to-groupoid", "chain3.cay"):
+        "a127f46aa37577200f48be6b5060a2d6ab3386d5bac7e994a4f981376fc0fac2",
+    ("to-groupoid", "partial_bijections_2.sgp.cay"):
+        "13874a8119c1ceeab62846e50f34b2f04af87a559eda8a8443560b743108c25f",
+    ("to-semigroup", "partial_bijections_2.json"):
+        "d3b5a27701ce8cdcecf38b3c6c093f9142e0313981e413366e1ebe397e61b634",
+}
+
 
 def report(*argv):
     """(exit code, the JSON report without timing_ms and inputs, as text)."""
@@ -172,3 +184,8 @@ def test_double_reports_are_pinned(tmp_path):
         for (sub, *flags), want in wants.items():
             if sub != "to-dig":
                 assert digest("double", sub, str(dig), *flags) == (0, want), (name, sub)
+
+
+def test_esn_reports_are_pinned():
+    for (direction, name), want in ESN.items():
+        assert digest("esn", direction, fx(name), "--roundtrip") == (0, want), (direction, name)

@@ -246,6 +246,26 @@ def test_presheaf_json_io():
     assert presheaf_equal(p, back)
 
 
+def test_presheaf_equality_is_up_to_ids():
+    # relabeling the base against its order, and a group carrier, keeps a
+    # presheaf equal; a different hom value does not
+    p = load_presheaf("clifford3_presheaf.json")
+    doc = presheaf_to_json(p)
+    new = {1: 7, 2: 3}
+    base = doc["base"]
+    base["elements"] = [new[x] for x in base["elements"]]
+    for name in ("leq", "meet"):
+        base[name] = [[new[x] for x in entry] for entry in base[name]]
+    for group in doc["groups"]:
+        group["at"] = new[group["at"]]
+    doc["groups"][1]["carrier"] = [9, 5]
+    for hom in doc["homs"]:
+        hom["pair"] = [new[x] for x in hom["pair"]]
+    assert presheaf_equal(p, presheaf_from_json(doc))
+    next(hom for hom in doc["homs"] if hom["pair"] == [3, 3])["values"] = [2, 1]
+    assert not presheaf_equal(p, presheaf_from_json(doc))
+
+
 def test_presheaf_from_json_names_a_missing_field():
     doc = presheaf_to_json(load_presheaf("clifford3_presheaf.json"))
     del doc["groups"][0]["unit"]

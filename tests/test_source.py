@@ -37,3 +37,17 @@ def test_search_has_one_backtracker():
         )
     ]
     assert holders == ["_search_tables"]
+
+
+def test_groupoid_json_is_read_in_one_place():
+    # both groupoid kinds read their JSON through report.from_json, so a
+    # shape or id check added there holds for both at once
+    readers = {"json_field", "json_int", "json_ids", "keyed", "distinct"}
+    calls = [
+        f"{name}:{call.lineno}:{call.func.id}"
+        for name in ("esn.py", "double.py")
+        for call in ast.walk(ast.parse((SRC / name).read_text(), name))
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+        and call.func.id in readers
+    ]
+    assert calls == []

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed (the report
-carries a witness), 2 unreadable or malformed input / bad usage, 3 a statement
-that holds on every valid input failed (``TheoremViolation``: a bug, not bad
-data).
+carries a witness), 2 unreadable or malformed input / bad usage (an
+``EsnlabError``), 3 a bug, not bad data: a statement that holds on every valid
+input failed (``TheoremViolation``), or any other exception escaped, which is
+printed with its traceback.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import hashlib
 import json
 import sys
 import time
+import traceback
 from pathlib import Path
 
 from . import double as dbl
@@ -27,14 +29,15 @@ class _InputError(EsnlabError):
     """Bad usage or an unreadable input file."""
 
 
-def _read(path, doc):
-    """The bytes of an input file, which the report lists with their hash."""
+def _read(path, doc, text=True):
+    """An input file, which the report lists with its hash: the text of a
+    table, which is UTF-8, or the bytes of a JSON document."""
     try:
         data = Path(path).read_bytes()
-    except OSError as exc:
+        doc["inputs"].append({"path": str(path), "sha256": hashlib.sha256(data).hexdigest()})
+        return data.decode() if text else data
+    except (OSError, UnicodeDecodeError) as exc:
         raise _InputError(str(exc)) from exc
-    doc["inputs"].append({"path": str(path), "sha256": hashlib.sha256(data).hexdigest()})
-    return data
 
 
 def _path(args):
@@ -48,7 +51,7 @@ def _path(args):
 
 
 def _load_single(args, doc):
-    return tables.parse_table(_read(_path(args), doc).decode())
+    return tables.parse_table(_read(_path(args), doc))
 
 
 def _load_pair(args, doc):
@@ -58,17 +61,17 @@ def _load_pair(args, doc):
             raise _InputError("--hop and --vop must be given together")
         if args.path:
             raise _InputError("give a pair file or --hop/--vop, not both")
-        hop, vop = [_read(path, doc).decode() for path in (args.hop, args.vop)]
+        hop, vop = [_read(path, doc) for path in (args.hop, args.vop)]
         return dbl.DoubleSemigroup(tables.parse_table(hop), tables.parse_table(vop))
     if not args.path:
         raise _InputError("need a pair file or --hop/--vop")
-    return dbl.DoubleSemigroup(*tables.parse_double(_read(args.path, doc).decode()))
+    return dbl.DoubleSemigroup(*tables.parse_double(_read(args.path, doc)))
 
 
 def _load_json(args, doc):
-    try:
-        return json.loads(_read(_path(args), doc))
-    except json.JSONDecodeError as exc:
+    try:  # json detects the encoding from the bytes
+        return json.loads(_read(_path(args), doc, text=False))
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise _InputError(f"{args.path}: {exc}") from exc
 
 
@@ -373,9 +376,14 @@ def main(argv=None, stream=None):
     except TheoremViolation as exc:
         print(f"esnlab: theorem violated (a bug, not bad input): {exc}", file=sys.stderr)
         return 3
-    except (EsnlabError, ValueError, KeyError, TypeError, IndexError, AttributeError) as exc:
+    except EsnlabError as exc:
         print(f"esnlab: error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"esnlab: internal error (a bug, not bad input): {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        traceback.print_exc()
+        return 3
     if args.format == "dot" and "dot" not in doc:
         print("esnlab: error: dot output is not available for this command", file=sys.stderr)
         return 2

@@ -37,7 +37,7 @@ from .esn import InductiveGroupoid, groupoid_of, pseudo_product_table, pseudo_pr
 from .inverse import InverseSemigroupAnalysis, analyze_inverse
 from .report import PASS, Row, ValidationReport, Verdict, check_ranges, check_rows
 from .report import computed_once, from_json, to_json
-from .tables import CayleyTable, first_difference
+from .tables import CayleyTable, first_difference, same_order
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,7 @@ class DoubleSemigroup:
     vop: CayleyTable  # vertical operation
 
     def __post_init__(self):
-        if self.hop.n != self.vop.n:
-            raise ValueError("the two operations must share one carrier")
+        same_order(self.hop, self.vop)
 
     @property
     def n(self):
@@ -710,7 +709,8 @@ def verify_interchange_identities(g: DoubleInductiveGroupoid) -> ValidationRepor
 
 
 def dig_to_json(g: DoubleInductiveGroupoid) -> dict:
-    return to_json(g, "double-inductive-groupoid", _FIELDS, {}, ())
+    return {"schema_version": 1, "kind": "double-inductive-groupoid",
+            **to_json(g, _FIELDS, {}, ())}
 
 
 def dig_from_json(doc: dict) -> DoubleInductiveGroupoid:

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the JSON readers that report
-a non-object, a missing key, a size not an integer or below 1, an id not an
-integer, or a repeated id or key, as a ParseError."""
+a non-object, a missing key, a non-list or a list of the wrong length, a size
+not an integer or below 1, an id not an integer, or a repeated id or key, as a
+ParseError naming its JSON path."""
 
 import json
 
@@ -35,7 +36,9 @@ def json_field(doc, key):
         raise ParseError(f"missing field {key!r}") from None
 
 
-def _integer(value, path):
+def json_id(value, path):
+    """An id read from input, which must be a JSON integer; else malformed
+    input named by its JSON path."""
     if type(value) is not int:  # a bool is not one
         raise ParseError(f"{path} must be an integer, not {_shown(value)}")
     return value
@@ -45,9 +48,19 @@ def json_int(doc, key, path=None):
     """doc[key], a declared size, which must be a JSON integer of at least 1,
     since no carrier here is empty; else malformed input, named by ``path`` or
     the key."""
-    value = _integer(json_field(doc, key), path or key)
+    value = json_id(json_field(doc, key), path or key)
     if value < 1:
         raise ParseError(f"{path or key} must be at least 1, not {value}")
+    return value
+
+
+def json_list(value, path, length=None):
+    """A JSON list read from input, of ``length`` entries if given; else
+    malformed input named by its JSON path."""
+    if not isinstance(value, list):
+        raise ParseError(f"{path} must be a list, not {_shown(value)}")
+    if length is not None and len(value) != length:
+        raise ParseError(f"{path} must have {length} entries")
     return value
 
 
@@ -57,11 +70,9 @@ def json_ids(value, path, length=None, *inner):
     Anything else is malformed input, and the message names its JSON path."""
     if length is not None and not (isinstance(value, list) and len(value) == length):
         raise ParseError(f"{path} must be a list of {length} ids")
-    if not isinstance(value, list):
-        raise ParseError(f"{path} must be a list, not {_shown(value)}")
-    for i, x in enumerate(value):
+    for i, x in enumerate(json_list(value, path)):
         if inner or type(x) is not int:
-            (json_ids if inner else _integer)(x, f"{path}[{i}]", *inner)
+            (json_ids if inner else json_id)(x, f"{path}[{i}]", *inner)
     return value
 
 

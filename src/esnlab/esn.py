@@ -231,7 +231,8 @@ def groupoid_roundtrip(
 
 
 def groupoid_to_json(g: InductiveGroupoid) -> dict:
-    return to_json(g, "inductive-groupoid", _JSON_FIELDS, _JSON_NAMES, ("objects",))
+    return {"schema_version": 1, "kind": "inductive-groupoid",
+            **to_json(g, _JSON_FIELDS, _JSON_NAMES, ("objects",))}
 
 
 def groupoid_from_json(doc: dict) -> InductiveGroupoid:

@@ -31,12 +31,15 @@ from .errors import (
     TheoremViolation,
     distinct,
     json_field,
+    json_id,
+    json_ids,
     json_int,
-    keyed,
+    json_list,
 )
 from .esn import InductiveGroupoid
 from .inverse import is_clifford, order_and_meet_rows
-from .report import Row, ValidationReport, Verdict, check_ranges, check_rows, computed_once
+from .report import (Row, ValidationReport, Verdict, check_ranges, check_rows, computed_once,
+                     from_json, to_json)
 from .tables import is_commutative
 
 
@@ -71,6 +74,8 @@ class AbelianGroupPresheaf:
         return validate_presheaf(self)
 
 
+# x an element of the base: the fields of the semilattice with their sorts
+_BASE_FIELDS = {"elements": "x", "leq": "xx", "meet": "xx:x"}
 _BASE_ROWS = (
     *order_and_meet_rows("base.reflexive", "base.antisymmetric", "base.transitive",
                          "base.meet-lower", "base.meet-greatest", "base.meet"),
@@ -81,7 +86,7 @@ _BASE_ROWS = (
 def validate_semilattice(s: MeetSemilattice) -> ValidationReport:
     """The range pass, then the partial-order and meet rows of ``inverse`` under base.* tags."""
     rep = ValidationReport()
-    if check_ranges(s, {"leq": "xx", "meet": "xx:x"}, {"x": set(s.elements)}, rep,
+    if check_ranges(s, _BASE_FIELDS, {"x": set(s.elements)}, rep,
                     {"leq": "base.order-range", "meet": "base.meet-range"}):
         carriers = {"x": s.elements, "o": s.elements, "l": s.leq,
                     "u": lambda p: [c for c in s.elements if (p[1], c) in s.leq],
@@ -374,96 +379,65 @@ def compose(p: AbelianGroupPresheaf) -> DoubleSemigroup:
 
 
 def presheaf_to_json(p: AbelianGroupPresheaf) -> dict:
-    elems = p.base.elements
+    """p as a JSON document: the base by its sorts (``report.to_json``), each
+    group's op and unit and each hom's values as 1-based carrier positions."""
+    groups = [(e, p.group_at[e]) for e in p.base.elements]
+    pos = {e: {x: i for i, x in enumerate(g.carrier, 1)} for e, g in groups}
     return {
         "schema_version": 1,
         "kind": "abelian-group-presheaf",
-        "base": {
-            "elements": list(elems),
-            "leq": sorted([a, b] for a, b in p.base.leq),
-            "meet": sorted([a, b, m] for (a, b), m in p.base.meet.items()),
-        },
-        "groups": [
-            {
-                "at": e,
-                "order": p.group_at[e].order,
-                "carrier": list(p.group_at[e].carrier),
-                "op": [
-                    [
-                        p.group_at[e].carrier.index(p.group_at[e].op[(a, b)]) + 1
-                        for b in p.group_at[e].carrier
-                    ]
-                    for a in p.group_at[e].carrier
-                ],
-                "unit": p.group_at[e].carrier.index(p.group_at[e].unit) + 1,
-            }
-            for e in elems
-        ],
-        "homs": [
-            {
-                "pair": [a, b],
-                "values": [
-                    p.group_at[a].carrier.index(p.hom[(a, b)][x]) + 1
-                    for x in p.group_at[b].carrier
-                ],
-            }
-            for a, b in sorted(p.hom.keys())
-        ],
+        "base": to_json(p.base, _BASE_FIELDS, {}, ("elements",)),
+        "groups": [{"at": e, "order": g.order, "carrier": list(g.carrier),
+                    "op": [[pos[e][g.op[a, b]] for b in g.carrier] for a in g.carrier],
+                    "unit": pos[e][g.unit]} for e, g in groups],
+        "homs": [{"pair": [a, b],
+                  "values": [pos[a][p.hom[a, b][x]] for x in p.group_at[b].carrier]}
+                 for a, b in sorted(p.hom)],
     }
 
 
 def presheaf_from_json(doc: dict) -> AbelianGroupPresheaf:
-    base = json_field(doc, "base")
-    elems = distinct(json_field(base, "elements"), "base.elements")
-    lattice = MeetSemilattice(
-        elems,
-        frozenset((a, b) for a, b in json_field(base, "leq")),
-        keyed(json_field(base, "meet"), "base.meet", 2),
-    )
+    """The inverse of ``presheaf_to_json``: the base read by ``report.from_json``;
+    every id a JSON integer, every position one in 1..order of its group, and
+    each order matched with its op rows before anything of that size is built.
+    A fault is a ParseError naming its JSON path; what the values mean is left
+    to ``validate_presheaf``."""
+    base = MeetSemilattice(**from_json(json_field(doc, "base"), _BASE_FIELDS, {},
+                                       ("elements",), "base."))
     groups = {}
-    for k, entry in enumerate(json_field(doc, "groups")):
-        at, rows = json_field(entry, "at"), json_field(entry, "op")
+    for k, entry in enumerate(json_list(json_field(doc, "groups"), "groups")):
+        path = f"groups[{k}]"
+        at = json_id(json_field(entry, "at"), f"{path}.at")
+        rows = json_list(json_field(entry, "op"), f"{path}.op")
         if at in groups:
-            raise ParseError(f"groups[{k}].at repeats the element {at!r}")
-        order = json_int(entry, "order", f"groups[{k}].order")
+            raise ParseError(f"{path}.at repeats the element {at!r}")
+        order = json_int(entry, "order", f"{path}.order")
         if len(rows) != order:
             raise ParseError(
-                f"group at {at}: order {order} does not match "
-                f"the {len(rows)} rows of op"
-            )
-        carrier = distinct(entry.get("carrier", range(1, order + 1)), f"groups[{k}].carrier")
-        if len(carrier) != order:
-            raise ParseError(f"groups[{k}].carrier must have {order} entries")
-        for i, row in enumerate(rows):
-            if len(row) != order:
-                raise ParseError(f"groups[{k}].op[{i}] must have {order} entries")
-        op = {
-            (carrier[i], carrier[j]):
-                carrier[_index(rows[i][j], order, f"groups[{k}].op[{i}][{j}]")]
-            for i in range(order)
-            for j in range(order)
-        }
-        unit = carrier[_index(json_field(entry, "unit"), order, f"groups[{k}].unit")]
+                f"group at {at}: order {order} does not match the {len(rows)} rows of op")
+        # order is bounded by the rows of op now, and so is a default carrier
+        carrier = json_list(entry.get("carrier", [*range(1, order + 1)]), f"{path}.carrier", order)
+        carrier = distinct(json_ids(carrier, f"{path}.carrier"), f"{path}.carrier")
+        op = {(carrier[i], carrier[j]): carrier[_index(x, order, f"{path}.op[{i}][{j}]")]
+              for i, row in enumerate(rows)
+              for j, x in enumerate(json_list(row, f"{path}.op[{i}]", order))}
+        unit = carrier[_index(json_field(entry, "unit"), order, f"{path}.unit")]
         # an element without an inverse is missing from inv: validate_group reports it
         inv = {a: b for a in carrier for b in carrier if op[(a, b)] == unit == op[(b, a)]}
         groups[at] = FiniteAbelianGroup(carrier, op, unit, inv)
     hom = {}
-    for k, entry in enumerate(json_field(doc, "homs")):
-        a, b = json_field(entry, "pair")
+    for k, entry in enumerate(json_list(json_field(doc, "homs"), "homs")):
+        a, b = json_ids(json_field(entry, "pair"), f"homs[{k}].pair", 2)
         for x in (a, b):
             if x not in groups:
                 raise ParseError(f"homs[{k}].pair names {x!r}, which has no group")
         if (a, b) in hom:
             raise ParseError(f"homs[{k}].pair repeats the pair {[a, b]!r}")
-        values = json_field(entry, "values")
         source, target = groups[b], groups[a]
-        if len(values) != source.order:
-            raise ParseError(f"homs[{k}].values must have {source.order} entries")
-        hom[(a, b)] = {
-            x: target.carrier[_index(values[i], target.order, f"homs[{k}].values[{i}]")]
-            for i, x in enumerate(source.carrier)
-        }
-    return AbelianGroupPresheaf(lattice, groups, hom)
+        values = json_list(json_field(entry, "values"), f"homs[{k}].values", source.order)
+        hom[(a, b)] = {x: target.carrier[_index(v, target.order, f"homs[{k}].values[{i}]")]
+                       for i, (x, v) in enumerate(zip(source.carrier, values))}
+    return AbelianGroupPresheaf(base, groups, hom)
 
 
 def _index(position, order, path):

@@ -172,13 +172,13 @@ def check_ranges(value, fields: dict, carriers: dict, rep: ValidationReport, tag
     return len(rep.violations) == start
 
 
-def to_json(value, kind: str, fields: dict, rename: dict, listed: tuple) -> dict:
-    """``value`` as a JSON document of ``kind``, each field, named as in
-    ``rename`` or by itself, written by its sorts (see ``check_ranges``): a
-    carrier as its size, or as its ids if ``listed``; a one-key map on a sized
-    carrier as its values in id order; a relation as its sorted pairs; any
-    other map as its sorted [*key, value] entries."""
-    doc = {"schema_version": 1, "kind": kind}
+def to_json(value, fields: dict, rename: dict, listed: tuple) -> dict:
+    """The fields of ``value`` as a JSON object, each named as in ``rename``
+    or by itself, written by its sorts (see ``check_ranges``): a carrier as
+    its size, or as its ids if ``listed``; a one-key map on a sized carrier as
+    its values in id order; a relation as its sorted pairs; any other map as
+    its sorted [*key, value] entries."""
+    doc = {}
     carrier = {sorts: name for name, sorts in fields.items() if len(sorts) == 1}
     for name, sorts in fields.items():
         data = getattr(value, name)
@@ -195,21 +195,21 @@ def to_json(value, kind: str, fields: dict, rename: dict, listed: tuple) -> dict
     return doc
 
 
-def from_json(doc, fields: dict, rename: dict, listed: tuple) -> dict:
+def from_json(doc, fields: dict, rename: dict, listed: tuple, at: str = "") -> dict:
     """The field values that ``to_json`` wrote to doc, by field name. Every
     size must be a JSON integer of at least 1 and match the per-id lists, and
     only then are its ids allocated; every id must be a JSON integer. A fault
-    is a ParseError naming its JSON path; what the values mean is left to the
-    validators."""
+    is a ParseError naming its JSON path, under ``at`` for a sub-document;
+    what the values mean is left to the validators."""
     carrier = {sorts: name for name, sorts in fields.items() if len(sorts) == 1}
-    sizes = {sorts: json_int(doc, rename.get(name, name))
+    sizes = {sorts: json_int(doc, rename.get(name, name), at + rename.get(name, name))
              for sorts, name in carrier.items() if name not in listed}
     values = {}
     for name, sorts in fields.items():
         if sorts in sizes:
             continue
-        path = rename.get(name, name)
-        data = json_field(doc, path)
+        key = rename.get(name, name)
+        data, path = json_field(doc, key), at + key
         keys, is_map, _ = sorts.partition(":")
         if len(sorts) == 1:
             values[name] = distinct(json_ids(data, path), path)

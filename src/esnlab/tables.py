@@ -58,7 +58,12 @@ def parse_table(text: str) -> CayleyTable:
 
 def parse_double(text: str) -> tuple[CayleyTable, CayleyTable]:
     """Parse two .cay tables from one stream (blank lines/comments between them)."""
-    first, second = _parse_tables(text, 2)
+    return same_order(*_parse_tables(text, 2))
+
+
+def same_order(first: CayleyTable, second: CayleyTable) -> tuple[CayleyTable, CayleyTable]:
+    """The two operations of a pair, which must have one order: the check of
+    a pair file, and of every ``DoubleSemigroup``."""
     if first.n != second.n:
         raise ParseError(f"tables have different orders {first.n} and {second.n}")
     return first, second

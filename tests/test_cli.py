@@ -76,6 +76,41 @@ def test_check_hop_vop_flags(tmp_path):
     assert code == 2
 
 
+def test_hop_and_vop_of_different_orders_exit_2(capsys):
+    # the order check of a pair file, not a constructor's ValueError
+    capsys.readouterr()
+    assert run("check", "--double", "--hop", fx("chain3.cay"),
+               "--vop", fx("brandt_b2.cay")) == (2, "")
+    assert capsys.readouterr().err == "esnlab: error: tables have different orders 3 and 5\n"
+
+
+def test_input_that_is_not_utf8_exit_2(tmp_path, capsys):
+    # a bad byte is malformed input, in a table file and in a JSON file alike
+    table = tmp_path / "bad.cay"
+    table.write_bytes((fixture_dir() / "chain3.cay").read_bytes() + b"\xff\n")
+    doc = tmp_path / "bad.json"
+    doc.write_bytes(b'{"kind": "\xff"}')
+    for argv in (("check", str(table)), ("check", "--double", str(table)),
+                 ("check", "--double", "--hop", str(table), "--vop", fx("chain3.cay")),
+                 ("compose", str(doc)), ("double", "validate-axioms", str(doc)),
+                 ("esn", "to-semigroup", str(doc))):
+        capsys.readouterr()
+        assert run(*argv) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("esnlab: error: ") and "can't decode byte 0xff" in err
+        assert err.count("\n") == 1
+
+
+def test_json_nested_too_deep_exit_2(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    capsys.readouterr()
+    assert run("compose", str(deep)) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith(f"esnlab: error: {deep}: maximum recursion depth exceeded")
+    assert err.count("\n") == 1
+
+
 def test_inputs_a_command_does_not_take_exit_2(tmp_path, capsys):
     # each used to be ignored, or to fail with a Python error message
     dig = tmp_path / "z2.dig.json"
@@ -390,6 +425,22 @@ def test_theorem_violation_exit_3(monkeypatch, capsys):
     assert "orders/meets differ on objects" in capsys.readouterr().err
 
 
+def test_internal_error_exit_3(monkeypatch, capsys):
+    # an exception that is not an EsnlabError is a bug, not malformed input:
+    # one line naming it, then its traceback
+    from esnlab import presheaf
+
+    def broken(p):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(presheaf, "compose", broken)
+    capsys.readouterr()
+    assert run("compose", fx("clifford3_presheaf.json")) == (3, "")
+    first, *rest = capsys.readouterr().err.splitlines()
+    assert first == "esnlab: internal error (a bug, not bad input): KeyError: 'lost'"
+    assert rest[0] == "Traceback (most recent call last):" and rest[-1] == "KeyError: 'lost'"
+
+
 def test_declared_sizes_bounded_by_payload(tmp_path, capsys):
     # each loader compares a declared size with its payload before allocating
     dig = json.loads(run("double", "to-dig", fx("clifford3_pair.cay"), "--format", "json")[1])
@@ -663,3 +714,30 @@ def test_to_dig_of_a_pair_that_is_not_double_inverse_exit_2(capsys):
     assert capsys.readouterr().err == (
         "esnlab: error: not a double inverse semigroup: hop: element 1 has at least two "
         "generalized inverses: 1, 2\n")
+
+
+def test_presheaf_ids_must_be_json_integers(tmp_path, capsys):
+    # every id and position of a presheaf file is a JSON integer, and every
+    # list one; a bool used to pass as the id 1
+    original = (fixture_dir() / "clifford3_presheaf.json").read_text()
+
+    def edited(edit):
+        doc = json.loads(original)
+        edit(doc)
+        return doc
+
+    for edit, message in (
+        (lambda d: d["base"]["leq"].append([[1], 2]),
+         "base.leq[3][0] must be an integer, not an array"),
+        (lambda d: d["base"]["elements"].__setitem__(0, True),
+         "base.elements[0] must be an integer, not true"),
+        (lambda d: d["groups"][0].__setitem__("at", True),
+         "groups[0].at must be an integer, not true"),
+        (lambda d: d["homs"][0].__setitem__("pair", [1]), "homs[0].pair must be a list of 2 ids"),
+        (lambda d: d["groups"][0]["op"].__setitem__(0, 5), "groups[0].op[0] must be a list, not 5"),
+        (lambda d: d["homs"][1].__setitem__("values", 5), "homs[1].values must be a list, not 5"),
+        (lambda d: d["groups"][1].__setitem__("carrier", 2),
+         "groups[1].carrier must be a list, not 2"),
+        (lambda d: d.__setitem__("groups", {}), "groups must be a list, not an object"),
+    ):
+        _rejected(tmp_path, capsys, ("compose",), edited(edit), message)

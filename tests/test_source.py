@@ -51,3 +51,23 @@ def test_groupoid_json_is_read_in_one_place():
         and call.func.id in readers
     ]
     assert calls == []
+
+
+def test_cli_counts_no_builtin_exception_as_bad_input():
+    # exit 2 is for an EsnlabError only: a built-in exception that main's
+    # handlers caught as bad input would hide a bug behind the message of
+    # malformed input; a local catch that raises an EsnlabError is fine
+    builtins = {"ValueError", "KeyError", "TypeError", "IndexError", "AttributeError"}
+    tree = ast.parse((SRC / "cli.py").read_text(), "cli.py")
+    (main,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+               and node.name == "main"]
+    handlers = [handler for node in ast.walk(main) if isinstance(node, ast.Try)
+                for handler in node.handlers if handler.type is not None]
+    assert "EsnlabError" in [ast.unparse(handler.type) for handler in handlers]
+    named = [
+        f"{handler.lineno}:{name.id}"
+        for handler in handlers
+        for name in ast.walk(handler.type)
+        if isinstance(name, ast.Name) and name.id in builtins
+    ]
+    assert named == []

@@ -99,7 +99,7 @@ def cmd_check(args, doc):
         if args.inverse or args.clifford:
             try:
                 analysis = inverse.analyze_inverse(t)
-            except EsnlabError as exc:
+            except inverse.NOT_INVERSE as exc:
                 failure = exc
     for kind in selected:
         if kind == "semigroup":

@@ -71,7 +71,9 @@ def json_ids(value, path, length=None, *inner):
     if length is not None and not (isinstance(value, list) and len(value) == length):
         raise ParseError(f"{path} must be a list of {length} ids")
     for i, x in enumerate(json_list(value, path)):
-        if inner or type(x) is not int:
+        # checked here; the path is built only to name what is wrong with x
+        if not (type(x) is list and len(x) == inner[0] and all(type(y) is int for y in x)
+                if inner else type(x) is int):
             (json_ids if inner else json_id)(x, f"{path}[{i}]", *inner)
     return value
 

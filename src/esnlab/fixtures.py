@@ -8,7 +8,7 @@ from pathlib import Path
 
 from . import double as dbl
 from . import esn, inverse, presheaf, search, tables
-from .errors import EsnlabError, ParseError
+from .errors import EsnlabError, ParseError, TheoremViolation
 from .report import Verdict
 
 
@@ -194,7 +194,7 @@ def golden_suite(jobs=1):
     for name, body in sections:
         try:
             body()
-        except ParseError:
+        except (ParseError, TheoremViolation):
             raise
         except EsnlabError as exc:
             check(f"{name}.error", False, (str(exc),))

@@ -66,9 +66,13 @@ def unique_inverses(T, n):
     return inv
 
 
+NOT_INVERSE = (NotASemigroupError, NoInverseError, NonUniqueInverseError)
+
+
 def analyze_inverse(t: CayleyTable) -> InverseSemigroupAnalysis:
     """Succeeds iff t is associative and every element has exactly one
-    generalized inverse; the returned analysis carries the verified order."""
+    generalized inverse, else raises one of ``NOT_INVERSE``; the natural order
+    it carries must then be a partial order, or it raises TheoremViolation."""
     assoc = is_associative(t)
     if not assoc:
         raise NotASemigroupError(assoc.witness)
@@ -78,7 +82,10 @@ def analyze_inverse(t: CayleyTable) -> InverseSemigroupAnalysis:
         found = generalized_inverses(t, a)
         raise NonUniqueInverseError(a, *found[:2]) if found else NoInverseError(a)
     idems = idempotents(t)
-    leq = natural_partial_order(t, idems)
+    try:
+        leq = natural_partial_order(t, idems)
+    except OrderAxiomViolation as exc:
+        raise TheoremViolation(f"natural order of an inverse semigroup: {exc}") from exc
     return InverseSemigroupAnalysis(t, tuple(x + 1 for x in inv), idems, leq)
 
 

@@ -3,15 +3,15 @@ decomposition of a double inverse semigroup into one.
 
 The pipeline: shared idempotents carry one product, the two orders and meets
 collapse on objects, the cells over each object form an Abelian group, and
-restriction between comparable objects is a group homomorphism. Back, the
-strong semilattice of groups is one inductive groupoid, both views of the
-double groupoid (``double.dig_from_views``). Composing the two directions is
-the identity, which the ``decompose``/``compose`` commands replay on files.
+restriction between comparable objects is a group homomorphism. Back, the ESN
+groupoid of the strong semilattice of groups (``esn.groupoid_of``) is both views
+of the double groupoid (``double.dig_from_views``). Composing the two directions
+is the identity, which the ``decompose``/``compose`` commands replay on files.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 from .double import _FIELDS as _DIG_FIELDS
@@ -25,6 +25,7 @@ from .double import (
 from .errors import (
     ComponentNotClosedError,
     ComponentNotGroupError,
+    EsnlabError,
     InvalidPresheafError,
     NotDoubleInverseError,
     ParseError,
@@ -36,11 +37,11 @@ from .errors import (
     json_int,
     json_list,
 )
-from .esn import InductiveGroupoid
-from .inverse import is_clifford, order_and_meet_rows
+from .esn import groupoid_of
+from .inverse import analyze_inverse, is_clifford, order_and_meet_rows
 from .report import (Row, ValidationReport, Verdict, check_ranges, check_rows, computed_once,
                      from_json, to_json)
-from .tables import is_commutative
+from .tables import CayleyTable, is_commutative
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,11 @@ class FiniteAbelianGroup:
     @property
     def order(self):
         return len(self.carrier)
+
+    @computed_once
+    def report(self) -> ValidationReport:
+        """``validate_group`` of this value, computed once; treat it as read-only."""
+        return validate_group(self)
 
 
 @dataclass(frozen=True)
@@ -151,7 +157,7 @@ def validate_presheaf(p: AbelianGroupPresheaf) -> ValidationReport:
                         {"group_at": "group.missing"}):
         return rep
     for a in base.elements:
-        rep.merge(validate_group(p.group_at[a]))
+        rep.merge(p.group_at[a].report)
     if not rep.ok:
         return rep
     carriers = {
@@ -228,7 +234,8 @@ def component_groups(g: DoubleInductiveGroupoid) -> dict:
         cells = tuple(sorted(at["c"]))
         group = FiniteAbelianGroup(cells, restricted.hcompose, g.obj_cell(o),
                                    {a: g.hinv[a] for a in cells})
-        rep = validate_group(group)
+        rep = ValidationReport()
+        rep.merge(group.report)
         check_rows(g, {"c": cells}, _COINCIDE, rep)
         if not rep:
             raise ComponentNotGroupError(f"object {o}: {rep.summary()}")
@@ -264,37 +271,29 @@ def presheaf_from_dig(g: DoubleInductiveGroupoid) -> AbelianGroupPresheaf:
 
 
 def dig_from_presheaf(p: AbelianGroupPresheaf) -> DoubleInductiveGroupoid:
-    """The double groupoid whose two views are both the strong semilattice of
-    groups of p (Howie 1995, §4.2) as an inductive groupoid h: its objects are
-    the unit cells, in the order of the base, the cells over an element are its
-    group, composition is the group product, and restriction along u <= A is
-    the homomorphism. Cell ids reuse the group carriers when those already
-    partition 1..m, so decomposing and recomposing a double inverse semigroup
-    is the identity on element ids."""
+    """The double groupoid whose two views are both the ESN groupoid of the
+    strong semilattice of groups of p (Howie 1995, §4.2): the Clifford
+    semigroup (e, x)·(f, y) = (m, φ_{m,e}(x)·φ_{m,f}(y)), m = e ∧ f, with its
+    objects, the unit cells, in the order of the base. Cell ids reuse the group
+    carriers when those already partition 1..m, so decomposing and recomposing
+    a double inverse semigroup is the identity on element ids."""
     if not p.report:
         raise InvalidPresheafError(p.report)
-    groups = [(e, p.group_at[e]) for e in p.base.elements]
-    homes = [(e, x) for e, grp in groups for x in grp.carrier]
+    homes = [(e, x) for e in p.base.elements for x in p.group_at[e].carrier]
     reuse = sorted(x for _, x in homes) == list(range(1, len(homes) + 1))
     cell_of = {(e, x): x if reuse else i for i, (e, x) in enumerate(homes, 1)}
-    unit = {e: cell_of[e, grp.unit] for e, grp in groups}
-    over = {cell_of[e, x]: unit[e] for e, x in homes}
-    restriction = {
-        (unit[a], cell_of[b, x]): cell_of[a, phi[x]]
-        for (a, b), phi in p.hom.items()
-        for x in p.group_at[b].carrier
-    }
-    objects = tuple(unit.values())
-    h = InductiveGroupoid(
-        objects=objects, arrows=tuple(range(1, len(homes) + 1)), dom=over, cod=over,
-        compose={(cell_of[e, x], cell_of[e, y]): cell_of[e, grp.op[x, y]]
-                 for e, grp in groups for x in grp.carrier for y in grp.carrier},
-        inv={cell_of[e, x]: cell_of[e, grp.inv[x]] for e, grp in groups for x in grp.carrier},
-        leq=frozenset((y, x) for (_, x), y in restriction.items()),
-        object_meet={(unit[a], unit[b]): unit[m] for (a, b), m in p.base.meet.items()},
-        restriction=restriction, identity={o: o for o in objects},
-        corestriction={(x, e): y for (e, x), y in restriction.items()},
-    )
+
+    def product(e, x, f, y):
+        m = p.base.meet[e, f]
+        return cell_of[m, p.group_at[m].op[p.hom[m, e][x], p.hom[m, f][y]]]
+
+    home = sorted(homes, key=cell_of.get)
+    t = CayleyTable(tuple(product(*a, *b) - 1 for a in home for b in home))
+    try:
+        h = groupoid_of(analyze_inverse(t))
+    except EsnlabError as exc:  # a valid presheaf always gives a Clifford semigroup
+        raise TheoremViolation(f"strong semilattice of groups is not inverse: {exc}") from exc
+    h = replace(h, objects=tuple(cell_of[e, p.group_at[e].unit] for e in p.base.elements))
     return dig_from_views(h, h)
 
 

@@ -44,8 +44,8 @@ from dataclasses import dataclass
 from functools import cache
 from math import factorial, inf
 
-from .errors import EsnlabError, NotASemigroupError, OrderTooLargeError, TheoremViolation
-from .inverse import analyze_inverse, is_clifford, unique_inverses
+from .errors import NotASemigroupError, OrderTooLargeError, TheoremViolation
+from .inverse import NOT_INVERSE, analyze_inverse, is_clifford, unique_inverses
 from .tables import (
     CayleyTable,
     canonical_form,
@@ -358,7 +358,7 @@ def _all_inverse(matches):
     for t in matches:
         try:
             analyze_inverse(t)
-        except EsnlabError:
+        except NOT_INVERSE:
             return False
     return True
 

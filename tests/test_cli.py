@@ -425,6 +425,29 @@ def test_theorem_violation_exit_3(monkeypatch, capsys):
     assert "orders/meets differ on objects" in capsys.readouterr().err
 
 
+def test_refuted_natural_order_exit_3(monkeypatch, capsys):
+    # analyze_inverse checks the natural order only on a table it has found
+    # associative with unique inverses, so a failure there refutes a theorem:
+    # no command may take it for a table that is not inverse
+    from esnlab import inverse
+    from esnlab.errors import OrderAxiomViolation
+
+    def refuted(t, idems=None):
+        raise OrderAxiomViolation("not a partial order: order.antisymmetric at (1, 2)")
+
+    monkeypatch.setattr(inverse, "natural_partial_order", refuted)
+    for argv in (("check", "--inverse", fx("chain3.cay")),
+                 ("check", "--double-inverse", fx("clifford3_pair.cay")),
+                 ("decompose", fx("clifford3_pair.cay")),
+                 ("search", "--order", "3", "--class", "inverse"),
+                 ("golden-suite",),
+                 ("double", "to-dig", fx("clifford3_pair.cay"))):
+        capsys.readouterr()
+        assert run(*argv) == (3, ""), argv
+        err = capsys.readouterr().err
+        assert err.startswith("esnlab: theorem violated") and err.count("\n") == 1, (argv, err)
+
+
 def test_internal_error_exit_3(monkeypatch, capsys):
     # an exception that is not an EsnlabError is a bug, not malformed input:
     # one line naming it, then its traceback
@@ -509,7 +532,8 @@ def _count_checks(monkeypatch):
     counts = {}
     for home, name in ((double, "validate_dig"), (double, "classify_double"),
                        (inverse, "analyze_inverse"), (esn, "validate_ig"),
-                       (presheaf, "validate_presheaf"), (tables, "is_associative")):
+                       (presheaf, "validate_presheaf"), (presheaf, "validate_group"),
+                       (tables, "is_associative")):
         original = getattr(home, name)
         counts[name] = 0
 
@@ -538,10 +562,12 @@ def test_each_command_checks_each_value_once(tmp_path, monkeypatch):
 
     got = counted_run("decompose", fx("clifford3_pair.cay"))
     assert got["classify_double"] <= 1 and got["analyze_inverse"] <= 2
+    assert got["validate_group"] == 2  # one per component group
     got = counted_run("double", "roundtrip", fx("clifford3_pair.cay"))
     assert got["validate_dig"] <= 2 and got["classify_double"] <= 2
     got = counted_run("compose", fx("clifford3_presheaf.json"))
     assert got["validate_dig"] == 1 and got["validate_presheaf"] == 1
+    assert got["validate_group"] == 2
     single = tmp_path / "clifford3.cay"
     single.write_text(format_table(load_pair("clifford3_pair.cay").hop))
     got = counted_run("esn", "to-groupoid", str(single), "--roundtrip")

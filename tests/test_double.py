@@ -269,6 +269,19 @@ def test_dig_equal_distinguishes(clifford3):
     assert not dig_equal(g, other)
 
 
+def test_roundtrip_dig_names_the_part_that_differs(clifford3):
+    # the skeleton holds the object cells, the endpoint tables and the two
+    # views, which hold every other table
+    g = dig_from_dis(DoubleSemigroup(clifford3, clifford3))
+    other = dig_from_dis(DoubleSemigroup(chain_semilattice(3), chain_semilattice(3)))
+    assert roundtrip_dig(g, other) == Verdict(False, ("objects",))
+    for name, view in (("hcompose", "horizontal"), ("vcompose", "vertical")):
+        table = dict(getattr(g, name))
+        key = min(table)
+        table[key] = table[key] % len(g.cells) + 1
+        assert roundtrip_dig(g, replace(g, **{name: table})) == Verdict(False, (view,)), name
+
+
 def test_interchange_identities_on_constructions(clifford3):
     for t in (cyclic_group(2), clifford3, chain_semilattice(3)):
         g = dig_from_dis(DoubleSemigroup(t, t))

@@ -1,5 +1,5 @@
-"""Seeded mutations of the JSON inputs: malformed input must exit 2 with a
-one-line message, never reach a built-in exception, and never exit 3."""
+"""Seeded mutations of the JSON and the .cay inputs: malformed input must exit
+2 with a one-line message, never reach a built-in exception, and never exit 3."""
 
 import copy
 import io
@@ -117,4 +117,84 @@ def test_malformed_json_exits_2_with_one_line(tmp_path, capsys):
         codes[code] += 1
         if code == 2:
             assert err.startswith("esnlab: error:") and err.count("\n") == 1, (argv, doc, err)
+    assert all(codes.values()), codes
+
+
+CAY_CASES = 700
+# each command runs on the mutated file; the pair check reads it as both tables
+CAY_COMMANDS = (("check",), ("check", "--inverse"), ("check", "--double-inverse"),
+                ("check", "--double", "--hop", "{}", "--vop", "{}"), ("double", "to-dig"),
+                ("decompose",), ("esn", "to-groupoid"))
+CAY_KINDS = ("truncate", "drop", "swap", "token", "order", "trailing", "byte")
+
+
+def _table_lines(lines):
+    """(order line indices, row line indices) of a .cay text split into lines."""
+    orders, rows, left = [], [], 0
+    for i, line in enumerate(lines):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        if left:
+            rows.append(i)
+            left -= 1
+        else:
+            orders.append(i)
+            left = int(line)
+    return orders, rows
+
+
+def mutated_cay(rng, text):
+    """The bytes of a .cay text with one seeded fault: a row truncated or
+    dropped, two tokens swapped, a token set to 0, n+1, a non-number or a
+    5,000-digit integer, the order inflated to 10**9, trailing content, or a
+    0xff byte."""
+    lines = text.splitlines()
+    orders, rows = _table_lines(lines)
+    kind = rng.choice(CAY_KINDS)
+    if kind == "truncate":
+        i = rng.choice(rows)
+        tokens = lines[i].split()
+        lines[i] = " ".join(tokens[:rng.randrange(len(tokens))])
+    elif kind == "drop":
+        del lines[rng.choice(rows)]
+    elif kind in ("swap", "token"):
+        cells = [(i, j) for i in rows for j in range(len(lines[i].split()))]
+        (i, j), (k, m) = rng.choice(cells), rng.choice(cells)
+        grid = {r: lines[r].split() for r in rows}
+        if kind == "swap":
+            grid[i][j], grid[k][m] = grid[k][m], grid[i][j]
+        else:
+            n = len(grid[i])
+            grid[i][j] = rng.choice(("0", str(n + 1), "x", "9" * 5000))
+        for r, tokens in grid.items():
+            lines[r] = " ".join(tokens)
+    elif kind == "order":
+        lines[rng.choice(orders)] = str(10**9)
+    elif kind == "trailing":
+        lines.append(rng.choice(("1 2", "junk", "3")))
+    data = ("\n".join(lines) + "\n").encode()
+    if kind == "byte":
+        at = rng.randrange(len(data) + 1)
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+def test_malformed_cay_exits_2_with_one_line(tmp_path, capsys):
+    rng = random.Random(20072)
+    fixtures = sorted(fixture_dir().glob("*.cay"))
+    path = tmp_path / "input.cay"
+    codes = {0: 0, 1: 0, 2: 0}
+    for i in range(CAY_CASES):
+        path.write_bytes(mutated_cay(rng, fixtures[i % len(fixtures)].read_text()))
+        for command in CAY_COMMANDS:
+            argv = [arg.format(path) for arg in command]
+            if "--hop" not in argv:
+                argv.append(str(path))
+            capsys.readouterr()
+            code, _ = run(*argv)
+            err = capsys.readouterr().err
+            assert code in codes, (argv, path.read_bytes()[:200], err)
+            codes[code] += 1
+            if code == 2:
+                assert err.startswith("esnlab: error:") and err.count("\n") == 1, (argv, err)
     assert all(codes.values()), codes

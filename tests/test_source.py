@@ -71,3 +71,24 @@ def test_cli_counts_no_builtin_exception_as_bad_input():
         if isinstance(name, ast.Name) and name.id in builtins
     ]
     assert named == []
+
+
+def test_inductive_groupoids_are_built_in_one_place():
+    # an inductive groupoid comes from the ESN construction or a JSON file
+    # (esn.py), or is a view of a double groupoid; a copy built by hand
+    # elsewhere could drift from the construction it stands for
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "esn.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {id(node): top.name for top in tree.body if isinstance(top, ast.FunctionDef)
+                 for node in ast.walk(top)}
+        calls += [
+            f"{path.name}:{call.lineno}:{owner.get(id(call))}"
+            for call in ast.walk(tree)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+            and call.func.id == "InductiveGroupoid"
+            and (path.name, owner.get(id(call))) != ("double.py", "_horizontal_view")
+        ]
+    assert calls == []

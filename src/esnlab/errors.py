@@ -163,14 +163,6 @@ class InvalidPresheafError(EsnlabError):
         self.report = report
 
 
-class ComponentNotClosedError(EsnlabError):
-    """A per-object cell component escaped its own compositions/meets/restrictions."""
-
-
-class ComponentNotGroupError(EsnlabError):
-    """A per-object cell component is not an Abelian group under its compositions."""
-
-
 class OrderTooLargeError(EsnlabError):
     def __init__(self, n, cap):
         super().__init__(f"order {n} exceeds the search cap {cap}")

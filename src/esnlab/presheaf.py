@@ -1,9 +1,11 @@
 """Presheaves of finite Abelian groups on meet-semilattices, and the
 decomposition of a double inverse semigroup into one.
 
-The pipeline: shared idempotents carry one product, the two orders and meets
-collapse on objects, the cells over each object form an Abelian group, and
-restriction between comparable objects is a group homomorphism. Back, the ESN
+Decomposing: a double inverse semigroup has one operation, so the two views of
+its double groupoid are one inductive groupoid on cell ids, whose objects are
+the object cells and whose cells are loops; this is checked once (``_one_view``).
+Its loops at each object form an Abelian group, its order and meet on object
+cells give the base, and its restriction the homomorphisms. Back, the ESN
 groupoid of the strong semilattice of groups (``esn.groupoid_of``) is both views
 of the double groupoid (``double.dig_from_views``). Composing the two directions
 is the identity, which the ``decompose``/``compose`` commands replay on files.
@@ -11,10 +13,8 @@ is the identity, which the ``decompose``/``compose`` commands replay on files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from types import SimpleNamespace
+from dataclasses import dataclass, fields, replace
 
-from .double import _FIELDS as _DIG_FIELDS
 from .double import (
     DoubleInductiveGroupoid,
     DoubleSemigroup,
@@ -23,9 +23,8 @@ from .double import (
     dis_from_dig,
 )
 from .errors import (
-    ComponentNotClosedError,
-    ComponentNotGroupError,
     EsnlabError,
+    InvalidDigError,
     InvalidPresheafError,
     NotDoubleInverseError,
     ParseError,
@@ -37,10 +36,10 @@ from .errors import (
     json_int,
     json_list,
 )
-from .esn import groupoid_of
+from .esn import InductiveGroupoid, groupoid_of
 from .inverse import analyze_inverse, is_clifford, order_and_meet_rows
-from .report import (Row, ValidationReport, Verdict, check_ranges, check_rows, computed_once,
-                     from_json, to_json)
+from .report import (Row, ValidationReport, check_ranges, check_rows, computed_once, from_json,
+                     to_json)
 from .tables import CayleyTable, is_commutative
 
 
@@ -172,98 +171,53 @@ def validate_presheaf(p: AbelianGroupPresheaf) -> ValidationReport:
     return rep
 
 
-def shared_idempotents_coincide(d: DoubleSemigroup) -> Verdict:
-    """On the shared idempotents the two products agree; a failure would refute
-    a theorem, so it aborts rather than reporting."""
-    cls = d.classification
-    if not cls.is_double_inverse_semigroup:
-        raise NotDoubleInverseError(cls.failure_reason())
-    shared = sorted(
-        set(cls.hop_analysis.idempotent_set) & set(cls.vop_analysis.idempotent_set)
-    )
-    for a in shared:
-        for b in shared:
-            if d.hop.product(a, b) != d.vop.product(a, b):
-                raise TheoremViolation(
-                    f"products differ on shared idempotents at {(a, b)}"
-                )
-    return Verdict(True)
-
-
-def orders_coincide_on_objects(g: DoubleInductiveGroupoid) -> Verdict:
-    """The two cell orders and the two meets agree on object cells."""
-    obj_cells = {o: g.obj_cell(o) for o in g.objects}
-    for o1, c1 in obj_cells.items():
-        for o2, c2 in obj_cells.items():
-            if ((c1, c2) in g.leq) != ((c1, c2) in g.lesssim):
-                return Verdict(False, ("order", o1, o2))
-            mh = g.meet_h.get((g.obj_ver[o1], g.obj_ver[o2]))
-            mv = g.meet_v.get((g.obj_hor[o1], g.obj_hor[o2]))
-            if mh is None or mv is None or g.ver_cell[mh] != g.hor_cell[mv]:
-                return Verdict(False, ("meet", o1, o2))
-    return Verdict(True)
-
-
-# Rows on a double groupoid over the cells c at one object: there its two
-# compositions, and its two inverses, agree.
-_COINCIDE = (
-    Row("component.compose", "cc",
-        lambda g, a, b: g.hcompose.get((a, b)) == g.vcompose.get((a, b))),
-    Row("component.inverse", "c", lambda g, a: g.hinv[a] == g.vinv[a]),
-)
+def _one_view(g: DoubleInductiveGroupoid) -> InductiveGroupoid:
+    """The one inductive groupoid that both views of a valid g are when its two
+    operations coincide: on cell ids, its objects the object cells and every
+    cell a loop, the ESN groupoid of a Clifford semigroup (Howie 1995, §4.2)."""
+    if not g.report:
+        raise InvalidDigError(g.report)
+    h, v = g.views
+    differ = next((f.name for f in fields(h) if getattr(h, f.name) != getattr(v, f.name)), None)
+    if differ:
+        raise TheoremViolation(f"the two views differ in {differ}")
+    if h.objects != tuple(sorted(map(g.obj_cell, g.objects))):
+        raise TheoremViolation("the objects of the view are not the object cells")
+    if h.dom != h.cod:
+        raise TheoremViolation("a cell of the view is not a loop")
+    return h
 
 
 def component_groups(g: DoubleInductiveGroupoid) -> dict:
-    """Cells whose four corners sit at one object form an Abelian group under the
-    (coinciding) compositions; closure and the group laws are verified, not
-    assumed. Closure is the range pass on the tables of g restricted to the
-    cells and arrows at the object."""
-    tables = {name: sorts for name, sorts in _DIG_FIELDS.items() if sorts[2:3] == ":"}  # xy:z
+    """The group at each object o: the loops of the one view at the object cell
+    of o under its composition, with that cell as unit; the group laws are
+    verified, not assumed."""
+    h = _one_view(g)
     groups = {}
     for o in g.objects:
-        at = {"o": {o}, "c": {a for a in g.cells if g.corners(a) == {o}},
-              "v": {e for e in g.ver_arrows if g.ver_src[e] == o == g.ver_dst[e]},
-              "h": {f for f in g.hor_arrows if g.hor_src[f] == o == g.hor_dst[f]}}
-        restricted = SimpleNamespace(**{
-            name: {k: v for k, v in getattr(g, name).items()
-                   if k[0] in at[sorts[0]] and k[1] in at[sorts[1]]}
-            for name, sorts in tables.items()})
-        rep = ValidationReport()
-        if not check_ranges(restricted, tables, at, rep):
-            raise ComponentNotClosedError(f"object {o}: {rep.summary()}")
-        cells = tuple(sorted(at["c"]))
-        group = FiniteAbelianGroup(cells, restricted.hcompose, g.obj_cell(o),
-                                   {a: g.hinv[a] for a in cells})
-        rep = ValidationReport()
-        rep.merge(group.report)
-        check_rows(g, {"c": cells}, _COINCIDE, rep)
-        if not rep:
-            raise ComponentNotGroupError(f"object {o}: {rep.summary()}")
+        unit = g.obj_cell(o)
+        cells = tuple(a for a in h.arrows if h.dom[a] == unit)
+        group = FiniteAbelianGroup(cells, {(a, b): h.compose[a, b] for a in cells for b in cells},
+                                   unit, {a: h.inv[a] for a in cells})
+        if not group.report:
+            raise TheoremViolation(f"object {o}: {group.report.summary()}")
         groups[o] = group
     return groups
 
 
 def presheaf_from_dig(g: DoubleInductiveGroupoid) -> AbelianGroupPresheaf:
-    """Base = objects with the collapsed order; groups = the per-object cells;
-    restriction maps between comparable objects are the homomorphisms."""
-    agree = orders_coincide_on_objects(g)
-    if not agree:
-        raise TheoremViolation(f"orders/meets differ on objects at {agree.witness}")
-    obj_cell = {o: g.obj_cell(o) for o in g.objects}
-    leq = frozenset(
-        (o1, o2)
-        for o1 in g.objects
-        for o2 in g.objects
-        if (obj_cell[o1], obj_cell[o2]) in g.leq
-    )
-    # a meet that is not an object, or a restriction that leaves its group, is
-    # left to the range pass of validate_presheaf
-    cell_obj = {c: o for o, c in obj_cell.items()}
-    meet = {(o1, o2): cell_obj.get(g.ver_cell[g.meet_h[g.obj_ver[o1], g.obj_ver[o2]]])
-            for o1 in g.objects for o2 in g.objects}
+    """Base = objects under the order and meet of the one view on object cells;
+    groups = ``component_groups``; the hom from a to e <= a restricts each cell
+    of the group at a to the object cell of e."""
     groups = component_groups(g)
-    hom = {(e, a): {x: g.h_restrict.get((g.obj_ver[e], x)) for x in groups[a].carrier}
-           for e, a in leq}
+    h = g.views[0]  # the one view, which component_groups has checked
+    cell = {o: g.obj_cell(o) for o in g.objects}
+    obj = {c: o for o, c in cell.items()}
+    leq = frozenset((o1, o2) for o1 in g.objects for o2 in g.objects
+                    if (cell[o1], cell[o2]) in h.leq)
+    meet = {(o1, o2): obj[h.object_meet[cell[o1], cell[o2]]]
+            for o1 in g.objects for o2 in g.objects}
+    hom = {(e, a): {x: h.restriction[cell[e], x] for x in groups[a].carrier} for e, a in leq}
     p = AbelianGroupPresheaf(MeetSemilattice(g.objects, leq, meet), groups, hom)
     if not p.report:
         raise TheoremViolation(f"decomposition is not a presheaf: {p.report.summary()}")
@@ -368,7 +322,6 @@ def decompose(d: DoubleSemigroup):
     report = main_theorem_report(d)
     if not report.is_double_inverse:
         raise NotDoubleInverseError(report.classification.failure_reason())
-    shared_idempotents_coincide(d)
     return presheaf_from_dig(dig_from_dis(d)), report
 
 

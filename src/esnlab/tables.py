@@ -94,29 +94,43 @@ def _parse_one(lines, start):
         if not stripped or stripped.startswith("#"):
             continue
         if n is None:
-            try:
-                n = int(stripped)
-            except ValueError:
-                raise ParseError(f"expected the order, got {stripped!r}", line=pos) from None
+            n = _number(stripped, "expected the order, got", pos)
+            if n is None:
+                raise ParseError(f"order {_cut(stripped)} out of range", line=pos)
             if n < 1:
-                raise ParseError(f"order must be >= 1, got {n}", line=pos)
+                raise ParseError(f"order must be >= 1, got {_cut(n)}", line=pos)
             continue
         tokens = stripped.split()
         if len(tokens) != n:
-            raise ParseError(f"expected {n} entries, got {len(tokens)}", line=pos)
+            raise ParseError(f"expected {_cut(n)} entries, got {len(tokens)}", line=pos)
         for tok in tokens:
-            try:
-                val = int(tok)
-            except ValueError:
-                raise ParseError(f"non-numeric entry {tok!r}", line=pos) from None
-            if not 1 <= val <= n:
-                raise ParseError(f"entry {val} out of range 1..{n}", line=pos)
+            val = _number(tok, "non-numeric entry", pos)
+            if val is None or not 1 <= val <= n:
+                shown = _cut(tok if val is None else val)
+                raise ParseError(f"entry {shown} out of range 1..{_cut(n)}", line=pos)
             flat.append(val - 1)
         if len(flat) == n * n:
             return CayleyTable(tuple(flat)), pos
     if n is None:
         raise ParseError("no table found", line=pos)
-    raise ParseError(f"expected {n} rows, got {len(flat) // n}", line=pos)
+    raise ParseError(f"expected {_cut(n)} rows, got {len(flat) // n}", line=pos)
+
+
+def _number(token, fault, line):
+    """The int that token spells, or None for a decimal too long for ``int()``;
+    for any other token, a ParseError: ``fault``, then the token."""
+    try:
+        return int(token)
+    except ValueError:
+        if token.isdecimal():
+            return None
+        raise ParseError(f"{fault} {_cut(token)!r}", line=line) from None
+
+
+def _cut(token) -> str:
+    """A token or a number as a message shows it: cut to its first 20 characters."""
+    text = str(token)
+    return text if len(text) <= 20 else f"{text[:20]}..."
 
 
 def format_table(t: CayleyTable) -> str:

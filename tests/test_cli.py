@@ -414,15 +414,38 @@ def test_unknown_command_exit_2():
 def test_theorem_violation_exit_3(monkeypatch, capsys):
     # a construction self-check that fails is a bug, not malformed input
     from esnlab import presheaf
-    from esnlab.report import Verdict
+    from esnlab.errors import TheoremViolation
 
-    monkeypatch.setattr(
-        presheaf, "orders_coincide_on_objects", lambda g: Verdict(False, ("order", 1, 2))
-    )
+    def differ(g):
+        raise TheoremViolation("the two views differ in leq")
+
+    monkeypatch.setattr(presheaf, "_one_view", differ)
     code, out = run("decompose", fx("clifford3_pair.cay"), "--format", "json")
     assert code == 3
     assert out == ""
-    assert "orders/meets differ on objects" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [
+        "esnlab: theorem violated (a bug, not bad input): the two views differ in leq"]
+
+
+def test_long_cay_tokens_are_cut_in_messages(tmp_path, capsys):
+    # a run of digits too long for int() is a number out of range, not a
+    # non-number, and a message shows a token or an order cut to 20 characters
+    digits, cut = "9" * 5000, "9" * 20 + "..."
+    cases = (
+        (f"2\n1 {digits}\n1 1\n", f"line 2: entry {cut} out of range 1..2"),
+        (f"2\n1 {digits[:40]}\n1 1\n", f"line 2: entry {cut} out of range 1..2"),
+        (f"2\n1 x{digits}\n1 1\n", f"line 2: non-numeric entry 'x{cut[1:]}'"),
+        (f"{digits}\n1\n", f"line 1: order {cut} out of range"),
+        (f"x{digits}\n1\n", f"line 1: expected the order, got 'x{cut[1:]}'"),
+        (f"{digits[:40]}\n1 1\n", f"line 2: expected {cut} entries, got 2"),
+    )
+    path = tmp_path / "long.cay"
+    for text, message in cases:
+        path.write_text(text)
+        capsys.readouterr()
+        code, out = run("check", str(path))
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == f"esnlab: error: {message}\n"
 
 
 def test_refuted_natural_order_exit_3(monkeypatch, capsys):

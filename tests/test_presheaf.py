@@ -1,14 +1,23 @@
 import json
 import re
+from dataclasses import replace
 
 import pytest
 
-from esnlab.double import DoubleSemigroup, dig_equal, dig_from_dis, transpose, validate_dig
+from esnlab.double import (
+    DoubleInductiveGroupoid,
+    DoubleSemigroup,
+    dig_equal,
+    dig_from_dis,
+    transpose,
+    validate_dig,
+)
 from esnlab.errors import (
-    ComponentNotGroupError,
+    InvalidDigError,
     InvalidPresheafError,
     NotDoubleInverseError,
     ParseError,
+    TheoremViolation,
 )
 from esnlab.fixtures import load_pair, load_presheaf
 from esnlab.presheaf import (
@@ -20,12 +29,10 @@ from esnlab.presheaf import (
     decompose,
     dig_from_presheaf,
     main_theorem_report,
-    orders_coincide_on_objects,
     presheaf_equal,
     presheaf_from_dig,
     presheaf_from_json,
     presheaf_to_json,
-    shared_idempotents_coincide,
     validate_group,
     validate_presheaf,
     validate_semilattice,
@@ -94,16 +101,16 @@ def test_validate_presheaf_catches_bad_hom():
 
 def test_shared_idempotents(clifford3):
     for t in (cyclic_group(2), clifford3, chain_semilattice(3)):
-        assert shared_idempotents_coincide(DoubleSemigroup(t, t))
+        p, report = decompose(DoubleSemigroup(t, t))
+        assert report.improper and p.report.ok
     with pytest.raises(NotDoubleInverseError):
-        shared_idempotents_coincide(
-            DoubleSemigroup(left_projection(2), right_projection(2))
-        )
+        decompose(DoubleSemigroup(left_projection(2), right_projection(2)))
 
 
 def test_orders_coincide(clifford3):
     for t in (cyclic_group(2), clifford3, chain_semilattice(3)):
-        assert orders_coincide_on_objects(dig_from_dis(DoubleSemigroup(t, t)))
+        h, v = dig_from_dis(DoubleSemigroup(t, t)).views
+        assert h == v
 
 
 def test_component_groups_z2():
@@ -134,10 +141,31 @@ def test_component_not_group_flagged(clifford3):
     bad_vinv = dict(g.vinv)
     bad_vinv[3] = 1  # the two directed inverses no longer agree
     fields["vinv"] = bad_vinv
-    from esnlab.double import DoubleInductiveGroupoid
 
-    with pytest.raises(ComponentNotGroupError):
+    with pytest.raises(InvalidDigError):  # the vertical view fails validate_dig
         component_groups(DoubleInductiveGroupoid(**fields))
+
+
+def test_decomposing_checks_the_one_view(clifford3, monkeypatch):
+    # an invalid double groupoid is bad input (exit 2); on a valid one, views
+    # that are not one groupoid of loops on the object cells refute the main
+    # theorem (exit 3)
+    g = dig_from_dis(DoubleSemigroup(clifford3, clifford3))
+    fields = {name: getattr(g, name) for name in g.__dataclass_fields__}
+    invalid = DoubleInductiveGroupoid(**{**fields, "leq": frozenset()})
+    for decompose_dig in (component_groups, presheaf_from_dig):
+        with pytest.raises(InvalidDigError):
+            decompose_dig(invalid)
+    h, v = g.views
+    assert g.report.ok  # kept on g, so the patched views below reach only the decomposition
+    for views, part in (((h, replace(v, leq=h.leq - {(1, 3)})), "differ in leq"),
+                        ((h, replace(v, inv={**v.inv, 3: 2})), "differ in inv"),
+                        ((replace(h, objects=(1,)),) * 2, "not the object cells"),
+                        ((replace(h, cod={**h.cod, 3: 1}),) * 2, "not a loop")):
+        monkeypatch.setattr(DoubleInductiveGroupoid, "views", property(lambda _, vs=views: vs))
+        for decompose_dig in (component_groups, presheaf_from_dig):
+            with pytest.raises(TheoremViolation, match=part):
+                decompose_dig(g)
 
 
 def test_presheaf_from_dig_clifford3(clifford3):

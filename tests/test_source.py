@@ -92,3 +92,17 @@ def test_inductive_groupoids_are_built_in_one_place():
             and (path.name, owner.get(id(call))) != ("double.py", "_horizontal_view")
         ]
     assert calls == []
+
+
+def test_no_private_cross_module_imports():
+    # a module reads another through its public names only, so a private
+    # table can change shape without breaking a reader elsewhere
+    found = [
+        f"{path.name}:{node.lineno}:{alias.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if any(part.startswith("_") for part in alias.name.split("."))
+    ]
+    assert found == []

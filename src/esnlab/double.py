@@ -7,9 +7,12 @@ table entry is checked against its carriers, it is read only through its two vie
 (``DoubleInductiveGroupoid.views``): the horizontal inductive groupoid over the
 vertical arrows (``hcompose``, ``leq``) and the vertical one over the horizontal
 arrows (``vcompose``, ``lesssim``), on cell ids, which its equality compares
-(``skeleton``). ``dig_from_views`` is their inverse and the one assembler, of the
-ESN groupoids of the two operations (``dig_from_dis``) or of a presheaf's, twice
-(``compose``); the pseudo-products are ``esn.pseudo_products`` of the views. Every
+(``skeleton``). By the main theorem the two operations of a double inverse
+semigroup coincide, so a valid double groupoid's two views are one inductive
+groupoid of loops (``one_view``), and ``dig_from_view`` is the one assembler, of
+the ESN groupoid of that operation (``dig_from_dis``) or of a presheaf's
+(``compose``); its pseudo-product is both operations (``dis_from_dig``). The
+checkers still read any double groupoid with two views. Every
 check ``validate_dig`` makes is a row of the identity engine (``report.check_rows``)
 after the range pass: the embeddings, the corners, boundary coherence, the
 interchange law on cells and the axioms (iii)-(ix), the rows on cells reading the
@@ -22,7 +25,7 @@ check (``DoubleSemigroup.classification``, ``DoubleInductiveGroupoid.report``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from operator import itemgetter
 from types import SimpleNamespace
 
@@ -183,11 +186,6 @@ class DoubleInductiveGroupoid:
 
     def obj_cell(self, o):
         return self.ver_cell[self.obj_ver[o]]
-
-    def corners(self, a) -> set:
-        """The objects at the four corners of cell a, read along its vertical edges."""
-        l, r = self.hdom[a], self.hcod[a]
-        return {self.ver_src[l], self.ver_src[r], self.ver_dst[l], self.ver_dst[r]}
 
     @computed_once
     def report(self) -> ValidationReport:
@@ -474,75 +472,74 @@ def validate_dig(g: DoubleInductiveGroupoid, strict_ix=False) -> ValidationRepor
     return rep
 
 
-def _horizontal_fields(h: InductiveGroupoid, v: InductiveGroupoid, obj_of: dict) -> dict:
-    """The fields of ``dig_from_views`` that the view h gives: its objects,
-    numbered in the order h lists them, become the vertical arrows, whose
-    endpoints are their dom and cod in v, and its tables are renamed to them.
-    With the views exchanged it gives the vertical fields, under their twins'
-    names. ``obj_of`` numbers the shared objects."""
+def one_view(g: DoubleInductiveGroupoid) -> InductiveGroupoid:
+    """The one inductive groupoid that both views of a valid g are when its two
+    operations coincide: on cell ids, its objects the object cells and every
+    cell a loop, the ESN groupoid of a Clifford semigroup (Howie 1995, §4.2)."""
+    if not g.report:
+        raise InvalidDigError(g.report)
+    h, v = g.views
+    differ = next((f.name for f in fields(h) if getattr(h, f.name) != getattr(v, f.name)), None)
+    if differ:
+        raise TheoremViolation(f"the two views differ in {differ}")
+    if h.objects != tuple(sorted(map(g.obj_cell, g.objects))):
+        raise TheoremViolation("the objects of the view are not the object cells")
+    if h.dom != h.cod:
+        raise TheoremViolation("a cell of the view is not a loop")
+    return h
+
+
+def dig_from_view(h: InductiveGroupoid) -> DoubleInductiveGroupoid:
+    """The double groupoid both of whose views are h, the inverse of ``one_view``:
+    its cells are the arrows of h, and the objects of h, numbered in the order h
+    lists them, are its objects and, each a loop at itself, its vertical and its
+    horizontal arrows. The tables of h, renamed to them, are the horizontal
+    fields, and the same tables are the vertical fields under their twins'
+    names. It must pass ``validate_dig`` and ``one_view``."""
     ids = {e: i for i, e in enumerate(h.objects, 1)}
-
-    def endpoint(x):
-        if x not in obj_of:
-            raise TheoremViolation(f"arrow endpoint {x} is not a shared idempotent")
-        return obj_of[x]
-
-    return {
-        "ver_arrows": tuple(ids.values()),
-        "obj_ver": {o: ids[x] for x, o in obj_of.items()},
-        "ver_cell": {i: e for e, i in ids.items()},
-        "ver_src": {i: endpoint(v.dom[e]) for e, i in ids.items()},
-        "ver_dst": {i: endpoint(v.cod[e]) for e, i in ids.items()},
+    loops = {i: i for i in ids.values()}
+    tables = {
+        "ver_arrows": tuple(loops), "obj_ver": loops, "ver_cell": {i: e for e, i in ids.items()},
+        "ver_src": loops, "ver_dst": loops,
         "hdom": {a: ids[e] for a, e in h.dom.items()},
         "hcod": {a: ids[e] for a, e in h.cod.items()},
-        "hcompose": h.compose,
-        "hinv": h.inv,
-        "leq": h.leq,
+        "hcompose": h.compose, "hinv": h.inv, "leq": h.leq,
         "meet_h": {(ids[e], ids[f]): ids[m] for (e, f), m in h.object_meet.items()},
         "h_restrict": {(ids[e], a): b for (e, a), b in h.restriction.items()},
         "h_corestrict": {(a, ids[e]): b for (a, e), b in h.corestriction.items()},
     }
-
-
-def dig_from_views(h: InductiveGroupoid, v: InductiveGroupoid) -> DoubleInductiveGroupoid:
-    """The double groupoid whose horizontal and vertical views are h and v, the
-    inverse of ``DoubleInductiveGroupoid.views``: cells are the arrows,
-    vertical (horizontal) arrows the objects of h (v), objects the objects they
-    share, in the order of h. It must pass ``validate_dig`` and have one object
-    at the four corners of each cell."""
-    shared = set(v.objects)
-    obj_of = {x: o for o, x in enumerate((x for x in h.objects if x in shared), 1)}
-    fields = _horizontal_fields(h, v, obj_of)
-    fields.update((_TWIN[name], value) for name, value in _horizontal_fields(v, h, obj_of).items())
-    g = DoubleInductiveGroupoid(objects=tuple(obj_of.values()), cells=h.arrows, **fields)
+    g = DoubleInductiveGroupoid(objects=tuple(loops), cells=h.arrows, **tables,
+                                **{_TWIN[name]: table for name, table in tables.items()})
     if not g.report:
         raise TheoremViolation(
             f"construction produced an invalid double groupoid: {g.report.summary()}"
         )
-    for a in g.cells:
-        corners = g.corners(a)
-        if len(corners) != 1:
-            raise TheoremViolation(f"cell {a} has unequal corners {sorted(corners)}")
+    one_view(g)
     return g
 
 
 def dig_from_dis(d: DoubleSemigroup) -> DoubleInductiveGroupoid:
-    """The double groupoid of the ESN groupoids of the two operations: objects are
-    the shared idempotents, vertical arrows the hop-idempotents, horizontal
-    arrows the vop-idempotents, cells the elements."""
+    """The double groupoid of a double inverse semigroup, whose two operations
+    coincide (the main theorem, checked here): both views are the ESN groupoid
+    of that one operation, its objects and arrows the idempotents, cells the
+    elements."""
     cls = d.classification
     if not cls.is_double_inverse_semigroup:
         raise NotDoubleInverseError(cls.failure_reason())
-    return dig_from_views(groupoid_of(cls.hop_analysis), groupoid_of(cls.vop_analysis))
+    proper = is_proper(d)
+    if proper:
+        raise TheoremViolation(
+            f"the two operations of a double inverse semigroup differ at {proper.witness}"
+        )
+    return dig_from_view(groupoid_of(cls.hop_analysis))
 
 
 def dis_from_dig(g: DoubleInductiveGroupoid) -> DoubleSemigroup:
-    """Both pseudo-products, rebuilt from composition, meets and (co)restrictions
-    of the two views, which ``g.report`` has proved valid, so both are total;
-    the result is re-proved to be a double inverse semigroup instance by instance."""
-    if not g.report:
-        raise InvalidDigError(g.report)
-    d = DoubleSemigroup(*(pseudo_product_table(view) for view in g.views))
+    """The pseudo-product of the one view of g (``one_view``), total on a view
+    that ``g.report`` has proved valid, as both operations; the result is
+    re-proved to be a double inverse semigroup instance by instance."""
+    t = pseudo_product_table(one_view(g))
+    d = DoubleSemigroup(t, t)
     if not d.classification.is_double_inverse_semigroup:
         raise TheoremViolation(
             f"pseudo-products of a valid double groupoid must form a double "
@@ -562,10 +559,6 @@ def skeleton(g: DoubleInductiveGroupoid) -> dict:
         out[name] = {cell[x]: obj[o] for x, o in getattr(g, name).items()}
     out["horizontal"], out["vertical"] = g.views
     return out
-
-
-def dig_equal(g1: DoubleInductiveGroupoid, g2: DoubleInductiveGroupoid) -> bool:
-    return skeleton(g1) == skeleton(g2)
 
 
 def roundtrip_double(d: DoubleSemigroup, back: DoubleSemigroup | None = None) -> Verdict:

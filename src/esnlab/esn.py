@@ -4,8 +4,8 @@ Objects are identified with their identity arrows: an object *is* the id of its
 identity arrow, so roundtrips can demand literal equality instead of hunting for
 isomorphisms. Arrows are always 1..m. Partial tables (compose, restriction,
 corestriction) store exactly their defined cells, never a sentinel. The ESN
-construction is written once, in ``groupoid_of``, for ``ig_from_is`` and both
-views of ``double.dig_from_dis`` and of ``presheaf.dig_from_presheaf`` (``compose``);
+construction is written once, in ``groupoid_of``, for ``ig_from_is`` and the one
+view of ``double.dig_from_dis`` and of ``presheaf.dig_from_presheaf`` (``compose``);
 the pseudo-product once, in ``pseudo_products``, for ``is_from_ig`` and both views
 of a double groupoid. A groupoid keeps its own validation report, so one that a
 construction has checked is not checked again.

@@ -3,28 +3,28 @@ decomposition of a double inverse semigroup into one.
 
 Decomposing: a double inverse semigroup has one operation, so the two views of
 its double groupoid are one inductive groupoid on cell ids, whose objects are
-the object cells and whose cells are loops; this is checked once (``_one_view``).
-Its loops at each object form an Abelian group, its order and meet on object
-cells give the base, and its restriction the homomorphisms. Back, the ESN
-groupoid of the strong semilattice of groups (``esn.groupoid_of``) is both views
-of the double groupoid (``double.dig_from_views``). Composing the two directions
-is the identity, which the ``decompose``/``compose`` commands replay on files.
+the object cells and whose cells are loops (``double.one_view``). Its loops at
+each object form an Abelian group, its order and meet on object cells give the
+base, and its restriction the homomorphisms. Back, the ESN groupoid of the
+strong semilattice of groups (``esn.groupoid_of``) is the one view of the
+double groupoid (``double.dig_from_view``). Composing the two directions is the
+identity, which the ``decompose``/``compose`` commands replay on files.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 from .double import (
     DoubleInductiveGroupoid,
     DoubleSemigroup,
     dig_from_dis,
-    dig_from_views,
+    dig_from_view,
     dis_from_dig,
+    one_view,
 )
 from .errors import (
     EsnlabError,
-    InvalidDigError,
     InvalidPresheafError,
     NotDoubleInverseError,
     ParseError,
@@ -36,7 +36,7 @@ from .errors import (
     json_int,
     json_list,
 )
-from .esn import InductiveGroupoid, groupoid_of
+from .esn import groupoid_of
 from .inverse import analyze_inverse, is_clifford, order_and_meet_rows
 from .report import (Row, ValidationReport, check_ranges, check_rows, computed_once, from_json,
                      to_json)
@@ -171,28 +171,11 @@ def validate_presheaf(p: AbelianGroupPresheaf) -> ValidationReport:
     return rep
 
 
-def _one_view(g: DoubleInductiveGroupoid) -> InductiveGroupoid:
-    """The one inductive groupoid that both views of a valid g are when its two
-    operations coincide: on cell ids, its objects the object cells and every
-    cell a loop, the ESN groupoid of a Clifford semigroup (Howie 1995, §4.2)."""
-    if not g.report:
-        raise InvalidDigError(g.report)
-    h, v = g.views
-    differ = next((f.name for f in fields(h) if getattr(h, f.name) != getattr(v, f.name)), None)
-    if differ:
-        raise TheoremViolation(f"the two views differ in {differ}")
-    if h.objects != tuple(sorted(map(g.obj_cell, g.objects))):
-        raise TheoremViolation("the objects of the view are not the object cells")
-    if h.dom != h.cod:
-        raise TheoremViolation("a cell of the view is not a loop")
-    return h
-
-
 def component_groups(g: DoubleInductiveGroupoid) -> dict:
     """The group at each object o: the loops of the one view at the object cell
     of o under its composition, with that cell as unit; the group laws are
     verified, not assumed."""
-    h = _one_view(g)
+    h = one_view(g)
     groups = {}
     for o in g.objects:
         unit = g.obj_cell(o)
@@ -248,7 +231,7 @@ def dig_from_presheaf(p: AbelianGroupPresheaf) -> DoubleInductiveGroupoid:
     except EsnlabError as exc:  # a valid presheaf always gives a Clifford semigroup
         raise TheoremViolation(f"strong semilattice of groups is not inverse: {exc}") from exc
     h = replace(h, objects=tuple(cell_of[e, p.group_at[e].unit] for e in p.base.elements))
-    return dig_from_views(h, h)
+    return dig_from_view(h)
 
 
 def presheaf_equal(p: AbelianGroupPresheaf, q: AbelianGroupPresheaf) -> bool:

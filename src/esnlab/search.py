@@ -39,6 +39,7 @@ here works on the flat 0-based tuples that a ``CayleyTable`` holds.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cache
@@ -162,10 +163,12 @@ def _pair_keys(H, Vs, rel):
 
 
 def _run_tasks(worker, tasks, jobs):
-    """worker over each task, in order; in a pool of min(jobs, tasks) processes
-    when jobs > 1, since the pool starts all of its workers at once."""
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+    """worker over each task, in order; in a pool when more than one process
+    would run, of no more processes than jobs, tasks or cores, since the pool
+    starts all of its workers at once."""
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, tasks, chunksize=1))
     return [worker(task) for task in tasks]
 

@@ -117,14 +117,15 @@ def _parse_one(lines, start):
 
 
 def _number(token, fault, line):
-    """The int that token spells, or None for a decimal too long for ``int()``;
-    for any other token, a ParseError: ``fault``, then the token."""
+    """The int that token spells in ASCII decimal digits, or None for a run of
+    them too long for ``int()``; for any other token (a sign, an underscore, a
+    digit of another script), a ParseError: ``fault``, then the token."""
+    if not (token.isascii() and token.isdigit()):
+        raise ParseError(f"{fault} {_cut(token)!r}", line=line)
     try:
         return int(token)
     except ValueError:
-        if token.isdecimal():
-            return None
-        raise ParseError(f"{fault} {_cut(token)!r}", line=line) from None
+        return None
 
 
 def _cut(token) -> str:

@@ -9,11 +9,17 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import B2_TEXT, labeled_pairs, left_projection, naive_enumerate, right_projection
+from conftest import (
+    B2_TEXT,
+    dig_equal,
+    labeled_pairs,
+    left_projection,
+    naive_enumerate,
+    right_projection,
+)
 from esnlab.cli import main as cli_main
 from esnlab.double import (
     DoubleSemigroup,
-    dig_equal,
     dig_from_dis,
     dis_from_dig,
     validate_dig,

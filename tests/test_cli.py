@@ -2,6 +2,8 @@ import io
 import json
 import shutil
 
+import pytest
+
 from esnlab.cli import main
 from esnlab.fixtures import fixture_dir
 
@@ -419,7 +421,7 @@ def test_theorem_violation_exit_3(monkeypatch, capsys):
     def differ(g):
         raise TheoremViolation("the two views differ in leq")
 
-    monkeypatch.setattr(presheaf, "_one_view", differ)
+    monkeypatch.setattr(presheaf, "one_view", differ)
     code, out = run("decompose", fx("clifford3_pair.cay"), "--format", "json")
     assert code == 3
     assert out == ""
@@ -427,10 +429,34 @@ def test_theorem_violation_exit_3(monkeypatch, capsys):
         "esnlab: theorem violated (a bug, not bad input): the two views differ in leq"]
 
 
+def test_proper_double_inverse_semigroup_is_a_theorem_violation(tmp_path, monkeypatch, capsys):
+    # the main theorem says the two operations of a double inverse semigroup
+    # coincide; a pair of inverse tables passed off as one must be refused
+    # where its double groupoid is built, naming the least cell where they differ
+    from esnlab import double as dbl, tables
+    from esnlab.errors import TheoremViolation
+
+    clifford3, chain3 = "3\n1 1 1\n1 2 3\n1 3 2\n", "3\n1 1 1\n1 2 2\n1 2 3\n"
+    path = tmp_path / "proper.cay"
+    path.write_text(f"{clifford3}\n{chain3}")
+    monkeypatch.setattr(dbl.DoubleClassification, "is_double_inverse_semigroup",
+                        property(lambda cls: True))
+    message = "the two operations of a double inverse semigroup differ at (2, 3)"
+    d = dbl.DoubleSemigroup(*tables.parse_double(path.read_text()))
+    with pytest.raises(TheoremViolation) as info:
+        dbl.dig_from_dis(d)
+    assert str(info.value) == message
+    for sub in ("to-dig", "roundtrip"):
+        assert run("double", sub, str(path)) == (3, "")
+        assert capsys.readouterr().err.splitlines() == [
+            f"esnlab: theorem violated (a bug, not bad input): {message}"]
+
+
 def test_long_cay_tokens_are_cut_in_messages(tmp_path, capsys):
     # a run of digits too long for int() is a number out of range, not a
     # non-number, and a message shows a token or an order cut to 20 characters
     digits, cut = "9" * 5000, "9" * 20 + "..."
+    two = "\u0662"  # ARABIC-INDIC DIGIT TWO, a decimal digit to int()
     cases = (
         (f"2\n1 {digits}\n1 1\n", f"line 2: entry {cut} out of range 1..2"),
         (f"2\n1 {digits[:40]}\n1 1\n", f"line 2: entry {cut} out of range 1..2"),
@@ -438,10 +464,17 @@ def test_long_cay_tokens_are_cut_in_messages(tmp_path, capsys):
         (f"{digits}\n1\n", f"line 1: order {cut} out of range"),
         (f"x{digits}\n1\n", f"line 1: expected the order, got 'x{cut[1:]}'"),
         (f"{digits[:40]}\n1 1\n", f"line 2: expected {cut} entries, got 2"),
+        # int() would read each of these as a number; a .cay token is ASCII digits
+        ("2\n1 0_2\n1 1\n", "line 2: non-numeric entry '0_2'"),
+        ("2\n1 +2\n1 1\n", "line 2: non-numeric entry '+2'"),
+        (f"2\n1 {two}\n1 1\n", f"line 2: non-numeric entry '{two}'"),
+        ("2\n1 -1\n1 1\n", "line 2: non-numeric entry '-1'"),
+        ("+2\n1 1\n1 1\n", "line 1: expected the order, got '+2'"),
+        (f"2\n1 {two * 5000}\n1 1\n", f"line 2: non-numeric entry '{two * 20}...'"),
     )
     path = tmp_path / "long.cay"
     for text, message in cases:
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         capsys.readouterr()
         code, out = run("check", str(path))
         assert (code, out) == (2, "")

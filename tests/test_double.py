@@ -2,6 +2,7 @@ import functools
 import json
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -9,9 +10,9 @@ from conftest import (
     all_tables,
     chain_semilattice,
     cyclic_group,
+    dig_equal,
     labeled_pairs,
     left_projection,
-    relabel,
     right_projection,
 )
 from esnlab import double as dbl, esn
@@ -20,13 +21,13 @@ from esnlab.double import (
     DoubleSemigroup,
     check_interchange,
     classify_double,
-    dig_equal,
     dig_from_dis,
     dig_from_json,
-    dig_from_views,
+    dig_from_view,
     dig_to_json,
     dis_from_dig,
     is_proper,
+    one_view,
     roundtrip_dig,
     roundtrip_double,
     transpose,
@@ -47,6 +48,8 @@ from esnlab.report import ValidationReport, Verdict
 from esnlab.fixtures import load_pair, load_presheaf
 from esnlab.search import search_double
 from esnlab.tables import CayleyTable
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_interchange_projections():
@@ -538,11 +541,11 @@ def test_views_are_the_esn_groupoids_of_the_two_operations(clifford3):
         assert (back.hop, back.vop) == tuple(is_from_ig(view).table for view in g.views)
 
 
-def test_dig_from_views_inverts_the_views():
+def test_dig_from_view_inverts_the_one_view():
     presheaves = [dig_from_presheaf(load_presheaf(name))
                   for name in ("point_z2_presheaf.json", "clifford3_presheaf.json")]
     for g in [*_double_inverse_groupoids(), *presheaves]:
-        assert dig_equal(dig_from_views(*g.views), g)
+        assert dig_equal(dig_from_view(one_view(g)), g)
 
 
 def test_substantive_families_on_two_object_fixture(clifford3):
@@ -599,23 +602,17 @@ def test_boundary_and_cell_interchange_witnesses_of_corruptions(field, key, valu
         assert not rep.ok
 
 
-def _unchecked_dig(h, v):
-    """The double groupoid whose views are h and v, assembled as dig_from_views
-    assembles it, but not validated."""
-    shared = set(v.objects)
-    obj_of = {x: o for o, x in enumerate((x for x in h.objects if x in shared), 1)}
-    fields = dbl._horizontal_fields(h, v, obj_of)
-    fields.update((dbl._TWIN[name], x) for name, x in dbl._horizontal_fields(v, h, obj_of).items())
-    return DoubleInductiveGroupoid(objects=tuple(obj_of.values()), cells=h.arrows, **fields)
+def _load_dig(name):
+    return dig_from_json(json.loads((DATA / name).read_text()))
 
 
-def test_iii_and_ix_witnesses_where_dom_and_cod_differ(b2):
+def test_iii_and_ix_witnesses_where_dom_and_cod_differ():
     # In a valid double groupoid every cell has dom = cod, so a right-hand side
     # of (iii) or (ix) that reads one for the other, or one vertical identity for
-    # another, agrees there. The views of B2 and of B2 with 1 and 3 exchanged
-    # give cells whose dom and cod differ, and these witnesses pin those sides.
-    views = (esn.groupoid_of(analyze_inverse(t)) for t in (b2, relabel(b2, (3, 2, 1, 4, 5))))
-    g = _unchecked_dig(*views)
+    # another, agrees there. The file holds the double groupoid whose views are
+    # those of B2 and of B2 with 1 and 3 exchanged, not validated when written:
+    # its cells 2 and 3 have dom and cod apart, and these witnesses pin those sides.
+    g = _load_dig("b2_two_views.dig.json")
     assert [a for a in g.cells if g.hdom[a] != g.hcod[a]] == [2, 3]
     expected = [
         *_cells_witnesses("iii.a", "2151", "2551"), *_cells_witnesses("iii.b", "2353", "2553"),
@@ -628,6 +625,29 @@ def test_iii_and_ix_witnesses_where_dom_and_cod_differ(b2):
         found = sorted((v.axiom, v.witness) for v in rep.violations
                        if v.axiom.startswith(("iii.", "ix.")))
         assert found == sorted(expected + [("ix.g-strict", (3, 1))] * strict_ix)
+
+
+def test_violations_of_the_diagonal_b2_groupoid():
+    # Both views are the ESN groupoid of B2, which is not Clifford, so cells 2
+    # and 3 have dom and cod apart while the two directions agree; the file was
+    # written without validation. The whole violation list is pinned, so a
+    # misread row that changes any verdict on this input fails here.
+    g = _load_dig("b2_diagonal.dig.json")
+    assert [a for a in g.cells if g.hdom[a] != g.hcod[a]] == [2, 3]
+    assert transpose(g) == g
+    expected = [
+        *_cells_witnesses("boundary.corner", "21", "22", "31", "32"),
+        *_cells_witnesses("boundary.hcomp-vcod", "23", "32", "42", "53"),
+        *_cells_witnesses("boundary.hcomp-vdom", "23", "25", "32", "34"),
+        *_cells_witnesses("boundary.vcomp-hcod", "23", "32", "42", "53"),
+        *_cells_witnesses("boundary.vcomp-hdom", "23", "25", "32", "34"),
+        *_cells_witnesses("interchange.cells",
+                          "2332", "2334", "3223", "3225", "4223", "4225", "5332", "5334"),
+    ]
+    for strict_ix in (False, True):
+        rep = validate_dig(g, strict_ix)
+        assert sorted((v.axiom, v.witness) for v in rep.violations) == expected
+        assert rep.notes == []
 
 
 def test_validate_dig_counts_of_the_fixture():

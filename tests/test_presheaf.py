@@ -7,7 +7,6 @@ import pytest
 from esnlab.double import (
     DoubleInductiveGroupoid,
     DoubleSemigroup,
-    dig_equal,
     dig_from_dis,
     transpose,
     validate_dig,
@@ -37,7 +36,13 @@ from esnlab.presheaf import (
     validate_presheaf,
     validate_semilattice,
 )
-from conftest import chain_semilattice, cyclic_group, left_projection, right_projection
+from conftest import (
+    chain_semilattice,
+    cyclic_group,
+    dig_equal,
+    left_projection,
+    right_projection,
+)
 
 Z2 = FiniteAbelianGroup((1, 2), {(1, 1): 1, (1, 2): 2, (2, 1): 2, (2, 2): 1}, 1, {1: 1, 2: 2})
 TRIV = FiniteAbelianGroup((1,), {(1, 1): 1}, 1, {1: 1})

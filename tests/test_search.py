@@ -325,7 +325,9 @@ def test_pair_search_matches_labeled_oracle():
             assert all(canonical_pair(h, v) == least_relabeling_oracle(h, v) for h, v in pairs)
 
 
-def test_pools_are_no_larger_than_their_tasks(monkeypatch):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of each pool started, in order; the pools run serially."""
     sizes = []
 
     class RecordingPool:
@@ -344,9 +346,25 @@ def test_pools_are_no_larger_than_their_tasks(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def test_pools_are_no_larger_than_their_tasks(pool_sizes, monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 10**6)  # more cores than tasks
     assert enumerate_semigroups(3, "inverse", jobs=10**6).labeled_count == 24
     assert search_double(2, "semigroup", jobs=10**6).pair_count == 46
-    assert sizes == [len(_prefixes(3, _SPLIT_DEPTH[3], "inverse")), len(_classes(2, "all"))]
+    assert pool_sizes == [len(_prefixes(3, _SPLIT_DEPTH[3], "inverse")), len(_classes(2, "all"))]
+
+
+def test_pools_are_no_larger_than_the_cores(pool_sizes, monkeypatch):
+    # a pool starts all of its workers at once, so --jobs 1000 on the 188 pool
+    # tasks of an order-4 pair search starts no more processes than cores, and
+    # none on a host that reports no core count
+    tasks = [-t for t in range(188)]
+    for cores, pools in ((2, [2]), (None, [2])):
+        monkeypatch.setattr("os.cpu_count", lambda: cores)
+        assert search._run_tasks(abs, tasks, 1000) == list(range(188))
+        assert pool_sizes == pools
 
 
 def test_orbit_with_a_wrong_automorphism_count_is_a_theorem_violation():

@@ -94,6 +94,25 @@ def test_inductive_groupoids_are_built_in_one_place():
     assert calls == []
 
 
+def test_double_groupoids_are_built_in_one_place():
+    # a double groupoid is assembled from its one view, read from a JSON file,
+    # or transposed, all in double.py; a copy built by hand elsewhere could
+    # drift from the assembly it stands for
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {id(node): top.name for top in tree.body if isinstance(top, ast.FunctionDef)
+                 for node in ast.walk(top)}
+        calls += [
+            f"{path.name}:{owner.get(id(call))}"
+            for call in ast.walk(tree)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+            and call.func.id == "DoubleInductiveGroupoid"
+        ]
+    assert sorted(calls) == ["double.py:dig_from_json", "double.py:dig_from_view",
+                             "double.py:transpose"]
+
+
 def test_no_private_cross_module_imports():
     # a module reads another through its public names only, so a private
     # table can change shape without breaking a reader elsewhere

@@ -19,8 +19,10 @@ interchange law on cells and the axioms (iii)-(ix), the rows on cells reading th
 view tables with ``dict.get``; the rows of (iii), (v) and (vi) are driven
 (``report.Row``). Exchanging the two directions (``transpose``) maps double
 groupoids to double groupoids, so every row about one direction is stated once and
-also run on the transpose. Values are immutable; each keeps the result of its own
-check (``DoubleSemigroup.classification``, ``DoubleInductiveGroupoid.report``).
+also run on the transpose, or, on a value that is its own transpose (by the theorem,
+every one built here), run once, its result copied to the twin: both views are then
+one object. Values are immutable; each keeps the result of its own check
+(``DoubleSemigroup.classification``, ``DoubleInductiveGroupoid.report``).
 """
 
 from __future__ import annotations
@@ -134,8 +136,10 @@ def _analysis_or_failure(t):
 
 
 def classify_double(hop: CayleyTable, vop: CayleyTable) -> DoubleClassification:
-    hop_analysis, hop_failure, hop_associative = _analysis_or_failure(hop)
-    vop_analysis, vop_failure, vop_associative = _analysis_or_failure(vop)
+    """The verdicts on both operations; a table that is both is analysed once."""
+    hop_analysis, hop_failure, hop_associative = hop_result = _analysis_or_failure(hop)
+    vop_analysis, vop_failure, vop_associative = (
+        hop_result if vop == hop else _analysis_or_failure(vop))
     return DoubleClassification(
         hop_associative=hop_associative,
         vop_associative=vop_associative,
@@ -194,9 +198,11 @@ class DoubleInductiveGroupoid:
 
     @computed_once
     def views(self) -> tuple[InductiveGroupoid, InductiveGroupoid]:
-        """The horizontal and the vertical inductive groupoid on cell ids, built once;
-        read only after ``validate_dig`` has checked the embeddings and ranges."""
-        return _horizontal_view(self), _horizontal_view(transpose(self))
+        """The horizontal and the vertical inductive groupoid on cell ids, built once,
+        one object if this value equals its transpose (JSON input keeps equal but
+        distinct tables); read only after ``validate_dig`` has checked the ranges."""
+        h, t = _horizontal_view(self), transpose(self)
+        return (h, h) if t == self else (h, _horizontal_view(t))
 
 
 # Every field of DoubleInductiveGroupoid, paired with its twin in the transpose,
@@ -296,13 +302,22 @@ def _twinned(*pairs):
 
 def _check_twinned(table, sides, rep: ValidationReport, skip=()) -> bool:
     """Run each (row, twin) of ``table`` on the first of ``sides``, and the twin,
-    unless it is None or its tag is in ``skip``, on the second, the transpose;
-    a side is (context, carriers). Returns whether no row failed."""
+    unless it is None or its tag is in ``skip``, on the second, the transpose; a
+    side is (context, carriers). With one side the value is its own transpose, and
+    a twin's result is its row's under the twin's tag. Returns whether none failed."""
     ok = True
     for row, twin in table:
-        ok &= check_rows(*sides[0], (row,), rep)
-        if twin is not None and twin.tag not in skip:
+        part = ValidationReport()
+        ok &= check_rows(*sides[0], (row,), part)
+        rep.merge(part)
+        if twin is None or twin.tag in skip:
+            continue
+        if len(sides) > 1:
             ok &= check_rows(*sides[1], (twin,), rep)
+        else:
+            rep.violations += [replace(x, axiom=twin.tag) for x in part.violations]
+            rep.bump(twin.counts, True, part.substantive.get(row.counts, 0))
+            rep.bump(twin.counts, False, part.vacuous.get(row.counts, 0))
     return ok
 
 
@@ -329,8 +344,9 @@ _IDENTITIES = _twinned(
 
 def _check_embeddings(g: DoubleInductiveGroupoid, rep: ValidationReport) -> bool:
     """The embedding rows, on fields the range pass has checked."""
+    h, v = g.views
     sides = tuple((t, {s: getattr(t, name) for s, name in _CARRIER.items()})
-                  for t in (g, transpose(g)))
+                  for t in ((g,) if h is v else (g, transpose(g))))
     return _check_twinned(_INJECTIVE, sides, rep) and _check_twinned(_IDENTITIES, sides, rep)
 
 
@@ -458,8 +474,8 @@ def validate_dig(g: DoubleInductiveGroupoid, strict_ix=False) -> ValidationRepor
     check_rows(g, {"c": g.cells, "k": range(4)}, (_CORNER,), rep)
     h, v = g.views
     objects = tuple(sorted(g.obj_cell(o) for o in g.objects))
-    _check_twinned(_CELL_ROWS, (_side(h, v, objects), _side(v, h, objects)), rep,
-                   skip=() if strict_ix else ("ix.g-strict",))
+    sides = (_side(h, v, objects),) if h is v else (_side(h, v, objects), _side(v, h, objects))
+    _check_twinned(_CELL_ROWS, sides, rep, skip=() if strict_ix else ("ix.g-strict",))
     if strict_ix:
         for a in g.cells:
             for ec in v.objects:
@@ -595,15 +611,16 @@ def roundtrip_dig(
 _SPLIT_KEYS = (((0, 1, 2), (3, 4, 5)), ((3, 4, 5), (0, 1, 2)), ((4, 6, 7),) * 2, ((5, 6, 8),) * 2)
 
 
-def _check_split_and_meets(h, v, pieces, rep: ValidationReport, tags, order):
+def _check_split_and_meets(h, v, pieces, rep: ValidationReport, *readings):
     """split.i, split.ii (a transverse (co)restriction of a horizontal composite
     splits into one of each factor) and meets.i, meets.ii (the meets of the
-    factors' edges are (co)restrictions of the meets of the operands' edges),
-    under the four tags, for the pseudo-products a·b and c·d of every two pairs
-    of cells, read on the views h and v; on the transposed views they are the
-    vertical identities. Each is evaluated once per pair of edge keys and
-    counted for every quadruple of the two key groups. Witnesses list
-    (a, b, c, d) in the given order, by a·b, then c·d, then identity."""
+    factors' edges are (co)restrictions of the meets of the operands' edges)
+    for the pseudo-products a·b and c·d of every two pairs of cells, read on
+    the views h and v; on the transposed views they are the vertical
+    identities. Each is evaluated once per pair of edge keys and counted for
+    every quadruple of the two key groups, and recorded for each (tags, order)
+    of ``readings``: witnesses list (a, b, c, d) in that order, by a·b, then
+    c·d, then identity."""
     meet, hcomp = v.object_meet.get, h.compose.get
     vcorestrict, vrestrict = v.corestriction.get, v.restriction.get
     hcorestrict, hrestrict = h.corestriction.get, h.restriction.get
@@ -632,12 +649,14 @@ def _check_split_and_meets(h, v, pieces, rep: ValidationReport, tags, order):
                 substantive[i] += len(ps) * len(qs)
                 if lhs != rhs:
                     failed.extend((p, q, i) for p in ps for q in qs)
-    for p, q, i in sorted(failed):
-        quad = (*pairs[p], *pairs[q])
-        rep.add(tags[i], tuple(quad[k] for k in order))
-    for tag, hits, misses in zip(tags, substantive, vacuous):
-        rep.bump(tag, True, hits)
-        rep.bump(tag, False, misses)
+    failed.sort()
+    for tags, order in readings:
+        for p, q, i in failed:
+            quad = (*pairs[p], *pairs[q])
+            rep.add(tags[i], tuple(quad[k] for k in order))
+        for tag, hits, misses in zip(tags, substantive, vacuous):
+            rep.bump(tag, True, hits)
+            rep.bump(tag, False, misses)
 
 
 def _grouped(rows, key):
@@ -654,12 +673,14 @@ def verify_interchange_identities(g: DoubleInductiveGroupoid) -> ValidationRepor
     valid views are total, the two composite-splitting identities, and the four
     meet-transport identities, each checked wherever its expressions are
     defined. The vertical identities are the horizontal ones read on the
-    transpose, where the quadruple (a, b, c, d) of g is (a, c, b, d)."""
+    transpose, where the quadruple (a, b, c, d) of g is (a, c, b, d); on g its
+    own transpose they are the horizontal results under those witnesses."""
     if not g.report:
         return g.report
     rep = ValidationReport()
     h, v = g.views
-    horizontal, vertical = pseudo_products(h), pseudo_products(v)
+    horizontal = pseudo_products(h)
+    vertical = horizontal if h is v else pseudo_products(v)
     hprod = {pair: pieces[3] for pair, pieces in horizontal.items()}
     vprod = {pair: pieces[3] for pair, pieces in vertical.items()}
     for (a, b), x in hprod.items():
@@ -668,10 +689,13 @@ def verify_interchange_identities(g: DoubleInductiveGroupoid) -> ValidationRepor
             if vprod.get((x, y)) != hprod.get((vprod[a, c], vprod[b, d])):
                 rep.add("interchange.products", (a, b, c, d))
     rep.bump("interchange.products", True, len(hprod) ** 2)
-    _check_split_and_meets(h, v, horizontal, rep,
-                           ("split.h.i", "split.h.ii", "meets.i", "meets.ii"), (0, 1, 2, 3))
-    _check_split_and_meets(v, h, vertical, rep,
-                           ("split.v.i", "split.v.ii", "meets.iii", "meets.iv"), (0, 2, 1, 3))
+    readings = ((("split.h.i", "split.h.ii", "meets.i", "meets.ii"), (0, 1, 2, 3)),
+                (("split.v.i", "split.v.ii", "meets.iii", "meets.iv"), (0, 2, 1, 3)))
+    if h is v:
+        _check_split_and_meets(h, v, horizontal, rep, *readings)
+    else:
+        _check_split_and_meets(h, v, horizontal, rep, readings[0])
+        _check_split_and_meets(v, h, vertical, rep, readings[1])
     return rep
 
 

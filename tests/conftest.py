@@ -256,18 +256,16 @@ def natural_order_oracle(t):
 class LookupEvaluator:
     """Definedness-guarded evaluation over the horizontal view h and the vertical
     view v of one double groupoid, one lookup per call: every value is a cell id
-    or None, arrows and objects are their identity cells, and each operation
-    reads one view's table, so it gives None where an argument is None or not of
-    the sort it needs. ``LookupEvaluator(v, h)`` evaluates on the transpose."""
+    or None, arrows and objects are their identity cells, and each operation is
+    the ``get`` of one view's table, keyed as the table is, so it gives None
+    where an argument is None or not of the sort it needs.
+    ``LookupEvaluator(v, h)`` evaluates on the transpose."""
 
     def __init__(self, h, v):
-        def lookup(table):
-            return lambda x, y: table.get((x, y))
-
         self.vdom, self.vcod = v.dom.get, v.cod.get
-        self.hcomp, self.meet_v = lookup(h.compose), lookup(v.object_meet)
-        self.hrestrict, self.vrestrict = lookup(h.restriction), lookup(v.restriction)
-        self.hcorestrict, self.vcorestrict = lookup(h.corestriction), lookup(v.corestriction)
+        self.hcomp, self.meet_v = h.compose.get, v.object_meet.get
+        self.hrestrict, self.vrestrict = h.restriction.get, v.restriction.get
+        self.hcorestrict, self.vcorestrict = h.corestriction.get, v.corestriction.get
 
 
 def split_and_meets_oracle(h, v, pieces, rep, tags, order):
@@ -279,16 +277,17 @@ def split_and_meets_oracle(h, v, pieces, rep, tags, order):
     substantive, vacuous = [0] * 4, [0] * 4
     for (a, b), (u, au, ub, x) in pieces.items():
         for (c, d), (v, cv, vd, y) in pieces.items():
-            m = ev.meet_v(ev.vcod(x), ev.vdom(y))
-            left = ev.meet_v(ev.vcod(au), ev.vdom(cv))
-            right = ev.meet_v(ev.vcod(ub), ev.vdom(vd))
-            uv = ev.meet_v(ev.vcod(u), ev.vdom(v))
+            m = ev.meet_v((ev.vcod(x), ev.vdom(y)))
+            left = ev.meet_v((ev.vcod(au), ev.vdom(cv)))
+            right = ev.meet_v((ev.vcod(ub), ev.vdom(vd)))
+            uv = ev.meet_v((ev.vcod(u), ev.vdom(v)))
             sides = (
-                (ev.vcorestrict(x, m),
-                 ev.hcomp(ev.vcorestrict(au, left), ev.vcorestrict(ub, right))),
-                (ev.vrestrict(m, y), ev.hcomp(ev.vrestrict(left, cv), ev.vrestrict(right, vd))),
-                (left, ev.hcorestrict(ev.meet_v(ev.vcod(a), ev.vdom(c)), uv)),
-                (right, ev.hrestrict(uv, ev.meet_v(ev.vcod(b), ev.vdom(d)))),
+                (ev.vcorestrict((x, m)),
+                 ev.hcomp((ev.vcorestrict((au, left)), ev.vcorestrict((ub, right))))),
+                (ev.vrestrict((m, y)),
+                 ev.hcomp((ev.vrestrict((left, cv)), ev.vrestrict((right, vd))))),
+                (left, ev.hcorestrict((ev.meet_v((ev.vcod(a), ev.vdom(c))), uv))),
+                (right, ev.hrestrict((uv, ev.meet_v((ev.vcod(b), ev.vdom(d)))))),
             )
             for i, (lhs, rhs) in enumerate(sides):
                 if lhs is None or rhs is None:

@@ -823,3 +823,11 @@ def test_presheaf_ids_must_be_json_integers(tmp_path, capsys):
         (lambda d: d.__setitem__("groups", {}), "groups must be a list, not an object"),
     ):
         _rejected(tmp_path, capsys, ("compose",), edited(edit), message)
+
+
+def test_one_table_as_both_operations_is_analysed_once(monkeypatch):
+    # the pair file and the pair rebuilt from its double groupoid each hold one
+    # table as both operations, and classify_double analyses it once, not twice
+    counts = _count_checks(monkeypatch)
+    assert run("double", "roundtrip", fx("clifford3_pair.cay"))[0] == 0
+    assert counts["analyze_inverse"] == 2

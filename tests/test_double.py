@@ -507,7 +507,7 @@ def test_split_and_meets_match_the_lookup_oracle(clifford3, monkeypatch):
         for direction, (sides, order) in enumerate(directions):
             pieces = pseudo_products(sides[0])
             fast, slow = ValidationReport(), ValidationReport()
-            dbl._check_split_and_meets(*sides, pieces, fast, tags, order)
+            dbl._check_split_and_meets(*sides, pieces, fast, (tags, order))
             split_and_meets_oracle(*sides, pieces, slow, tags, order)
             assert fast.as_json() == slow.as_json()
             for tag in tags:
@@ -671,3 +671,77 @@ def test_validate_dig_counts_of_the_fixture():
         "ix.a": 1, "ix.b": 1, "ix.c": 1, "ix.d": 1, "ix.e": 1, "ix.f": 1, "ix.g": 1,
         "ix.g-strict": 1, "ix.h": 1,
     }
+
+
+def test_a_self_transposed_groupoid_has_one_view(clifford3, monkeypatch):
+    # a double groupoid that is its own transpose, also one read from JSON with
+    # equal but distinct tables, has one view, validated once per validate_dig;
+    # the two-views file is not its own transpose and keeps two views
+    calls = []
+    monkeypatch.setattr(esn, "validate_ig", lambda g, check=esn.validate_ig: (
+        calls.append(g), check(g))[1])
+    one = [dig_from_dis(DoubleSemigroup(clifford3, clifford3)), _load_dig("b2_diagonal.dig.json")]
+    for g in [*one, dig_from_json(json.loads(json.dumps(dig_to_json(one[0]))))]:
+        g = _mutate(g)  # a fresh copy, whose views are not built yet
+        calls.clear()
+        validate_dig(g)
+        assert len(calls) == 1 and g.views[0] is g.views[1]
+    g = _load_dig("b2_two_views.dig.json")
+    assert transpose(g) != g
+    calls.clear()
+    validate_dig(g)
+    assert len(calls) == 2 and g.views[0] is not g.views[1] and g.views[0] != g.views[1]
+
+
+def _symmetric_mutations(base, count, seed):
+    """count seeded corruptions of base, its own transpose, that edit a table
+    and its twin alike, so each is still its own transpose: a value of a table
+    moved, possibly out of its carrier, or a pair of the two orders flipped."""
+    rng = random.Random(seed)
+    twins = (("hcompose", "vcompose"), ("meet_h", "meet_v"), ("hinv", "vinv"),
+             ("h_restrict", "v_restrict"), ("h_corestrict", "v_corestrict"),
+             ("hdom", "vdom"), ("hcod", "vcod"), ("leq", "lesssim"))
+    for _ in range(count):
+        field, twin = rng.choice(twins)
+        table = getattr(base, field)
+        if isinstance(table, frozenset):
+            table = table ^ {(rng.choice(base.cells), rng.choice(base.cells))}
+        else:
+            table = dict(table)
+            table[rng.choice(sorted(table))] = rng.randint(1, len(base.cells) + 1)
+        mutated = _mutate(base, **{field: table, twin: table})
+        assert transpose(mutated) == mutated
+        yield mutated
+
+
+def test_one_view_reports_equal_the_two_view_reports(clifford3, monkeypatch):
+    # on a double groupoid that is its own transpose, the twin rows and the
+    # vertical interchange identities are copied from their horizontal results;
+    # the reports must equal those of the two-sided path, which builds the
+    # vertical view from the transpose as its own object
+    base = dig_from_dis(DoubleSemigroup(clifford3, clifford3))
+    diagonal = _load_dig("b2_diagonal.dig.json")
+    corrupted = [*_symmetric_mutations(base, 60, 28), *_symmetric_mutations(diagonal, 60, 29)]
+    corpus = [base, diagonal, *_double_inverse_groupoids()[::7], *corrupted]
+
+    def reports():
+        out = []
+        for g in corpus:  # fresh copies, so that nothing is kept from the other path
+            out += [validate_dig(_mutate(g), strict_ix).as_json() for strict_ix in (False, True)]
+            out.append(verify_interchange_identities(_mutate(g)).as_json())
+        # the vertical identities of corrupted groupoids whose views can be built,
+        # let past the validity check that would otherwise stop the run
+        with monkeypatch.context() as patch:
+            patch.setattr(DoubleInductiveGroupoid, "report", ValidationReport())
+            out += [verify_interchange_identities(_mutate(g)).as_json() for g in corrupted
+                    if not any(v.axiom.startswith(("range.", "emb."))
+                               for v in validate_dig(g).violations)]
+        return out
+
+    one_sided = reports()
+    monkeypatch.setattr(DoubleInductiveGroupoid, "views", property(
+        lambda g: (dbl._horizontal_view(g), dbl._horizontal_view(transpose(g)))))
+    assert reports() == one_sided
+    derived = {v["axiom"] for rep in one_sided for v in rep["violations"]}
+    assert {"iii.b", "ix.e", "boundary.vcomp-hdom", "ix.g-strict", "split.v.i", "meets.iii",
+            "meets.iv"} <= derived

@@ -15,8 +15,8 @@ the ESN groupoid of that operation (``dig_from_dis``) or of a presheaf's
 checkers still read any double groupoid with two views. Every
 check ``validate_dig`` makes is a row of the identity engine (``report.check_rows``)
 after the range pass: the embeddings, the corners, boundary coherence, the
-interchange law on cells and the axioms (iii)-(ix), the rows on cells reading the
-view tables with ``dict.get``; the rows of (iii), (v) and (vi) are driven
+interchange law on cells and the axioms (iii)-(ix), the rows on cells reading
+total tables of the views (``_side``); the rows of (iii)-(vi) are driven
 (``report.Row``). Exchanging the two directions (``transpose``) maps double
 groupoids to double groupoids, so every row about one direction is stated once and
 also run on the transpose, or, on a value that is its own transpose (by the theorem,
@@ -64,17 +64,28 @@ class DoubleSemigroup:
 
 def check_interchange(hop: CayleyTable, vop: CayleyTable) -> Verdict:
     """(a v b) h (c v d) = (a h c) v (b h d) over all quadruples; least witness."""
-    h, v, n = hop.flat, vop.flat, hop.n
-    for a in range(n):
-        an = a * n
-        for b in range(n):
-            abn, bn = v[an + b] * n, b * n
-            for c in range(n):
-                acn, cn = h[an + c] * n, c * n
-                for d in range(n):
-                    if h[abn + v[cn + d]] != v[acn + h[bn + d]]:
-                        return Verdict(False, (a + 1, b + 1, c + 1, d + 1))
-    return Verdict(True)
+    failure = next(_interchange_failures(hop.rows, vop.rows), None)
+    return PASS if failure is None else Verdict(False, failure)
+
+
+def _interchange_failures(outer, inner):
+    """Each (a, b, c, d), in lexicographic order, at which the interchange law
+    outer(inner(a, b), inner(c, d)) = inner(outer(a, c), outer(b, d)) fails, for
+    two tables on 1..n given as their rows, where 0 reads as undefined. A row at
+    a time: for each (a, b, c) the two sides over every d are compared as one
+    tuple, and d is looped over only where they differ."""
+    ids = range(1, len(inner) + 1)
+    by_inner, by_outer = ({x: itemgetter(*row) for x, row in zip(ids, t)} for t in (inner, outer))
+    # row and column 0 all 0: a product with an undefined factor is undefined
+    outer, inner = ([(0,) * len(t) + (0,), *((0, *row) for row in t)] for t in (outer, inner))
+    for a in ids:
+        for b in ids:
+            left, right = outer[inner[a][b]], by_outer[b]
+            for c in ids:
+                below = inner[outer[a][c]]
+                if by_inner[c](left) != right(below):
+                    yield from ((a, b, c, d) for d in ids
+                                if left[inner[c][d]] != below[outer[b][d]])
 
 
 @dataclass(frozen=True)
@@ -250,31 +261,51 @@ def transpose(g: DoubleInductiveGroupoid) -> DoubleInductiveGroupoid:
 def _side(h: InductiveGroupoid, v: InductiveGroupoid, objects: tuple):
     """(context, carriers) of the cell rows on the horizontal view h and the
     vertical view v of one groupoid; ``_side(v, h, objects)`` reads its transpose.
-    The context holds the ``get`` of each view table, keyed as the table is, so
-    a read is None where an argument is None or not of the sort it needs; arrows
-    and objects are their identity cells. The carriers are the ranges of row
-    variables by the sort letters of _CELL_ROWS; C is a composable pair (a, b)
-    of h, x a cell c with vcomp(a, c) defined, and y a cell d with hcomp(c, d)
-    and vcomp(b, d) defined. The driven ranges keep the values at which the
-    first table a left-hand side reads is defined: b, g for vcomp(a, b),
-    vcomp(f, g); p for hcorestrict(p, f), r for hrestrict(f, r), k for
-    vcorestrict(a, k) and e for vrestrict(e, a)."""
-    cells, hc, vc, ver, hor = h.arrows, h.compose, v.compose, h.objects, v.objects
-    hco, hre, vco, vre = h.corestriction, h.restriction, v.corestriction, v.restriction
-    tables = SimpleNamespace(
-        hdom=h.dom.get, hcod=h.cod.get, vdom=v.dom.get, vcod=v.cod.get,
-        hcomp=hc.get, vcomp=vc.get, meet_h=h.object_meet.get, meet_v=v.object_meet.get,
-        hrestrict=hre.get, vrestrict=vre.get, hcorestrict=hco.get, vcorestrict=vco.get, hor=hor)
-    return tables, {
-        "c": cells, "v": ver, "h": hor, "o": objects, "C": hc,
-        "x": lambda ab: [c for c in cells if (ab[0], c) in vc],
-        "y": lambda ab, c: [d for d in cells if (c, d) in hc and (ab[1], d) in vc],
-        "b": lambda a: [b for b in cells if (a, b) in vc],
-        "g": lambda a, b, f: [g for g in ver if (f, g) in vc],
-        "p": lambda f, h: [p for p in hor if (p, f) in hco],
-        "r": lambda f, h: [r for r in hor if (f, r) in hre],
-        "k": lambda a: [f for f in hor if (a, f) in vco],
-        "e": lambda a: [f for f in hor if (f, a) in vre],
+    The context holds each view table read, for this check, into a total table
+    over None and the cells, t[x] or t[x][y], None where the entry is undefined
+    or an argument is None or not of the sort it needs; arrows and objects are
+    their identity cells. The carriers are the ranges of row variables by the
+    sort letters of _CELL_ROWS; C is a composable pair (a, b) of h, x a cell c
+    with vcomp(a, c) defined, and y a cell d with hcomp(c, d) and vcomp(b, d)
+    defined. The driven ranges keep the values at which a table that one side
+    reads is defined: b, g for vcomp(a, b), vcomp(f, g); p, q for hcorestrict(p,
+    f), hcorestrict(q, h); r, s for hrestrict(f, r), hrestrict(h, s); k for
+    vcorestrict(a, k), e for vrestrict(e, a); u for hcomp(p, u), and w for
+    hcomp(q, w) and hcomp(meet_v(p, q), meet_v(u, w))."""
+    cells, ver, hor, keys = h.arrows, h.objects, v.objects, (None, *h.arrows)
+
+    def total(table):
+        rows = {x: dict.fromkeys(keys) for x in keys}
+        for (x, y), z in table.items():
+            rows[x][y] = z
+        return rows
+
+    def after(t, xs, ys):  # each x of xs -> the ys with t[x][y] defined
+        return {x: [y for y in ys if t[x][y] is not None] for x in xs}
+
+    e = SimpleNamespace(
+        hdom={None: None, **h.dom}, hcod={None: None, **h.cod},
+        vdom={None: None, **v.dom}, vcod={None: None, **v.cod},
+        hcomp=total(h.compose), vcomp=total(v.compose), meet_h=total(h.object_meet),
+        meet_v=total(v.object_meet), hrestrict=total(h.restriction),
+        vrestrict=total(v.restriction), hcorestrict=total(h.corestriction),
+        vcorestrict=total(v.corestriction), hor=hor)
+    hc, vc, mv = e.hcomp, e.vcomp, e.meet_v
+    vc_after, hc_after = after(vc, cells, cells), after(hc, cells, cells)
+    ver_after, hor_after = after(vc, ver, ver), after(hc, hor, hor)
+    hre_after, vco_after = after(e.hrestrict, objects, hor), after(e.vcorestrict, cells, hor)
+    hco_before = {f: [p for p in hor if e.hcorestrict[p][f] is not None] for f in objects}
+    vre_before = {a: [f for f in hor if e.vrestrict[f][a] is not None] for a in cells}
+    return e, {
+        "c": cells, "v": ver, "h": hor, "o": objects, "C": h.compose,
+        "x": lambda ab: vc_after[ab[0]],
+        "y": lambda ab, c: [d for d in hc_after[c] if vc[ab[1]][d] is not None],
+        "b": lambda a: vc_after[a], "g": lambda a, b, f: ver_after[f],
+        "p": lambda f, h: hco_before[f], "q": lambda f, h, p: hco_before[h],
+        "r": lambda f, h: hre_after[f], "s": lambda f, h, r: hre_after[h],
+        "k": lambda a: vco_after[a], "e": lambda a: vre_before[a],
+        "u": lambda p, q: hor_after[p],
+        "w": lambda p, q, u: [w for w in hor_after[q] if hc[mv[p][q]][mv[u][w]] is not None],
     }
 
 
@@ -378,83 +409,83 @@ def _axiom(tag, twin, sorts, lhs, rhs, order, drive=None):
 # fails, and the compatibility axioms (iii)-(ix), one row per identity.
 _CELL_ROWS = _twinned(
     (Row("boundary.hcomp-vdom", "C", lambda e, ab:
-         e.hcomp((e.vdom(ab[0]), e.vdom(ab[1]))) == e.vdom(e.hcomp(ab)),
+         e.hcomp[e.vdom[ab[0]]][e.vdom[ab[1]]] == e.vdom[e.hcomp[ab[0]][ab[1]]],
          counts="boundary.hcomp-vdom"), "boundary.vcomp-hdom"),
     (Row("boundary.hcomp-vcod", "C", lambda e, ab:
-         e.hcomp((e.vcod(ab[0]), e.vcod(ab[1]))) == e.vcod(e.hcomp(ab)),
+         e.hcomp[e.vcod[ab[0]]][e.vcod[ab[1]]] == e.vcod[e.hcomp[ab[0]][ab[1]]],
          counts="boundary.hcomp-vcod"), "boundary.vcomp-hcod"),
     (Row("boundary.hor-closed", "hh", lambda e, x, y:
-         (c := e.hcomp((x, y))) is None or c in e.hor), "boundary.ver-closed"),
+         (c := e.hcomp[x][y]) is None or c in e.hor), "boundary.ver-closed"),
     (Row("interchange.cells", "Cxy", lambda e, ab, c, d:
-         (lhs := e.vcomp((e.hcomp(ab), e.hcomp((c, d))))) is not None
-         and lhs == e.hcomp((e.vcomp((ab[0], c)), e.vcomp((ab[1], d)))),
+         (lhs := e.vcomp[e.hcomp[ab[0]][ab[1]]][e.hcomp[c][d]]) is not None
+         and lhs == e.hcomp[e.vcomp[ab[0]][c]][e.vcomp[ab[1]][d]],
          counts="interchange.cells"), None),
     # (iii) composition against (co)restriction in the transverse direction
     _axiom("iii.a", "iii.b", "ccvv",
-        lambda e, a, b, f, g: e.hcorestrict((e.vcomp((a, b)), e.vcomp((f, g)))),
-        lambda e, a, b, f, g: e.vcomp((e.hcorestrict((a, f)), e.hcorestrict((b, g)))), None,
+        lambda e, a, b, f, g: e.hcorestrict[e.vcomp[a][b]][e.vcomp[f][g]],
+        lambda e, a, b, f, g: e.vcomp[e.hcorestrict[a][f]][e.hcorestrict[b][g]], None,
         "cbvg"),
     _axiom("iii.c", "iii.d", "ccvv",
-        lambda e, a, b, f, g: e.hrestrict((e.vcomp((f, g)), e.vcomp((a, b)))),
-        lambda e, a, b, f, g: e.vcomp((e.hrestrict((f, a)), e.hrestrict((g, b)))), (2, 3, 0, 1),
+        lambda e, a, b, f, g: e.hrestrict[e.vcomp[f][g]][e.vcomp[a][b]],
+        lambda e, a, b, f, g: e.vcomp[e.hrestrict[f][a]][e.hrestrict[g][b]], (2, 3, 0, 1),
         "cbvg"),
     # (iv) composition against the transverse meet
     _axiom("iv.a", "iv.b", "hhhh",
-        lambda e, p, q, r, s: e.hcomp((e.meet_v((p, q)), e.meet_v((r, s)))),
-        lambda e, p, q, r, s: e.meet_v((e.hcomp((p, r)), e.hcomp((q, s)))), None),
+        lambda e, p, q, r, s: e.hcomp[e.meet_v[p][q]][e.meet_v[r][s]],
+        lambda e, p, q, r, s: e.meet_v[e.hcomp[p][r]][e.hcomp[q][s]], None, "hhuw"),
     # (v) meet against (co)restriction in the transverse direction
     _axiom("v.a", "v.b", "oohh",
-        lambda e, f, h, p, q: e.meet_v((e.hcorestrict((p, f)), e.hcorestrict((q, h)))),
-        lambda e, f, h, p, q: e.hcorestrict((e.meet_v((p, q)), e.meet_v((f, h)))), (2, 0, 3, 1),
-        "ooph"),
+        lambda e, f, h, p, q: e.meet_v[e.hcorestrict[p][f]][e.hcorestrict[q][h]],
+        lambda e, f, h, p, q: e.hcorestrict[e.meet_v[p][q]][e.meet_v[f][h]], (2, 0, 3, 1),
+        "oopq"),
     _axiom("v.c", "v.d", "oohh",
-        lambda e, f, h, p, q: e.meet_v((e.hrestrict((f, p)), e.hrestrict((h, q)))),
-        lambda e, f, h, p, q: e.hrestrict((e.meet_v((f, h)), e.meet_v((p, q)))), (0, 2, 1, 3),
-        "oorh"),
+        lambda e, f, h, p, q: e.meet_v[e.hrestrict[f][p]][e.hrestrict[h][q]],
+        lambda e, f, h, p, q: e.hrestrict[e.meet_v[f][h]][e.meet_v[p][q]], (0, 2, 1, 3),
+        "oors"),
     # (vi) the two (co)restriction families against each other
     _axiom("vi.a", "vi.b", "chv",
-        lambda e, a, f, g: e.hcorestrict((
-            e.vcorestrict((a, f)), e.vcorestrict((g, e.meet_h((e.hcod(f), e.vcod(g))))))),
-        lambda e, a, f, g: e.vcorestrict((
-            e.hcorestrict((a, g)), e.hcorestrict((f, e.meet_h((e.hcod(f), e.vcod(g))))))),
+        lambda e, a, f, g: e.hcorestrict[
+            e.vcorestrict[a][f]][e.vcorestrict[g][e.meet_h[e.hcod[f]][e.vcod[g]]]],
+        lambda e, a, f, g: e.vcorestrict[
+            e.hcorestrict[a][g]][e.hcorestrict[f][e.meet_h[e.hcod[f]][e.vcod[g]]]],
         None, "ckv"),
     _axiom("vi.c", "vi.d", "chv",
-        lambda e, a, f, g: e.hrestrict((
-            e.vrestrict((e.meet_h((e.hdom(f), e.vdom(g))), g)), e.vrestrict((f, a)))),
-        lambda e, a, f, g: e.vrestrict((
-            e.hrestrict((e.meet_h((e.hdom(f), e.vdom(g))), f)), e.hrestrict((g, a)))),
+        lambda e, a, f, g: e.hrestrict[
+            e.vrestrict[e.meet_h[e.hdom[f]][e.vdom[g]]][g]][e.vrestrict[f][a]],
+        lambda e, a, f, g: e.vrestrict[
+            e.hrestrict[e.meet_h[e.hdom[f]][e.vdom[g]]][f]][e.hrestrict[g][a]],
         None, "cev"),
     # (vii) the two meets against each other; its own transpose
     _axiom("vii", None, "oooo",
-        lambda e, p, q, r, s: e.meet_v((e.meet_h((p, q)), e.meet_h((r, s)))),
-        lambda e, p, q, r, s: e.meet_h((e.meet_v((p, r)), e.meet_v((q, s)))), None),
+        lambda e, p, q, r, s: e.meet_v[e.meet_h[p][q]][e.meet_h[r][s]],
+        lambda e, p, q, r, s: e.meet_h[e.meet_v[p][r]][e.meet_v[q][s]], None),
     # (viii) (co)domains are functorial for the transverse meet
     _axiom("viii.a", "viii.c", "vv",
-        lambda e, p, q: e.vdom(e.meet_h((p, q))),
-        lambda e, p, q: e.meet_h((e.vdom(p), e.vdom(q))), None),
+        lambda e, p, q: e.vdom[e.meet_h[p][q]],
+        lambda e, p, q: e.meet_h[e.vdom[p]][e.vdom[q]], None),
     _axiom("viii.b", "viii.d", "vv",
-        lambda e, p, q: e.vcod(e.meet_h((p, q))),
-        lambda e, p, q: e.meet_h((e.vcod(p), e.vcod(q))), None),
+        lambda e, p, q: e.vcod[e.meet_h[p][q]],
+        lambda e, p, q: e.meet_h[e.vcod[p]][e.vcod[q]], None),
     # (ix) (co)domains are functorial for the transverse (co)restrictions; the
     # transpose of (ix.c) is the pattern-consistent reading of (ix.g), which
     # runs only under strict_ix
     _axiom("ix.a", "ix.e", "cv",
-        lambda e, a, c: e.vdom(e.hcorestrict((a, c))),
-        lambda e, a, c: e.hcorestrict((e.vdom(a), e.vdom(c))), None),
+        lambda e, a, c: e.vdom[e.hcorestrict[a][c]],
+        lambda e, a, c: e.hcorestrict[e.vdom[a]][e.vdom[c]], None),
     _axiom("ix.b", "ix.f", "cv",
-        lambda e, a, c: e.vcod(e.hcorestrict((a, c))),
-        lambda e, a, c: e.hcorestrict((e.vcod(a), e.vcod(c))), None),
+        lambda e, a, c: e.vcod[e.hcorestrict[a][c]],
+        lambda e, a, c: e.hcorestrict[e.vcod[a]][e.vcod[c]], None),
     _axiom("ix.c", "ix.g-strict", "cv",
-        lambda e, a, c: e.vdom(e.hrestrict((c, a))),
-        lambda e, a, c: e.hrestrict((e.vdom(c), e.vdom(a))), (1, 0)),
+        lambda e, a, c: e.vdom[e.hrestrict[c][a]],
+        lambda e, a, c: e.hrestrict[e.vdom[c]][e.vdom[a]], (1, 0)),
     _axiom("ix.d", "ix.h", "cv",
-        lambda e, a, c: e.vcod(e.hrestrict((c, a))),
-        lambda e, a, c: e.hrestrict((e.vcod(c), e.vcod(a))), (1, 0)),
+        lambda e, a, c: e.vcod[e.hrestrict[c][a]],
+        lambda e, a, c: e.hrestrict[e.vcod[c]][e.vcod[a]], (1, 0)),
     # (ix.g) as printed restricts by the *vertical* domain of e; the pattern of
     # (e), (f), (h) suggests the horizontal one instead
     _axiom("ix.g", None, "ch",
-        lambda e, a, c: e.hdom(e.vrestrict((c, a))),
-        lambda e, a, c: e.vrestrict((e.vdom(c), e.hdom(a))), (1, 0)),
+        lambda e, a, c: e.hdom[e.vrestrict[c][a]],
+        lambda e, a, c: e.vrestrict[e.vdom[c]][e.hdom[a]], (1, 0)),
 )
 
 
@@ -681,14 +712,12 @@ def verify_interchange_identities(g: DoubleInductiveGroupoid) -> ValidationRepor
     h, v = g.views
     horizontal = pseudo_products(h)
     vertical = horizontal if h is v else pseudo_products(v)
-    hprod = {pair: pieces[3] for pair, pieces in horizontal.items()}
-    vprod = {pair: pieces[3] for pair, pieces in vertical.items()}
-    for (a, b), x in hprod.items():
-        for (c, d), y in hprod.items():
-            # get: a product is None only on a groupoid read without its check
-            if vprod.get((x, y)) != hprod.get((vprod[a, c], vprod[b, d])):
-                rep.add("interchange.products", (a, b, c, d))
-    rep.bump("interchange.products", True, len(hprod) ** 2)
+    # a product is None, read as 0, only on a groupoid read without its check
+    hprod, vprod = ([[table[a, b][3] or 0 for b in g.cells] for a in g.cells]
+                    for table in (horizontal, vertical))
+    for quad in _interchange_failures(vprod, hprod):
+        rep.add("interchange.products", quad)
+    rep.bump("interchange.products", True, len(g.cells) ** 4)
     readings = ((("split.h.i", "split.h.ii", "meets.i", "meets.ii"), (0, 1, 2, 3)),
                 (("split.v.i", "split.v.ii", "meets.iii", "meets.iv"), (0, 2, 1, 3)))
     if h is v:

@@ -233,9 +233,9 @@ class Row:
     is reported under tag, the variables (in ``order`` if given) its witness;
     substantive and vacuous tuples are counted under ``counts`` if given. With
     ``drive``, the variables range over those sorts: the same carriers, but
-    the arguments of a partial table on the left-hand side only over its keys,
-    in carrier order. A tuple skipped has an undefined left-hand side, so
-    vacuous is the product of the carriers of ``sorts`` less substantive."""
+    an argument of a partial table that either side reads only over its keys,
+    in carrier order. A tuple skipped has an undefined side, so vacuous is
+    the product of the carriers of ``sorts`` less substantive."""
 
     tag: str
     sorts: str

@@ -5,6 +5,7 @@ import pytest
 
 from esnlab.double import check_interchange, skeleton
 from esnlab.errors import OrderTooLargeError
+from esnlab.esn import pseudo_products
 from esnlab.search import _classes, _matches, _orbit
 from esnlab.tables import CayleyTable, canonical_form, parse_table, relabelings
 
@@ -300,3 +301,18 @@ def split_and_meets_oracle(h, v, pieces, rep, tags, order):
     for tag, s, v in zip(tags, substantive, vacuous):
         rep.bump(tag, True, s)
         rep.bump(tag, False, v)
+
+
+def interchange_products_oracle(h, v, rep):
+    """The interchange law of ``double.verify_interchange_identities`` for the
+    pseudo-products · of the view h and ⋄ of the view v, (a·b) ⋄ (c·d) =
+    (a⋄c)·(b⋄d), on every two pairs of cells, one dict lookup at a time, as the
+    loop was first written: a product is None only on a groupoid read without
+    its check, and None equals only None."""
+    hprod = {pair: pieces[3] for pair, pieces in pseudo_products(h).items()}
+    vprod = {pair: pieces[3] for pair, pieces in pseudo_products(v).items()}
+    for (a, b), x in hprod.items():
+        for (c, d), y in hprod.items():
+            if vprod.get((x, y)) != hprod.get((vprod[a, c], vprod[b, d])):
+                rep.add("interchange.products", (a, b, c, d))
+    rep.bump("interchange.products", True, len(hprod) ** 2)

@@ -78,11 +78,20 @@ def test_interchange_swap_symmetry():
 
 def test_interchange_witness_is_the_least_failing_quadruple():
     # against a direct loop through the 1-based products, on every order-2 pair
-    # and a seeded sample of order-3 pairs
+    # and a seeded sample of order-3 pairs; on the table of order 1, where a
+    # row read at one position is a scalar, not a tuple; on each table of order
+    # 3 as both operations; and on seeded tables of orders 4 and 5, with
+    # commutative semigroups as both operations, which pass
     tables3 = list(all_tables(3))
     rng = random.Random(3)
     pairs = [(h, v) for h in all_tables(2) for v in all_tables(2)]
     pairs += [(rng.choice(tables3), rng.choice(tables3)) for _ in range(300)]
+    pairs += [(t, t) for t in all_tables(1)] + [(t, t) for t in tables3]
+    for n in (4, 5):
+        sample = [CayleyTable(tuple(rng.randrange(n) for _ in range(n * n))) for _ in range(30)]
+        sample += [chain_semilattice(n), cyclic_group(n), left_projection(n)]
+        pairs += [(rng.choice(sample), rng.choice(sample)) for _ in range(30)]
+        pairs += [(t, t) for t in sample] + [(left_projection(n), right_projection(n))]
     for hop, vop in pairs:
         els = hop.elements()
         failing = [(a, b, c, d) for a in els for b in els for c in els for d in els
@@ -445,9 +454,10 @@ def _double_inverse_groupoids():
 
 
 def test_driven_rows_match_the_full_product(clifford3, monkeypatch):
-    # a driven row skips only tuples whose left-hand side is undefined, so the
-    # reports equal those of the same rows run over the full product: the same
-    # violations in the same order, and the same counts
+    # a driven row skips only tuples at which a table that one of its sides
+    # reads is undefined, which are vacuous, so the reports equal those of the
+    # same rows run over the full product: the same violations in the same
+    # order, and the same counts
     inputs = [(g, strict_ix) for g in _double_inverse_groupoids() for strict_ix in (False, True)]
     inputs += [(g, strict_ix)
                for g, _ in _random_mutations(dig_from_dis(DoubleSemigroup(clifford3, clifford3)))
@@ -714,15 +724,27 @@ def _symmetric_mutations(base, count, seed):
         yield mutated
 
 
+def _self_transposed_corpus(clifford3):
+    """(corpus, corrupted): double groupoids that are their own transpose, the
+    double groupoid of clifford3, the diagonal B2 file, every seventh of the
+    301 of order <= 4, and the 120 seeded symmetric corruptions of the first
+    two, which are corrupted."""
+    base = dig_from_dis(DoubleSemigroup(clifford3, clifford3))
+    diagonal = _load_dig("b2_diagonal.dig.json")
+    corrupted = [*_symmetric_mutations(base, 60, 28), *_symmetric_mutations(diagonal, 60, 29)]
+    return [base, diagonal, *_double_inverse_groupoids()[::7], *corrupted], corrupted
+
+
+def _views_can_be_built(g):
+    return not any(v.axiom.startswith(("range.", "emb.")) for v in validate_dig(g).violations)
+
+
 def test_one_view_reports_equal_the_two_view_reports(clifford3, monkeypatch):
     # on a double groupoid that is its own transpose, the twin rows and the
     # vertical interchange identities are copied from their horizontal results;
     # the reports must equal those of the two-sided path, which builds the
     # vertical view from the transpose as its own object
-    base = dig_from_dis(DoubleSemigroup(clifford3, clifford3))
-    diagonal = _load_dig("b2_diagonal.dig.json")
-    corrupted = [*_symmetric_mutations(base, 60, 28), *_symmetric_mutations(diagonal, 60, 29)]
-    corpus = [base, diagonal, *_double_inverse_groupoids()[::7], *corrupted]
+    corpus, corrupted = _self_transposed_corpus(clifford3)
 
     def reports():
         out = []
@@ -734,8 +756,7 @@ def test_one_view_reports_equal_the_two_view_reports(clifford3, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(DoubleInductiveGroupoid, "report", ValidationReport())
             out += [verify_interchange_identities(_mutate(g)).as_json() for g in corrupted
-                    if not any(v.axiom.startswith(("range.", "emb."))
-                               for v in validate_dig(g).violations)]
+                    if _views_can_be_built(g)]
         return out
 
     one_sided = reports()
@@ -745,3 +766,29 @@ def test_one_view_reports_equal_the_two_view_reports(clifford3, monkeypatch):
     derived = {v["axiom"] for rep in one_sided for v in rep["violations"]}
     assert {"iii.b", "ix.e", "boundary.vcomp-hdom", "ix.g-strict", "split.v.i", "meets.iii",
             "meets.iv"} <= derived
+
+
+def test_interchange_products_match_the_lookup_oracle(clifford3, monkeypatch):
+    # the row-at-a-time interchange kernel against the dict-keyed loop it
+    # replaced, on the corpus above, also let past the validity check, where a
+    # pseudo-product can be undefined, and on the two-views file
+    from conftest import interchange_products_oracle
+
+    corpus, corrupted = _self_transposed_corpus(clifford3)
+    corpus.append(_load_dig("b2_two_views.dig.json"))
+
+    def agree(g):
+        fast, slow = verify_interchange_identities(g), ValidationReport()
+        interchange_products_oracle(*g.views, slow)
+        tag = "interchange.products"
+        assert [v for v in fast.violations if v.axiom == tag] == slow.violations
+        assert (fast.substantive[tag], fast.vacuous.get(tag)) == (len(g.cells) ** 4, None)
+        return bool(slow.violations)
+
+    assert not any(agree(_mutate(g)) for g in corpus if validate_dig(g).ok)
+    monkeypatch.setattr(DoubleInductiveGroupoid, "report", ValidationReport())
+    checked = [_mutate(g) for g in corpus if _views_can_be_built(g)]
+    undefined = [g for g in checked
+                 if any(p[3] is None for view in g.views for p in pseudo_products(view).values())]
+    failing = [g for g in checked if agree(g)]
+    assert (len(checked), len(undefined), len(failing)) == (119, 19, 49)

@@ -1,6 +1,6 @@
 """Mutation sweep of the cell rows of ``esnlab.double``.
 
-    python3 tools/mutation_sweep.py [--limit N]
+    python3 tools/mutation_sweep.py
 
 Each mutant exchanges one read of ``e.vdom``, ``e.vcod``, ``e.hdom`` or
 ``e.hcod`` in ``_CELL_ROWS`` for one of the other three. It is written into a
@@ -16,7 +16,6 @@ survived.
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import shutil
@@ -62,10 +61,7 @@ def test_files() -> list[str]:
     return sorted(found, key=lambda name: name not in FIRST)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--limit", type=int, default=None, help="run only the first N mutants")
-    args = parser.parse_args(argv)
+def main() -> int:
     source = (ROOT / TARGET).read_text()
     files = test_files()
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
@@ -76,7 +72,7 @@ def main(argv=None) -> int:
             shutil.copytree(ROOT / part, copy / part,
                             ignore=shutil.ignore_patterns("__pycache__", "*.pyc"))
         env["PYTHONPATH"] = str(copy / "src")
-        found = list(mutants(source))[: args.limit]
+        found = list(mutants(source))
         for k, (tag, at, old, new, mutated) in enumerate(found, 1):
             (copy / TARGET).write_text(mutated)
             run = subprocess.run(

@@ -165,7 +165,8 @@ def cmd_double(args, doc):
             back = dbl.dis_from_dig(g)
             v1 = dbl.roundtrip_double(d, back)
             _check_entry(doc, "semigroup-roundtrip", v1, v1.witness)
-            v2 = dbl.roundtrip_dig(g, dbl.dig_from_dis(back))
+            # dig_from_dis is deterministic: back equal to d would rebuild g
+            v2 = dbl.roundtrip_dig(g, g if back == d else dbl.dig_from_dis(back))
             _check_entry(doc, "groupoid-roundtrip", v2, v2.witness)
     else:
         g = dbl.dig_from_json(_load_json(args, doc))

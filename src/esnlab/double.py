@@ -11,18 +11,26 @@ arrows (``vcompose``, ``lesssim``), on cell ids, which its equality compares
 semigroup coincide, so a valid double groupoid's two views are one inductive
 groupoid of loops (``one_view``), and ``dig_from_view`` is the one assembler, of
 the ESN groupoid of that operation (``dig_from_dis``) or of a presheaf's
-(``compose``); its pseudo-product is both operations (``dis_from_dig``). The
-checkers still read any double groupoid with two views. Every
-check ``validate_dig`` makes is a row of the identity engine (``report.check_rows``)
-after the range pass: the embeddings, the corners, boundary coherence, the
-interchange law on cells and the axioms (iii)-(ix), the rows on cells reading
+(``compose``); its pseudo-product is both operations (``dis_from_dig``). A value
+is checked once, where it comes from. One read from JSON is validated in full
+(``validate_dig``, its ``report``). One the program builds is certified
+(``certify_view``): its view is a valid inductive groupoid of loops whose
+pseudo-product is commutative, which holds exactly when the assembled value is
+valid, by the main theorem and its converse. It carries the certificate, which
+``one_view`` and ``dis_from_dig`` accept in place of the report; the report
+stays the full check for any caller that asks. The checkers still read any
+double groupoid with two views. Every check ``validate_dig`` makes is a row of
+the identity engine (``report.check_rows``) after the range pass: the
+embeddings, the corners, boundary coherence, the interchange law on cells and
+the axioms (iii)-(ix), the rows on cells reading
 total tables of the views (``_side``); the rows of (iii)-(vi) are driven
 (``report.Row``). Exchanging the two directions (``transpose``) maps double
 groupoids to double groupoids, so every row about one direction is stated once and
 also run on the transpose, or, on a value that is its own transpose (by the theorem,
 every one built here), run once, its result copied to the twin: both views are then
 one object. Values are immutable; each keeps the result of its own check
-(``DoubleSemigroup.classification``, ``DoubleInductiveGroupoid.report``).
+(``DoubleSemigroup.classification``, ``DoubleInductiveGroupoid.report`` or
+``certificate``).
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ from .esn import InductiveGroupoid, groupoid_of, pseudo_product_table, pseudo_pr
 from .inverse import NOT_INVERSE, InverseSemigroupAnalysis, analyze_inverse
 from .report import PASS, Row, ValidationReport, Verdict, check_ranges, check_rows
 from .report import computed_once, from_json, to_json
-from .tables import CayleyTable, first_difference, same_order
+from .tables import CayleyTable, first_difference, is_commutative, same_order
 
 
 @dataclass(frozen=True)
@@ -51,10 +59,6 @@ class DoubleSemigroup:
 
     def __post_init__(self):
         same_order(self.hop, self.vop)
-
-    @property
-    def n(self):
-        return self.hop.n
 
     @computed_once
     def classification(self) -> DoubleClassification:
@@ -199,6 +203,11 @@ class DoubleInductiveGroupoid:
     v_restrict: dict  # (hor e, cell a) -> cell, for e <~ vdom a
     v_corestrict: dict  # (cell a, hor e) -> cell, for e <~ vcod a
 
+    # Set by ``dig_from_view`` on the value it assembles, not a field: the pair
+    # (t, t) of the commutative pseudo-product t of its one view (``certify_view``).
+    # None on every other value, such as one read from JSON, transposed or copied.
+    certificate = None
+
     def obj_cell(self, o):
         return self.ver_cell[self.obj_ver[o]]
 
@@ -211,7 +220,8 @@ class DoubleInductiveGroupoid:
     def views(self) -> tuple[InductiveGroupoid, InductiveGroupoid]:
         """The horizontal and the vertical inductive groupoid on cell ids, built once,
         one object if this value equals its transpose (JSON input keeps equal but
-        distinct tables); read only after ``validate_dig`` has checked the ranges."""
+        distinct tables); read only after ``validate_dig`` has checked the ranges,
+        or on a value whose ``certificate`` vouches for them."""
         h, t = _horizontal_view(self), transpose(self)
         return (h, h) if t == self else (h, _horizontal_view(t))
 
@@ -522,8 +532,10 @@ def validate_dig(g: DoubleInductiveGroupoid, strict_ix=False) -> ValidationRepor
 def one_view(g: DoubleInductiveGroupoid) -> InductiveGroupoid:
     """The one inductive groupoid that both views of a valid g are when its two
     operations coincide: on cell ids, its objects the object cells and every
-    cell a loop, the ESN groupoid of a Clifford semigroup (Howie 1995, §4.2)."""
-    if not g.report:
+    cell a loop, the ESN groupoid of a Clifford semigroup (Howie 1995, §4.2).
+    g is valid if ``dig_from_view`` built it (its ``certificate``) or, for any
+    other g, if ``g.report`` passes; the three view comparisons run on both."""
+    if g.certificate is None and not g.report:
         raise InvalidDigError(g.report)
     h, v = g.views
     differ = next((f.name for f in fields(h) if getattr(h, f.name) != getattr(v, f.name)), None)
@@ -536,13 +548,45 @@ def one_view(g: DoubleInductiveGroupoid) -> InductiveGroupoid:
     return h
 
 
-def dig_from_view(h: InductiveGroupoid) -> DoubleInductiveGroupoid:
+def certify_view(h: InductiveGroupoid, pair: DoubleSemigroup | None = None) -> DoubleSemigroup:
+    """The certificate of ``dig_from_view(h)``: the pair (t, t) of the
+    pseudo-product t of h, once h passes ``validate_ig``, every arrow of h is
+    a loop, and t is commutative; ``pair`` itself, with the classification it
+    holds, if it is (t, t). Raises TheoremViolation naming the part that fails.
+
+    The three parts hold exactly when the double groupoid assembled from h
+    passes ``validate_dig``. t is an inverse semigroup whose ESN groupoid is h
+    (the ESN theorem). If t is commutative it is medial, (ab)(cd) = (ac)(bd),
+    so (t, t) is a double inverse semigroup, whose double groupoid is the one
+    both of whose views are h. Conversely, the two pseudo-products of a valid
+    double groupoid form a double inverse semigroup, and by the main theorem its
+    operation is commutative, so its arrows are loops (aa' = a'a). The tier-1
+    tests check this on every inverse table of order at most 5."""
+    if not h.report:
+        raise TheoremViolation(
+            f"construction produced an invalid view: {h.report.summary()}")
+    if h.dom != h.cod:
+        raise TheoremViolation("construction produced a view with a cell that is not a loop")
+    t = pseudo_product_table(h)
+    commutative = is_commutative(t)
+    if not commutative:
+        raise TheoremViolation(
+            f"the pseudo-product of a constructed view is not commutative at {commutative.witness}")
+    return pair if pair is not None and pair.hop == t == pair.vop else DoubleSemigroup(t, t)
+
+
+def dig_from_view(h: InductiveGroupoid, pair: DoubleSemigroup | None = None
+                  ) -> DoubleInductiveGroupoid:
     """The double groupoid both of whose views are h, the inverse of ``one_view``:
     its cells are the arrows of h, and the objects of h, numbered in the order h
     lists them, are its objects and, each a loop at itself, its vertical and its
     horizontal arrows. The tables of h, renamed to them, are the horizontal
     fields, and the same tables are the vertical fields under their twins'
-    names. It must pass ``validate_dig`` and ``one_view``."""
+    names. It is certified, not validated: it carries ``certify_view(h, pair)``
+    as its ``certificate``, which ``one_view`` and ``dis_from_dig`` accept in
+    place of ``validate_dig``, and it must pass ``one_view``'s comparisons.
+    ``g.report`` is still the full check, computed when asked for."""
+    certificate = certify_view(h, pair)
     ids = {e: i for i, e in enumerate(h.objects, 1)}
     loops = {i: i for i in ids.values()}
     tables = {
@@ -557,10 +601,7 @@ def dig_from_view(h: InductiveGroupoid) -> DoubleInductiveGroupoid:
     }
     g = DoubleInductiveGroupoid(objects=tuple(loops), cells=h.arrows, **tables,
                                 **{_TWIN[name]: table for name, table in tables.items()})
-    if not g.report:
-        raise TheoremViolation(
-            f"construction produced an invalid double groupoid: {g.report.summary()}"
-        )
+    object.__setattr__(g, "certificate", certificate)
     one_view(g)
     return g
 
@@ -569,7 +610,7 @@ def dig_from_dis(d: DoubleSemigroup) -> DoubleInductiveGroupoid:
     """The double groupoid of a double inverse semigroup, whose two operations
     coincide (the main theorem, checked here): both views are the ESN groupoid
     of that one operation, its objects and arrows the idempotents, cells the
-    elements."""
+    elements. Its certificate is d itself, whose pseudo-product it is."""
     cls = d.classification
     if not cls.is_double_inverse_semigroup:
         raise NotDoubleInverseError(cls.failure_reason())
@@ -578,15 +619,20 @@ def dig_from_dis(d: DoubleSemigroup) -> DoubleInductiveGroupoid:
         raise TheoremViolation(
             f"the two operations of a double inverse semigroup differ at {proper.witness}"
         )
-    return dig_from_view(groupoid_of(cls.hop_analysis))
+    return dig_from_view(groupoid_of(cls.hop_analysis), d)
 
 
 def dis_from_dig(g: DoubleInductiveGroupoid) -> DoubleSemigroup:
-    """The pseudo-product of the one view of g (``one_view``), total on a view
-    that ``g.report`` has proved valid, as both operations; the result is
-    re-proved to be a double inverse semigroup instance by instance."""
-    t = pseudo_product_table(one_view(g))
-    d = DoubleSemigroup(t, t)
+    """The pseudo-product of the one view of g (``one_view``), total on a valid
+    view, as both operations, re-proved to be a double inverse semigroup by
+    its classification. On a value ``dig_from_view`` built it is the
+    certificate, so a pair that ``dig_from_dis`` was given comes back itself
+    and is not classified a second time."""
+    h = one_view(g)
+    d = g.certificate
+    if d is None:
+        t = pseudo_product_table(h)
+        d = DoubleSemigroup(t, t)
     if not d.classification.is_double_inverse_semigroup:
         raise TheoremViolation(
             f"pseudo-products of a valid double groupoid must form a double "

@@ -213,7 +213,9 @@ def dig_from_presheaf(p: AbelianGroupPresheaf) -> DoubleInductiveGroupoid:
     semigroup (e, x)·(f, y) = (m, φ_{m,e}(x)·φ_{m,f}(y)), m = e ∧ f, with its
     objects, the unit cells, in the order of the base. Cell ids reuse the group
     carriers when those already partition 1..m, so decomposing and recomposing
-    a double inverse semigroup is the identity on element ids."""
+    a double inverse semigroup is the identity on element ids. The value is
+    certified by ``dig_from_view``, not validated: that semigroup is
+    commutative, as a semilattice of Abelian groups, so its certificate holds."""
     if not p.report:
         raise InvalidPresheafError(p.report)
     homes = [(e, x) for e in p.base.elements for x in p.group_at[e].carrier]

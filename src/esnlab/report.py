@@ -254,7 +254,9 @@ def _assignments(domains):
 
 
 def _extended(tuples, domain):
-    return (t + (x,) for t in tuples for x in (domain(*t) if callable(domain) else domain))
+    if callable(domain):
+        return (t + (x,) for t in tuples for x in domain(*t))
+    return (t + (x,) for t in tuples for x in domain)
 
 
 def check_rows(context, carriers: dict, rows, rep: ValidationReport) -> bool:

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from esnlab.double import check_interchange, skeleton
+from esnlab.double import check_interchange, dig_from_json, skeleton
 from esnlab.errors import OrderTooLargeError
 from esnlab.esn import pseudo_products
 from esnlab.search import _classes, _matches, _orbit
@@ -41,6 +41,36 @@ def clifford3():
 def dig_equal(g1, g2):
     """Equality of two double groupoids up to their arrow ids: their skeletons."""
     return skeleton(g1) == skeleton(g2)
+
+
+# Each horizontal field of a double groupoid's JSON document and its vertical twin.
+_TWIN_KEYS = {"ver_arrows": "hor_arrows", "obj_ver": "obj_hor", "ver_cell": "hor_cell",
+              "ver_src": "hor_src", "ver_dst": "hor_dst", "hdom": "vdom", "hcod": "vcod",
+              "hcompose": "vcompose", "hinv": "vinv", "leq": "lesssim", "meet_h": "meet_v",
+              "h_restrict": "v_restrict", "h_corestrict": "v_corestrict"}
+
+
+def dig_of_view(h):
+    """The double groupoid both of whose views are the inductive groupoid h,
+    written out as a JSON document and read by ``dig_from_json``, unchecked and
+    uncertified: an assembly apart from ``double.dig_from_view``, also of views
+    that it refuses. The objects of h, numbered in the order h lists them, are
+    the objects and, each a loop at itself, the arrows of both directions."""
+    ids = {e: i for i, e in enumerate(h.objects, 1)}
+    loops = list(ids.values())
+    horizontal = {
+        "ver_arrows": len(loops), "obj_ver": loops, "ver_cell": list(h.objects),
+        "ver_src": loops, "ver_dst": loops,
+        "hdom": [ids[h.dom[a]] for a in h.arrows], "hcod": [ids[h.cod[a]] for a in h.arrows],
+        "hcompose": sorted([a, b, c] for (a, b), c in h.compose.items()),
+        "hinv": [h.inv[a] for a in h.arrows], "leq": sorted(map(list, h.leq)),
+        "meet_h": sorted([ids[e], ids[f], ids[m]] for (e, f), m in h.object_meet.items()),
+        "h_restrict": sorted([ids[e], a, b] for (e, a), b in h.restriction.items()),
+        "h_corestrict": sorted([a, ids[e], b] for (a, e), b in h.corestriction.items()),
+    }
+    return dig_from_json({"schema_version": 1, "kind": "double-inductive-groupoid",
+                          "objects": len(loops), "cells": len(h.arrows), **horizontal,
+                          **{_TWIN_KEYS[key]: value for key, value in horizontal.items()}})
 
 
 def all_tables(n):

@@ -452,6 +452,68 @@ def test_proper_double_inverse_semigroup_is_a_theorem_violation(tmp_path, monkey
             f"esnlab: theorem violated (a bug, not bad input): {message}"]
 
 
+def _failing_certificate(monkeypatch, part):
+    """Make the certificate of every built double groupoid fail at ``part``: a
+    view that fails its own check, a view with a cell that is not a loop (every
+    view's own check let pass), or a pseudo-product that is not commutative;
+    the message it must give."""
+    from dataclasses import replace
+
+    from esnlab import double as dbl, presheaf
+    from esnlab.esn import InductiveGroupoid, groupoid_of
+    from esnlab.fixtures import load_table
+    from esnlab.report import ValidationReport
+
+    if part == "view":
+        failed = ValidationReport()
+        failed.add("groupoid.assoc", (1, 2, 3))
+        monkeypatch.setattr(InductiveGroupoid, "report", failed)
+        return "construction produced an invalid view: groupoid.assoc at (1, 2, 3)"
+    if part == "loop":
+        def askew(analysis):  # the first cell that is not an object ends at another object
+            h = groupoid_of(analysis)
+            a = next(a for a in h.arrows if a not in h.objects)
+            return replace(h, cod={**h.cod, a: next(e for e in h.objects if e != h.cod[a])})
+
+        monkeypatch.setattr(InductiveGroupoid, "report", ValidationReport())
+        for home in (dbl, presheaf):
+            monkeypatch.setattr(home, "groupoid_of", askew)
+        return "construction produced a view with a cell that is not a loop"
+    b2 = load_table("brandt_b2.cay")
+    monkeypatch.setattr(dbl, "pseudo_product_table", lambda h: b2)
+    return "the pseudo-product of a constructed view is not commutative at (2, 3)"
+
+
+@pytest.mark.parametrize("part", ("view", "loop", "commutative"))
+def test_a_failing_certificate_is_a_theorem_violation(part, monkeypatch, capsys):
+    # a double groupoid the program builds is certified, not validated; a
+    # certificate that fails is a bug (exit 3), never bad input (exit 2)
+    message = _failing_certificate(monkeypatch, part)
+    for argv in (("double", "to-dig", fx("clifford3_pair.cay")),
+                 ("double", "roundtrip", fx("clifford3_pair.cay")),
+                 ("decompose", fx("clifford3_pair.cay")),
+                 ("compose", fx("clifford3_presheaf.json"))):
+        for fmt in ("text", "json"):
+            capsys.readouterr()
+            assert run(*argv, "--format", fmt) == (3, ""), argv
+            assert capsys.readouterr().err.splitlines() == [
+                f"esnlab: theorem violated (a bug, not bad input): {message}"], argv
+
+
+def test_a_double_groupoid_read_from_json_is_validated_in_full(tmp_path, monkeypatch):
+    # only a value the program builds is certified: every double groupoid read
+    # from a file gets the full validate_dig, once
+    code, out = run("double", "to-dig", fx("clifford3_pair.cay"), "--format", "json")
+    assert code == 0
+    path = tmp_path / "clifford3.dig.json"
+    path.write_text(json.dumps(json.loads(out)["artifact"]))
+    counts = _count_checks(monkeypatch)
+    for sub in ("to-dis", "validate-axioms", "verify-interchange"):
+        counts["validate_dig"] = 0
+        assert run("double", sub, str(path))[0] == 0
+        assert counts["validate_dig"] == 1, sub
+
+
 def test_long_cay_tokens_are_cut_in_messages(tmp_path, capsys):
     # a run of digits too long for int() is a number out of range, not a
     # non-number, and a message shows a token or an order cut to 20 characters
@@ -619,10 +681,11 @@ def test_each_command_checks_each_value_once(tmp_path, monkeypatch):
     got = counted_run("decompose", fx("clifford3_pair.cay"))
     assert got["classify_double"] <= 1 and got["analyze_inverse"] <= 2
     assert got["validate_group"] == 2  # one per component group
+    # a double groupoid the program builds is certified, not validated
     got = counted_run("double", "roundtrip", fx("clifford3_pair.cay"))
-    assert got["validate_dig"] <= 2 and got["classify_double"] <= 2
+    assert got["validate_dig"] == 0 and got["classify_double"] == 1
     got = counted_run("compose", fx("clifford3_presheaf.json"))
-    assert got["validate_dig"] == 1 and got["validate_presheaf"] == 1
+    assert got["validate_dig"] == 0 and got["validate_presheaf"] == 1
     assert got["validate_group"] == 2
     single = tmp_path / "clifford3.cay"
     single.write_text(format_table(load_pair("clifford3_pair.cay").hop))
@@ -826,8 +889,9 @@ def test_presheaf_ids_must_be_json_integers(tmp_path, capsys):
 
 
 def test_one_table_as_both_operations_is_analysed_once(monkeypatch):
-    # the pair file and the pair rebuilt from its double groupoid each hold one
-    # table as both operations, and classify_double analyses it once, not twice
+    # the pair file holds one table as both operations, and classify_double
+    # analyses it once, not twice; the pair rebuilt from its double groupoid is
+    # the pair itself, not analysed again
     counts = _count_checks(monkeypatch)
     assert run("double", "roundtrip", fx("clifford3_pair.cay"))[0] == 0
-    assert counts["analyze_inverse"] == 2
+    assert counts["analyze_inverse"] == 1

@@ -11,6 +11,7 @@ from conftest import (
     chain_semilattice,
     cyclic_group,
     dig_equal,
+    dig_of_view,
     labeled_pairs,
     left_projection,
     right_projection,
@@ -19,6 +20,7 @@ from esnlab import double as dbl, esn
 from esnlab.double import (
     DoubleInductiveGroupoid,
     DoubleSemigroup,
+    certify_view,
     check_interchange,
     classify_double,
     dig_from_dis,
@@ -34,8 +36,8 @@ from esnlab.double import (
     validate_dig,
     verify_interchange_identities,
 )
-from esnlab.errors import InvalidDigError, NotDoubleInverseError, ParseError
-from esnlab.esn import ig_from_is, is_from_ig, pseudo_products
+from esnlab.errors import InvalidDigError, NotDoubleInverseError, ParseError, TheoremViolation
+from esnlab.esn import groupoid_of, ig_from_is, is_from_ig, pseudo_products
 from esnlab.inverse import analyze_inverse
 from esnlab.presheaf import (
     AbelianGroupPresheaf,
@@ -45,9 +47,9 @@ from esnlab.presheaf import (
     dig_from_presheaf,
 )
 from esnlab.report import ValidationReport, Verdict
-from esnlab.fixtures import load_pair, load_presheaf
-from esnlab.search import search_double
-from esnlab.tables import CayleyTable
+from esnlab.fixtures import fixture_dir, load_pair, load_presheaf, load_table
+from esnlab.search import _classes, _orbit, search_double
+from esnlab.tables import CayleyTable, is_commutative, relabelings
 
 DATA = Path(__file__).parent / "data"
 
@@ -556,6 +558,85 @@ def test_dig_from_view_inverts_the_one_view():
                   for name in ("point_z2_presheaf.json", "clifford3_presheaf.json")]
     for g in [*_double_inverse_groupoids(), *presheaves]:
         assert dig_equal(dig_from_view(one_view(g)), g)
+
+
+def _inverse_tables(b2):
+    """Every labeled inverse table of order <= 4, the least table of each
+    inverse class of order 5, and every labeled table of the class of B2."""
+    tables = [CayleyTable(T) for n in (1, 2, 3, 4) for H, aut in _classes(n, "inverse")
+              for T, _ in _orbit(H, aut, relabelings(n))]
+    classes = _classes(5, "inverse")
+    assert (len(tables), len(classes)) == (301, 52)
+    (least, aut), = [(H, aut) for H, aut in classes if not is_commutative(CayleyTable(H))]
+    orbit = [CayleyTable(T) for T, _ in _orbit(least, aut, relabelings(5))]
+    assert len(orbit) == 60 and b2 in orbit
+    return tables + [CayleyTable(H) for H, _ in classes] + orbit
+
+
+def _certified(h):
+    try:
+        certify_view(h)
+    except TheoremViolation:
+        return False
+    return True
+
+
+def test_a_built_double_groupoid_is_valid_exactly_when_its_certificate_holds(b2):
+    # the characterisation that lets dig_from_view certify what it builds
+    # instead of validating it: on the ESN groupoid h of an inverse table t,
+    # the double groupoid both of whose views are h, assembled without
+    # dig_from_view, passes validate_dig exactly when h passes the certificate
+    # and exactly when t is commutative; where they hold, dig_from_view builds it
+    commutative = []
+    for t in _inverse_tables(b2):
+        h = groupoid_of(analyze_inverse(t))
+        g = dig_of_view(h)
+        commutative.append(bool(is_commutative(t)))
+        assert validate_dig(g).ok == _certified(h) == commutative[-1], t.rows
+        if commutative[-1]:
+            assert dig_from_view(h) == g and g.certificate is None
+    assert commutative.count(True) == 301 + 51 and commutative.count(False) == 1 + 60
+
+
+def _built_double_groupoids():
+    """Every double groupoid built from a bundled fixture, from the
+    presheaves of the tests and from their one views: (name, value)."""
+    built = []
+    for path in sorted(fixture_dir().glob("*.cay")):
+        try:
+            d = load_pair(path.name)
+        except ParseError:  # a single table, taken as both operations
+            d = DoubleSemigroup(*[load_table(path.name)] * 2)
+        if d.classification.is_double_inverse_semigroup:
+            built.append((path.name, dig_from_dis(d)))
+    presheaves = [(name, load_presheaf(name))
+                  for name in ("point_z2_presheaf.json", "clifford3_presheaf.json")]
+    presheaves.append(("twelve cells", _presheaf_of_twelve_cells()))
+    built += [(f"presheaf {name}", dig_from_presheaf(p)) for name, p in presheaves]
+    built += [(f"view of {name}", dig_from_view(one_view(g))) for name, g in built]
+    return built
+
+
+def test_every_built_double_groupoid_passes_the_full_check():
+    # validate_dig stays the oracle of every construction: the certificate a
+    # built value carries in its place must never vouch for an invalid one
+    built = _built_double_groupoids()
+    assert sorted(name for name, _ in built if "presheaf" not in name and "view" not in name) == [
+        "chain3.cay", "clifford3_pair.cay", "z2_pair.cay"]
+    assert len(built) == 12
+    for name, g in built:
+        assert g.certificate is not None and g.report.ok, name
+        assert validate_dig(g, strict_ix=True).ok, name
+        assert dis_from_dig(g) == DoubleSemigroup(*[g.certificate.hop] * 2), name
+
+
+def test_a_certificate_is_not_copied(clifford3):
+    # only the value dig_from_view assembles is certified: a copy, a transpose
+    # or the value read back from its JSON is validated in full when read
+    g = dig_from_dis(DoubleSemigroup(clifford3, clifford3))
+    assert g.certificate == DoubleSemigroup(clifford3, clifford3)
+    for other in (_mutate(g), transpose(g), dig_from_json(dig_to_json(g)), replace(g)):
+        assert other == g and other.certificate is None
 
 
 def test_substantive_families_on_two_object_fixture(clifford3):

@@ -213,6 +213,7 @@ def test_dig_from_presheaf_keeps_base_order_of_unit_cells():
         p = AbelianGroupPresheaf(MeetSemilattice((1, 2), leq, meet), {1: shifted, 2: Z2}, homs)
         assert p.report.ok
         g = dig_from_presheaf(p)
+        assert g.certificate is not None and g.report.ok  # certified, and valid in full
         assert g.ver_cell == g.hor_cell == {1: 3, 2: 1}
         assert presheaf_equal(presheaf_from_dig(g), p)
 

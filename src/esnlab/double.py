@@ -14,16 +14,17 @@ the ESN groupoid of that operation (``dig_from_dis``) or of a presheaf's
 (``compose``); its pseudo-product is both operations (``dis_from_dig``). A value
 is checked once, where it comes from. One read from JSON is validated in full
 (``validate_dig``, its ``report``). One the program builds is certified
-(``certify_view``): its view is a valid inductive groupoid of loops whose
+against the pair it came from (``certify_view``, the one proof of the main
+theorem on that pair): its view is a valid inductive groupoid of loops whose
 pseudo-product is commutative, which holds exactly when the assembled value is
-valid, by the main theorem and its converse. It carries the certificate, which
-``one_view`` and ``dis_from_dig`` accept in place of the report; the report
-stays the full check for any caller that asks. The checkers still read any
-double groupoid with two views. Every check ``validate_dig`` makes is a row of
-the identity engine (``report.check_rows``) after the range pass: the
-embeddings, the corners, boundary coherence, the interchange law on cells and
-the axioms (iii)-(ix), the rows on cells reading
-total tables of the views (``_side``); the rows of (iii)-(vi) are driven
+valid, by the main theorem and its converse, and is the pair's operation. It
+carries the pair as its certificate, which ``one_view`` and ``dis_from_dig``
+accept in place of the report; the report stays the full check for any caller
+that asks. The checkers still read any double groupoid with two views. Every
+check ``validate_dig`` makes is a row of the identity engine
+(``report.check_rows``) after the range pass: the embeddings, the corners,
+boundary coherence, the interchange law on cells and the axioms (iii)-(ix), the
+rows on cells reading total tables of the views (``_side``); the rows of (iii)-(vi) are driven
 (``report.Row``). Exchanging the two directions (``transpose``) maps double
 groupoids to double groupoids, so every row about one direction is stated once and
 also run on the transpose, or, on a value that is its own transpose (by the theorem,
@@ -203,8 +204,8 @@ class DoubleInductiveGroupoid:
     v_restrict: dict  # (hor e, cell a) -> cell, for e <~ vdom a
     v_corestrict: dict  # (cell a, hor e) -> cell, for e <~ vcod a
 
-    # Set by ``dig_from_view`` on the value it assembles, not a field: the pair
-    # (t, t) of the commutative pseudo-product t of its one view (``certify_view``).
+    # Set by ``dig_from_view`` on the value it assembles, not a field: the pair it
+    # was built from, (t, t) for the pseudo-product t of its view (``certify_view``).
     # None on every other value, such as one read from JSON, transposed or copied.
     certificate = None
 
@@ -548,20 +549,23 @@ def one_view(g: DoubleInductiveGroupoid) -> InductiveGroupoid:
     return h
 
 
-def certify_view(h: InductiveGroupoid, pair: DoubleSemigroup | None = None) -> DoubleSemigroup:
-    """The certificate of ``dig_from_view(h)``: the pair (t, t) of the
-    pseudo-product t of h, once h passes ``validate_ig``, every arrow of h is
-    a loop, and t is commutative; ``pair`` itself, with the classification it
-    holds, if it is (t, t). Raises TheoremViolation naming the part that fails.
+def certify_view(h: InductiveGroupoid, pair: DoubleSemigroup) -> DoubleSemigroup:
+    """The certificate of ``dig_from_view(h, pair)``, ``pair`` itself, once h
+    passes ``validate_ig``, every arrow of h is a loop, the pseudo-product t of
+    h is commutative, and both operations of the pair are t. Raises
+    TheoremViolation naming the part that fails: for the last, the least cell
+    where the pair and t differ. With the last part, this is the program's one
+    proof of the main theorem on the pair, improper, commutative and Clifford
+    (its arrows loops, aa' = a'a), and of its ESN roundtrip.
 
-    The three parts hold exactly when the double groupoid assembled from h
-    passes ``validate_dig``. t is an inverse semigroup whose ESN groupoid is h
+    The first three parts hold exactly when the double groupoid assembled from
+    h passes ``validate_dig``. t is an inverse semigroup whose ESN groupoid is h
     (the ESN theorem). If t is commutative it is medial, (ab)(cd) = (ac)(bd),
     so (t, t) is a double inverse semigroup, whose double groupoid is the one
     both of whose views are h. Conversely, the two pseudo-products of a valid
     double groupoid form a double inverse semigroup, and by the main theorem its
-    operation is commutative, so its arrows are loops (aa' = a'a). The tier-1
-    tests check this on every inverse table of order at most 5."""
+    operation is commutative, so its arrows are loops. The tier-1 tests check
+    this on every inverse table of order at most 5."""
     if not h.report:
         raise TheoremViolation(
             f"construction produced an invalid view: {h.report.summary()}")
@@ -572,20 +576,22 @@ def certify_view(h: InductiveGroupoid, pair: DoubleSemigroup | None = None) -> D
     if not commutative:
         raise TheoremViolation(
             f"the pseudo-product of a constructed view is not commutative at {commutative.witness}")
-    return pair if pair is not None and pair.hop == t == pair.vop else DoubleSemigroup(t, t)
+    if cells := [c for s in (pair.hop, pair.vop) if (c := first_difference(s, t))]:
+        raise TheoremViolation(
+            f"the pseudo-product of a constructed view differs from its pair at {min(cells)}")
+    return pair
 
 
-def dig_from_view(h: InductiveGroupoid, pair: DoubleSemigroup | None = None
-                  ) -> DoubleInductiveGroupoid:
+def dig_from_view(h: InductiveGroupoid, pair: DoubleSemigroup) -> DoubleInductiveGroupoid:
     """The double groupoid both of whose views are h, the inverse of ``one_view``:
     its cells are the arrows of h, and the objects of h, numbered in the order h
     lists them, are its objects and, each a loop at itself, its vertical and its
     horizontal arrows. The tables of h, renamed to them, are the horizontal
     fields, and the same tables are the vertical fields under their twins'
-    names. It is certified, not validated: it carries ``certify_view(h, pair)``
-    as its ``certificate``, which ``one_view`` and ``dis_from_dig`` accept in
-    place of ``validate_dig``, and it must pass ``one_view``'s comparisons.
-    ``g.report`` is still the full check, computed when asked for."""
+    names. It is certified against ``pair``, the pair it is built from, not
+    validated: it carries ``certify_view(h, pair)`` as its ``certificate``, which
+    ``one_view`` and ``dis_from_dig`` accept in place of ``validate_dig``, and it
+    must pass ``one_view``'s comparisons. ``g.report`` is still the full check."""
     certificate = certify_view(h, pair)
     ids = {e: i for i, e in enumerate(h.objects, 1)}
     loops = {i: i for i in ids.values()}
@@ -608,17 +614,15 @@ def dig_from_view(h: InductiveGroupoid, pair: DoubleSemigroup | None = None
 
 def dig_from_dis(d: DoubleSemigroup) -> DoubleInductiveGroupoid:
     """The double groupoid of a double inverse semigroup, whose two operations
-    coincide (the main theorem, checked here): both views are the ESN groupoid
-    of that one operation, its objects and arrows the idempotents, cells the
-    elements. Its certificate is d itself, whose pseudo-product it is."""
+    coincide (the main theorem: a proper d is refused here, and ``certify_view``
+    proves the rest): both views are the ESN groupoid of that one operation, its
+    objects and arrows the idempotents, cells the elements, and d its certificate."""
     cls = d.classification
     if not cls.is_double_inverse_semigroup:
         raise NotDoubleInverseError(cls.failure_reason())
-    proper = is_proper(d)
-    if proper:
+    if proper := is_proper(d):
         raise TheoremViolation(
-            f"the two operations of a double inverse semigroup differ at {proper.witness}"
-        )
+            f"the two operations of a double inverse semigroup differ at {proper.witness}")
     return dig_from_view(groupoid_of(cls.hop_analysis), d)
 
 
@@ -626,18 +630,13 @@ def dis_from_dig(g: DoubleInductiveGroupoid) -> DoubleSemigroup:
     """The pseudo-product of the one view of g (``one_view``), total on a valid
     view, as both operations, re-proved to be a double inverse semigroup by
     its classification. On a value ``dig_from_view`` built it is the
-    certificate, so a pair that ``dig_from_dis`` was given comes back itself
-    and is not classified a second time."""
-    h = one_view(g)
-    d = g.certificate
-    if d is None:
-        t = pseudo_product_table(h)
-        d = DoubleSemigroup(t, t)
+    certificate, the pair that value was built from and checked against, which
+    comes back itself with the classification it holds."""
+    d = g.certificate or DoubleSemigroup(*[pseudo_product_table(one_view(g))] * 2)
     if not d.classification.is_double_inverse_semigroup:
         raise TheoremViolation(
             f"pseudo-products of a valid double groupoid must form a double "
-            f"inverse semigroup: {d.classification.failure_reason()}"
-        )
+            f"inverse semigroup: {d.classification.failure_reason()}")
     return d
 
 
@@ -782,4 +781,4 @@ def dig_to_json(g: DoubleInductiveGroupoid) -> dict:
 def dig_from_json(doc: dict) -> DoubleInductiveGroupoid:
     """The inverse of ``dig_to_json``, read by ``report.from_json``: every
     carrier is declared as a size; the structure itself is left to ``validate_dig``."""
-    return DoubleInductiveGroupoid(**from_json(doc, _FIELDS, {}, ()))
+    return DoubleInductiveGroupoid(**from_json(doc, _FIELDS, {}, (), "double-inductive-groupoid"))

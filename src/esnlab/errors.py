@@ -1,7 +1,8 @@
 """Exception types shared across the package, and the JSON readers that report
 a non-object, a missing key, a non-list or a list of the wrong length, a size
-not an integer or below 1, an id not an integer, or a repeated id or key, as a
-ParseError naming its JSON path."""
+not an integer or below 1, an id not an integer, a repeated id or key, or a
+top-level document of another kind or schema version, as a ParseError naming
+its JSON path."""
 
 import json
 
@@ -34,6 +35,15 @@ def json_field(doc, key):
         return doc[key]
     except KeyError:
         raise ParseError(f"missing field {key!r}") from None
+
+
+def json_header(doc, kind):
+    """Refuse a top-level document that does not declare this kind and
+    schema_version 1; the message names the field."""
+    for key, want in (("kind", kind), ("schema_version", 1)):
+        value = json_field(doc, key)
+        if type(value) is not type(want) or value != want:
+            raise ParseError(f"{key} must be {json.dumps(want)}, not {_shown(value)}")
 
 
 def json_id(value, path):

@@ -239,7 +239,8 @@ def groupoid_to_json(g: InductiveGroupoid) -> dict:
 def groupoid_from_json(doc: dict) -> InductiveGroupoid:
     """The inverse of ``groupoid_to_json``, read by ``report.from_json``; the
     structure itself is left to ``validate_ig``."""
-    return InductiveGroupoid(**from_json(doc, _JSON_FIELDS, _JSON_NAMES, ("objects",)))
+    return InductiveGroupoid(**from_json(doc, _JSON_FIELDS, _JSON_NAMES, ("objects",),
+                                          "inductive-groupoid"))
 
 
 def groupoid_dot(g: InductiveGroupoid) -> str:

@@ -15,32 +15,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .double import (
-    DoubleInductiveGroupoid,
-    DoubleSemigroup,
-    dig_from_dis,
-    dig_from_view,
-    dis_from_dig,
-    one_view,
-)
-from .errors import (
-    EsnlabError,
-    InvalidPresheafError,
-    NotDoubleInverseError,
-    ParseError,
-    TheoremViolation,
-    distinct,
-    json_field,
-    json_id,
-    json_ids,
-    json_int,
-    json_list,
-)
+from .double import (DoubleInductiveGroupoid, DoubleSemigroup, dig_from_dis, dig_from_view,
+                     dis_from_dig, one_view)
+from .errors import (InvalidPresheafError, NotDoubleInverseError, ParseError, TheoremViolation,
+                     distinct, json_field, json_header, json_id, json_ids, json_int, json_list)
 from .esn import groupoid_of
-from .inverse import analyze_inverse, is_clifford, order_and_meet_rows
+from .inverse import order_and_meet_rows
 from .report import (Row, ValidationReport, check_ranges, check_rows, computed_once, from_json,
                      to_json)
-from .tables import CayleyTable, is_commutative
+from .tables import CayleyTable
 
 
 @dataclass(frozen=True)
@@ -213,9 +196,9 @@ def dig_from_presheaf(p: AbelianGroupPresheaf) -> DoubleInductiveGroupoid:
     semigroup (e, x)·(f, y) = (m, φ_{m,e}(x)·φ_{m,f}(y)), m = e ∧ f, with its
     objects, the unit cells, in the order of the base. Cell ids reuse the group
     carriers when those already partition 1..m, so decomposing and recomposing
-    a double inverse semigroup is the identity on element ids. The value is
-    certified by ``dig_from_view``, not validated: that semigroup is
-    commutative, as a semilattice of Abelian groups, so its certificate holds."""
+    a double inverse semigroup is the identity on element ids. The pair of that
+    semigroup, classified once, is the certificate: a semilattice of Abelian
+    groups is commutative, so the pair is double inverse and its check holds."""
     if not p.report:
         raise InvalidPresheafError(p.report)
     homes = [(e, x) for e in p.base.elements for x in p.group_at[e].carrier]
@@ -228,12 +211,14 @@ def dig_from_presheaf(p: AbelianGroupPresheaf) -> DoubleInductiveGroupoid:
 
     home = sorted(homes, key=cell_of.get)
     t = CayleyTable(tuple(product(*a, *b) - 1 for a in home for b in home))
-    try:
-        h = groupoid_of(analyze_inverse(t))
-    except EsnlabError as exc:  # a valid presheaf always gives a Clifford semigroup
-        raise TheoremViolation(f"strong semilattice of groups is not inverse: {exc}") from exc
+    d = DoubleSemigroup(t, t)
+    cls = d.classification
+    if not cls.is_double_inverse_semigroup:
+        raise TheoremViolation(
+            f"strong semilattice of groups is not double inverse: {cls.failure_reason()}")
+    h = groupoid_of(cls.hop_analysis)
     h = replace(h, objects=tuple(cell_of[e, p.group_at[e].unit] for e in p.base.elements))
-    return dig_from_view(h)
+    return dig_from_view(h, d)
 
 
 def presheaf_equal(p: AbelianGroupPresheaf, q: AbelianGroupPresheaf) -> bool:
@@ -263,43 +248,30 @@ def _by_position(p: AbelianGroupPresheaf) -> dict:
 @dataclass(frozen=True)
 class MainTheoremReport:
     classification: object
-    improper: bool | None
-    hop_commutative: bool | None
-    vop_commutative: bool | None
-    clifford: bool | None
+    # dig_from_dis of a double inverse pair, None of another pair
+    groupoid: DoubleInductiveGroupoid | None
 
     @property
     def is_double_inverse(self):
         return self.classification.is_double_inverse_semigroup
 
+    # True on a double inverse pair, whose groupoid's build proved all three; else None
+    improper = commutative = clifford = property(lambda self: self.groupoid is not None or None)
+
     def as_json(self):
         out = {"classification": self.classification.as_json()}
         out["double_inverse"] = self.is_double_inverse
         if self.is_double_inverse:
-            out.update(
-                improper=self.improper,
-                commutative=self.hop_commutative and self.vop_commutative,
-                clifford=self.clifford,
-            )
+            out.update(improper=self.improper, commutative=self.commutative, clifford=self.clifford)
         return out
 
 
 def main_theorem_report(d: DoubleSemigroup) -> MainTheoremReport:
-    """If the pair is a double inverse semigroup, it must be improper,
-    commutative in both operations, and its single operation Clifford."""
+    """The classification of d and, if d is double inverse, its double groupoid,
+    whose build (``dig_from_dis``) is the one proof that d is improper,
+    commutative and Clifford, and raises TheoremViolation if it is not."""
     cls = d.classification
-    if not cls.is_double_inverse_semigroup:
-        return MainTheoremReport(cls, None, None, None, None)
-    improper = d.hop == d.vop
-    hc = bool(is_commutative(d.hop))
-    vc = bool(is_commutative(d.vop))
-    cliff = bool(is_clifford(cls.hop_analysis)) and bool(is_clifford(cls.vop_analysis))
-    if not (improper and hc and vc and cliff):
-        raise TheoremViolation(
-            f"double inverse semigroup that is not improper+commutative+Clifford "
-            f"(improper={improper}, comm={(hc, vc)}, clifford={cliff})"
-        )
-    return MainTheoremReport(cls, improper, hc, vc, cliff)
+    return MainTheoremReport(cls, dig_from_dis(d) if cls.is_double_inverse_semigroup else None)
 
 
 def decompose(d: DoubleSemigroup):
@@ -307,7 +279,7 @@ def decompose(d: DoubleSemigroup):
     report = main_theorem_report(d)
     if not report.is_double_inverse:
         raise NotDoubleInverseError(report.classification.failure_reason())
-    return presheaf_from_dig(dig_from_dis(d)), report
+    return presheaf_from_dig(report.groupoid), report
 
 
 def compose(p: AbelianGroupPresheaf) -> DoubleSemigroup:
@@ -337,10 +309,10 @@ def presheaf_from_json(doc: dict) -> AbelianGroupPresheaf:
     """The inverse of ``presheaf_to_json``: the base read by ``report.from_json``;
     every id a JSON integer, every position one in 1..order of its group, and
     each order matched with its op rows before anything of that size is built.
-    A fault is a ParseError naming its JSON path; what the values mean is left
-    to ``validate_presheaf``."""
+    A fault, or a document not of this kind and version, is a ParseError naming
+    its JSON path; what the values mean is left to ``validate_presheaf``."""
     base = MeetSemilattice(**from_json(json_field(doc, "base"), _BASE_FIELDS, {},
-                                       ("elements",), "base."))
+                                       ("elements",), None, "base."))
     groups = {}
     for k, entry in enumerate(json_list(json_field(doc, "groups"), "groups")):
         path = f"groups[{k}]"
@@ -374,6 +346,7 @@ def presheaf_from_json(doc: dict) -> AbelianGroupPresheaf:
         values = json_list(json_field(entry, "values"), f"homs[{k}].values", source.order)
         hom[(a, b)] = {x: target.carrier[_index(v, target.order, f"homs[{k}].values[{i}]")]
                        for i, (x, v) in enumerate(zip(source.carrier, values))}
+    json_header(doc, "abelian-group-presheaf")
     return AbelianGroupPresheaf(base, groups, hom)
 
 

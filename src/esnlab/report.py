@@ -11,7 +11,7 @@ from itertools import product
 from math import prod
 from typing import Callable
 
-from .errors import ParseError, distinct, json_field, json_ids, json_int, keyed
+from .errors import ParseError, distinct, json_field, json_header, json_ids, json_int, keyed
 
 
 @dataclass(frozen=True)
@@ -195,12 +195,14 @@ def to_json(value, fields: dict, rename: dict, listed: tuple) -> dict:
     return doc
 
 
-def from_json(doc, fields: dict, rename: dict, listed: tuple, at: str = "") -> dict:
+def from_json(doc, fields: dict, rename: dict, listed: tuple, kind, at: str = "") -> dict:
     """The field values that ``to_json`` wrote to doc, by field name. Every
     size must be a JSON integer of at least 1 and match the per-id lists, and
     only then are its ids allocated; every id must be a JSON integer. A fault
-    is a ParseError naming its JSON path, under ``at`` for a sub-document;
-    what the values mean is left to the validators."""
+    is a ParseError naming its JSON path, under ``at`` for a sub-document.
+    Once its fields are read, a top-level document must declare its ``kind``
+    and schema_version 1; a sub-document, read with kind None, declares
+    neither. What the values mean is left to the validators."""
     carrier = {sorts: name for name, sorts in fields.items() if len(sorts) == 1}
     sizes = {sorts: json_int(doc, rename.get(name, name), at + rename.get(name, name))
              for sorts, name in carrier.items() if name not in listed}
@@ -222,6 +224,8 @@ def from_json(doc, fields: dict, rename: dict, listed: tuple, at: str = "") -> d
             values[name] = keyed(json_ids(data, path, None, len(keys) + 1), path, len(keys))
         else:
             values[name] = frozenset(map(tuple, json_ids(data, path, None, 2)))
+    if kind is not None:
+        json_header(doc, kind)
     return {**{carrier[s]: tuple(range(1, n + 1)) for s, n in sizes.items()}, **values}
 
 

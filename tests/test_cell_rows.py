@@ -1,5 +1,6 @@
-"""Witnesses for the rows on cells of ``double._CELL_ROWS``: each row, under
-its tag and its twin's, reports a pinned first violation on a committed input,
+"""Witnesses for the rows on cells of ``double._CELL_ROWS`` and the embedding
+rows of ``double._INJECTIVE`` and ``double._IDENTITIES``: each row, under its
+tag and its twin's, reports a pinned first violation on a committed input,
 and a double groupoid whose edge arrows are not loops pins the readings of dom
 and cod that every input built from one view reads alike."""
 
@@ -75,6 +76,58 @@ def test_cell_row_first_witnesses(name, changes, pins):
         for tag, witness in pins.items():
             first = next((v.witness for v in rep.violations if v.axiom == tag), None)
             assert first == (witness if strict_ix or tag != "ix.g-strict" else None), tag
+
+
+# Each input with the first witness of every embedding row it fails, by tag.
+# On clifford3 each change is made to a field and to its twin alike, so the
+# value is its own transpose, its rows run once and each twin's result is
+# copied from its row; on the file of two views a change to one field fails
+# only its own row, and a twin row runs on the transpose. emb.object-cell has
+# no twin and holds on every value that is its own transpose, so only the
+# file of two views reaches it. A failing injectivity row stops the check
+# before the identity rows run.
+_EMBEDDING_WITNESSES = (
+    ("clifford3", (("obj_ver", 2, 1), ("obj_hor", 2, 1)),
+     {"emb.obj_ver": (2,), "emb.obj_hor": (2,)}),
+    ("clifford3", (("ver_cell", 2, 1), ("hor_cell", 2, 1)),
+     {"emb.ver_cell": (2,), "emb.hor_cell": (2,)}),
+    ("clifford3", (("hdom", 2, 1), ("vdom", 2, 1)),
+     {"emb.ver-identity": (2,), "emb.hor-identity": (2,)}),
+    ("clifford3", (("ver_src", 2, 1), ("hor_src", 2, 1)),
+     {"emb.object-ver-loop": (2,), "emb.object-hor-loop": (2,)}),
+    ("b2_two_views.dig.json", (("obj_ver", 2, 2),), {"emb.obj_ver": (2,)}),
+    ("b2_two_views.dig.json", (("obj_hor", 2, 2),), {"emb.obj_hor": (2,)}),
+    ("b2_two_views.dig.json", (("ver_cell", 3, 4),), {"emb.ver_cell": (3,)}),
+    ("b2_two_views.dig.json", (("hor_cell", 3, 4),), {"emb.hor_cell": (3,)}),
+    ("b2_two_views.dig.json", (("obj_hor", 1, 3), ("obj_hor", 2, 2)),
+     {"emb.object-cell": (1,), "emb.object-hor-loop": (1,)}),
+    ("b2_two_views.dig.json", (("hdom", 4, 1),), {"emb.ver-identity": (2,)}),
+    ("b2_two_views.dig.json", (("vdom", 4, 1),), {"emb.hor-identity": (2,)}),
+    ("b2_two_views.dig.json", (("ver_dst", 2, 2),), {"emb.object-ver-loop": (1,)}),
+    ("b2_two_views.dig.json", (("hor_src", 3, 1),), {"emb.object-hor-loop": (2,)}),
+)
+
+
+def test_every_embedding_row_is_witnessed_on_one_view_and_on_two():
+    tags = {row.tag for table in (dbl._INJECTIVE, dbl._IDENTITIES)
+            for pair in table for row in pair if row is not None}
+    for name, reached in (("clifford3", tags - {"emb.object-cell"}),
+                          ("b2_two_views.dig.json", tags)):
+        pinned = [tag for input_name, _, pins in _EMBEDDING_WITNESSES
+                  if input_name == name for tag in pins]
+        assert sorted(set(pinned)) == sorted(reached), name
+
+
+@pytest.mark.parametrize("name, changes, pins", _EMBEDDING_WITNESSES,
+                         ids=[f"{name.split('.')[0]}:{','.join(pins)}"
+                              for name, _, pins in _EMBEDDING_WITNESSES])
+def test_embedding_row_first_witnesses(name, changes, pins):
+    g = _input(name, changes)
+    assert (transpose(g) == g) == (name == "clifford3")
+    first = {}
+    for v in validate_dig(g).violations:
+        first.setdefault(v.axiom, v.witness)
+    assert first == pins
 
 
 def test_violations_where_edge_arrows_are_not_loops():

@@ -135,6 +135,34 @@ def test_inputs_a_command_does_not_take_exit_2(tmp_path, capsys):
         assert capsys.readouterr().err == f"esnlab: error: {message}\n", argv
 
 
+@pytest.mark.parametrize("sub", ("to-dig", "to-dis", "verify-interchange", "roundtrip"))
+def test_strict_axiom_ix_outside_validate_axioms_exit_2(sub, tmp_path, capsys):
+    # the flag used to be accepted and ignored by every other subcommand
+    path = fx("clifford3_pair.cay")
+    if sub in ("to-dis", "verify-interchange"):
+        dig = json.loads(run("double", "to-dig", path, "--format", "json")[1])["artifact"]
+        path = tmp_path / "clifford3.dig.json"
+        path.write_text(json.dumps(dig))
+    assert run("double", sub, str(path))[0] == 0
+    capsys.readouterr()
+    assert run("double", sub, str(path), "--strict-axiom-ix") == (2, "")
+    assert capsys.readouterr().err == (
+        "esnlab: error: --strict-axiom-ix only applies to validate-axioms\n")
+
+
+def test_check_dot_on_a_table_that_is_not_inverse_names_the_cause(tmp_path, capsys):
+    # the message used to ask for --inverse or --clifford, which had been given
+    left_zero = tmp_path / "left_zero2.cay"
+    left_zero.write_text("2\n1 1\n2 2\n")
+    for path, cause in ((fx("nonassociative2.cay"), "not associative, witness (a,b,c) = (1, 1, 2)"),
+                        (str(left_zero), "element 1 has at least two generalized inverses: 1, 2")):
+        for flag in ("--inverse", "--clifford"):
+            capsys.readouterr()
+            assert run("check", path, flag, "--format", "dot") == (2, ""), (path, flag)
+            assert capsys.readouterr().err == (
+                f"esnlab: error: dot output needs an inverse table: {cause}\n"), (path, flag)
+
+
 def test_check_dot_output():
     code, out = run("check", fx("brandt_b2.cay"), "--inverse", "--format", "dot")
     assert code == 0
@@ -500,6 +528,27 @@ def test_a_failing_certificate_is_a_theorem_violation(part, monkeypatch, capsys)
                 f"esnlab: theorem violated (a bug, not bad input): {message}"], argv
 
 
+def test_a_view_that_differs_from_its_pair_is_a_theorem_violation(monkeypatch, capsys):
+    # a build whose view is valid, of loops and commutative, but the view of
+    # another pair (chain3's, for clifford3): the certificate ties each built
+    # double groupoid to the pair it came from, so no command prints chain3's
+    # structures for clifford3 or reports a failed roundtrip instead
+    from esnlab import double as dbl
+    from esnlab.esn import groupoid_of
+    from esnlab.fixtures import load_table
+    from esnlab.inverse import analyze_inverse
+
+    chain3 = groupoid_of(analyze_inverse(load_table("chain3.cay")))
+    monkeypatch.setattr(dbl, "groupoid_of", lambda analysis: chain3)
+    message = "the pseudo-product of a constructed view differs from its pair at (2, 3)"
+    for argv in (("double", "to-dig"), ("double", "roundtrip"), ("decompose",)):
+        for fmt in ("text", "json"):
+            capsys.readouterr()
+            assert run(*argv, fx("clifford3_pair.cay"), "--format", fmt) == (3, ""), argv
+            assert capsys.readouterr().err.splitlines() == [
+                f"esnlab: theorem violated (a bug, not bad input): {message}"], argv
+
+
 def test_a_double_groupoid_read_from_json_is_validated_in_full(tmp_path, monkeypatch):
     # only a value the program builds is certified: every double groupoid read
     # from a file gets the full validate_dig, once
@@ -651,7 +700,8 @@ def _count_checks(monkeypatch):
     for home, name in ((double, "validate_dig"), (double, "classify_double"),
                        (inverse, "analyze_inverse"), (esn, "validate_ig"),
                        (presheaf, "validate_presheaf"), (presheaf, "validate_group"),
-                       (tables, "is_associative")):
+                       (tables, "is_associative"), (tables, "is_commutative"),
+                       (inverse, "is_clifford")):
         original = getattr(home, name)
         counts[name] = 0
 
@@ -681,12 +731,15 @@ def test_each_command_checks_each_value_once(tmp_path, monkeypatch):
     got = counted_run("decompose", fx("clifford3_pair.cay"))
     assert got["classify_double"] <= 1 and got["analyze_inverse"] <= 2
     assert got["validate_group"] == 2  # one per component group
+    # the certificate of its double groupoid is the one proof of the main theorem
+    assert got["is_commutative"] == 1 and got["is_clifford"] == 0
     # a double groupoid the program builds is certified, not validated
     got = counted_run("double", "roundtrip", fx("clifford3_pair.cay"))
     assert got["validate_dig"] == 0 and got["classify_double"] == 1
     got = counted_run("compose", fx("clifford3_presheaf.json"))
     assert got["validate_dig"] == 0 and got["validate_presheaf"] == 1
     assert got["validate_group"] == 2
+    assert got["analyze_inverse"] == 1 and got["classify_double"] == 1
     single = tmp_path / "clifford3.cay"
     single.write_text(format_table(load_pair("clifford3_pair.cay").hop))
     got = counted_run("esn", "to-groupoid", str(single), "--roundtrip")
@@ -787,6 +840,48 @@ def test_json_input_that_is_not_an_object_exit_2(tmp_path, capsys):
         for doc, shown in (([1, 2], "an array"), ("x", '"x"')):
             _rejected(tmp_path, capsys, argv, doc,
                       f"expected an object with field {field!r}, not {shown}")
+
+
+def _headers_rejected(tmp_path, capsys, argv, doc, kind):
+    """argv on doc exits 0, and on doc with another kind or schema_version, or
+    without one of them, exits 2 naming the field; both used to be ignored."""
+    path = tmp_path / "valid.json"
+    path.write_text(json.dumps(doc))
+    assert run(*argv, str(path))[0] == 0
+    other = "inductive-groupoid" if kind == "abelian-group-presheaf" else "abelian-group-presheaf"
+    for header, message in (
+        ({"kind": other, "schema_version": 99}, f'kind must be "{kind}", not "{other}"'),
+        ({"kind": None}, f'kind must be "{kind}", not null'),
+        ({"schema_version": 99}, "schema_version must be 1, not 99"),
+        ({"schema_version": "two"}, 'schema_version must be 1, not "two"'),
+        ({"schema_version": True}, "schema_version must be 1, not true"),
+        ({"schema_version": 1.0}, "schema_version must be 1, not 1.0"),
+    ):
+        _rejected(tmp_path, capsys, argv, {**doc, **header}, message)
+    for field in ("kind", "schema_version"):
+        _rejected(tmp_path, capsys, argv, {k: v for k, v in doc.items() if k != field},
+                  f"missing field {field!r}")
+
+
+def test_groupoid_json_of_another_kind_or_version_exit_2(tmp_path, capsys):
+    groupoid = json.loads((fixture_dir() / "partial_bijections_2.json").read_text())
+    _headers_rejected(tmp_path, capsys, ("esn", "to-semigroup"), groupoid, "inductive-groupoid")
+
+
+def test_double_groupoid_json_of_another_kind_or_version_exit_2(tmp_path, capsys):
+    dig = json.loads(run("double", "to-dig", fx("clifford3_pair.cay"), "--format", "json")[1])
+    _headers_rejected(tmp_path, capsys, ("double", "validate-axioms"), dig["artifact"],
+                      "double-inductive-groupoid")
+
+
+def test_presheaf_json_of_another_kind_or_version_exit_2(tmp_path, capsys):
+    # the base is a sub-document, which declares neither field
+    presheaf = json.loads((fixture_dir() / "clifford3_presheaf.json").read_text())
+    assert "kind" not in presheaf["base"]
+    _headers_rejected(tmp_path, capsys, ("compose",), presheaf, "abelian-group-presheaf")
+    doc = {k: v for k, v in presheaf.items() if k != "kind"}
+    _rejected(tmp_path, capsys, ("compose",), {**doc, "schema_version": "two"},
+              "missing field 'kind'")
 
 
 def test_declared_sizes_must_be_json_integers(tmp_path, capsys):

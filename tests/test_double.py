@@ -557,7 +557,7 @@ def test_dig_from_view_inverts_the_one_view():
     presheaves = [dig_from_presheaf(load_presheaf(name))
                   for name in ("point_z2_presheaf.json", "clifford3_presheaf.json")]
     for g in [*_double_inverse_groupoids(), *presheaves]:
-        assert dig_equal(dig_from_view(one_view(g)), g)
+        assert dig_equal(dig_from_view(one_view(g), dis_from_dig(g)), g)
 
 
 def _inverse_tables(b2):
@@ -573,9 +573,9 @@ def _inverse_tables(b2):
     return tables + [CayleyTable(H) for H, _ in classes] + orbit
 
 
-def _certified(h):
+def _certified(h, pair):
     try:
-        certify_view(h)
+        certify_view(h, pair)
     except TheoremViolation:
         return False
     return True
@@ -592,9 +592,9 @@ def test_a_built_double_groupoid_is_valid_exactly_when_its_certificate_holds(b2)
         h = groupoid_of(analyze_inverse(t))
         g = dig_of_view(h)
         commutative.append(bool(is_commutative(t)))
-        assert validate_dig(g).ok == _certified(h) == commutative[-1], t.rows
+        assert validate_dig(g).ok == _certified(h, DoubleSemigroup(t, t)) == commutative[-1], t.rows
         if commutative[-1]:
-            assert dig_from_view(h) == g and g.certificate is None
+            assert dig_from_view(h, DoubleSemigroup(t, t)) == g and g.certificate is None
     assert commutative.count(True) == 301 + 51 and commutative.count(False) == 1 + 60
 
 
@@ -613,7 +613,8 @@ def _built_double_groupoids():
                   for name in ("point_z2_presheaf.json", "clifford3_presheaf.json")]
     presheaves.append(("twelve cells", _presheaf_of_twelve_cells()))
     built += [(f"presheaf {name}", dig_from_presheaf(p)) for name, p in presheaves]
-    built += [(f"view of {name}", dig_from_view(one_view(g))) for name, g in built]
+    built += [(f"view of {name}", dig_from_view(one_view(g), g.certificate))
+              for name, g in built]
     return built
 
 

@@ -1,4 +1,4 @@
-"""Replay the command-line outputs of two trees and report the first that differs.
+"""Replay the command-line outputs of two trees and report every op that differs.
 
     python3 tools/same_outputs.py PARENT_SRC
 
@@ -15,7 +15,8 @@ The inputs are written once, to a temporary directory, and both trees read
 the same files. Each tree runs every op through ``esnlab.cli.main`` in a
 process of its own. For each op the script compares the exit code, stdout
 with the ``timing_ms`` value blanked, and stderr. It exits 0 if every op
-agrees, and 1 naming the first op that differs and the part that differs.
+agrees, and 1 naming each op that differs and the parts that differ, so that
+a change with intended differences can list them.
 Nothing under ``bench/`` is changed.
 """
 
@@ -34,19 +35,22 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
 FORMATS = ("text", "json", "dot")
-# each command form, with {} for the input file
+# each command form that takes an input file, with {} for the file
 FORMS = (
-    ("double", "validate-axioms", "{}"),
-    ("double", "validate-axioms", "{}", "--strict-axiom-ix"),
-    ("double", "verify-interchange", "{}"),
-    ("double", "to-dig", "{}"),
-    ("double", "to-dis", "{}"),
-    ("double", "roundtrip", "{}"),
+    *(("double", sub, "{}", *flag)
+      for sub in ("validate-axioms", "verify-interchange", "to-dig", "to-dis", "roundtrip")
+      for flag in ((), ("--strict-axiom-ix",))),
+    ("check", "{}"),
+    ("check", "{}", "--inverse"),
+    ("check", "{}", "--clifford"),
     ("check", "{}", "--double-inverse"),
     ("check", "{}", "--double"),
     ("decompose", "{}"),
     ("compose", "{}"),
+    ("esn", "to-groupoid", "{}"),
     ("esn", "to-groupoid", "{}", "--roundtrip"),
+    ("esn", "to-semigroup", "{}"),
+    ("esn", "to-semigroup", "{}", "--roundtrip"),
 )
 TIMING = re.compile(r'"timing_ms": \d+')
 
@@ -117,11 +121,16 @@ def main(argv: list[str]) -> int:
                       file=sys.stderr)
                 return 2
         parent, change = (json.loads(path.read_text()) for path, _ in runs.values())
+    differ = 0
     for op, before, after in zip(todo, parent, change):
-        for part, x, y in zip(("exit code", "stdout", "stderr"), before, after):
-            if x != y:
-                print(f"differs in {part}: esnlab {' '.join(op)}")
-                return 1
+        parts = [part for part, x, y in zip(("exit code", "stdout", "stderr"), before, after)
+                 if x != y]
+        if parts:
+            differ += 1
+            print(f"differs in {', '.join(parts)}: esnlab {' '.join(op)}")
+    if differ:
+        print(f"{differ} of {len(todo)} ops differ")
+        return 1
     print(f"{len(todo)} ops: exit code, stdout (timing_ms aside) and stderr the same")
     return 0
 

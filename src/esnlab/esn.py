@@ -207,24 +207,19 @@ def is_from_ig(g: InductiveGroupoid) -> InverseSemigroupAnalysis:
     return analyze_inverse(pseudo_product_table(g))  # raises unless inverse
 
 
-def semigroup_roundtrip(t: CayleyTable, g: InductiveGroupoid | None = None) -> Verdict:
-    """is_from_ig(g) must reproduce t entrywise, g = ig_from_is of t's analysis;
-    a caller that already built g passes it in."""
-    if g is None:
-        g = ig_from_is(analyze_inverse(t))
-    cell = first_difference(is_from_ig(g).table, t)
+def semigroup_roundtrip(t: CayleyTable, g: InductiveGroupoid) -> Verdict:
+    """The pseudo-product of g, built from t's analysis by ``ig_from_is`` (so
+    it has passed ``validate_ig``), must reproduce t entrywise; the witness is
+    the least cell that differs. When none does, reading g back gives t itself."""
+    cell = first_difference(pseudo_product_table(g), t)
     return Verdict(cell is None, cell)
 
 
-def groupoid_roundtrip(
-    g: InductiveGroupoid, analysis: InverseSemigroupAnalysis | None = None
-) -> Verdict:
-    """ig_from_is(analysis) must reproduce g on the nose (same ids), analysis =
-    is_from_ig(g); a caller that already built it passes it in. The witness is
-    the first field that differs."""
-    if analysis is None:
-        analysis = is_from_ig(g)
-    back = ig_from_is(analysis)
+def groupoid_roundtrip(g: InductiveGroupoid, analysis: InverseSemigroupAnalysis) -> Verdict:
+    """``groupoid_of(analysis)`` must reproduce g on the nose (same ids), where
+    analysis = ``is_from_ig(g)``, which has validated g; the witness is the first
+    field that differs. A rebuilt groupoid equal to g is valid because g is."""
+    back = groupoid_of(analysis)
     for name in _JSON_FIELDS:
         if getattr(back, name) != getattr(g, name):
             return Verdict(False, (name,))

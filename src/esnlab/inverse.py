@@ -114,11 +114,10 @@ def order_and_meet_rows(reflexive, antisymmetric, transitive, lower=None, greate
 _ORDER_ROWS = order_and_meet_rows("order.reflexive", "order.antisymmetric", "order.transitive")
 
 
-def natural_partial_order(t: CayleyTable, idems=None) -> frozenset:
-    """a <= b iff a = e·b for some idempotent e; verified to be a partial order
-    by the order rows, else OrderAxiomViolation names the first failure."""
-    if idems is None:
-        idems = idempotents(t)
+def natural_partial_order(t: CayleyTable, idems) -> frozenset:
+    """a <= b iff a = e·b for some idempotent e of ``idems``, the idempotents
+    of t; verified to be a partial order by the order rows, else
+    OrderAxiomViolation names the first failure."""
     elements = tuple(t.elements())
     pairs = frozenset((t.product(e, b), b) for b in elements for e in idems)
     up = {b: [c for c in elements if (b, c) in pairs] for b in elements}

@@ -139,7 +139,7 @@ def _flat(entry):
     return tuple(x for part in entry for x in (part if isinstance(part, tuple) else (part,)))
 
 
-def check_ranges(value, fields: dict, carriers: dict, rep: ValidationReport, tags=None) -> bool:
+def check_ranges(value, fields: dict, carriers: dict, rep: ValidationReport, tags: dict) -> bool:
     """The range pass over fields of ``value``, named with their sorts: the key
     sorts, ":" and the value sort of a map (no key sorts for a constant, no
     value sort for values of any kind), two sorts for a relation, one for a
@@ -167,7 +167,7 @@ def check_ranges(value, fields: dict, carriers: dict, rep: ValidationReport, tag
             bad = [(*k, v) for k, v in data.items()
                    if k[0] not in first or k[1] not in second or v not in values]
         for entry in bad:
-            rep.add((tags or {}).get(name, f"range.{name}"), _flat(entry),
+            rep.add(tags.get(name, f"range.{name}"), _flat(entry),
                     "entry outside the carriers of its sorts")
     return len(rep.violations) == start
 

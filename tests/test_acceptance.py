@@ -21,11 +21,11 @@ from esnlab.cli import main as cli_main
 from esnlab.double import (
     DoubleSemigroup,
     dig_from_dis,
-    dis_from_dig,
+    one_view,
     validate_dig,
     verify_interchange_identities,
 )
-from esnlab.esn import ig_from_is, semigroup_roundtrip
+from esnlab.esn import ig_from_is, pseudo_product_table, semigroup_roundtrip
 from esnlab.fixtures import load_pair, load_presheaf
 from esnlab.inverse import analyze_inverse, hasse_covers, idempotent_meet, is_clifford
 from esnlab.presheaf import (
@@ -94,11 +94,11 @@ def test_criterion_1_golden_fixture(b2_table):
 
 def test_criterion_2_esn_roundtrip(b2_table):
     with criterion(2, "esn-roundtrip", 60.0):
-        assert semigroup_roundtrip(b2_table)
+        assert semigroup_roundtrip(b2_table, ig_from_is(analyze_inverse(b2_table)))
         count = 0
         for n in (1, 2, 3, 4):
             for t in tables_matching(n, "inverse"):
-                assert semigroup_roundtrip(t), t.rows
+                assert semigroup_roundtrip(t, ig_from_is(analyze_inverse(t))), t.rows
                 count += 1
         assert count == 1 + 4 + 24 + 272
 
@@ -138,7 +138,7 @@ def test_criterion_6_double_roundtrips(digs_by_order):
     with criterion(6, "double-roundtrips", 300.0):
         for n, entries in digs_by_order.items():
             for d, g in entries:
-                back = dis_from_dig(g)
+                back = DoubleSemigroup(*[pseudo_product_table(one_view(g))] * 2)
                 assert back.hop.rows == d.hop.rows and back.vop.rows == d.vop.rows
                 assert dig_equal(dig_from_dis(back), g)
 

@@ -171,3 +171,17 @@ def test_violations_where_edge_arrows_are_not_loops():
             "ix.g": 8, **({"ix.g-strict": 10} if strict_ix else {})}
         note = "ix.g readings disagree at cell 2, horizontal arrow cell 4"
         assert rep.notes == [note] * strict_ix
+
+
+@pytest.mark.parametrize("value", (3, 6))
+def test_the_ix_g_readings_restrict_by_the_arrow_and_by_its_domain(value):
+    # On chain2_squares the readings of ix.g disagree at cell 2 and the identity
+    # cell 4 of the horizontal arrow 3: 1 -> 2, which as printed restricts cell 2
+    # by that arrow (to 6) and in the pattern by the identity at its domain 1
+    # (to 3). Restricting cell 2 by the identity at its codomain 2 gives 3 or 6
+    # here, so the note still stands; a row that read that identity, hcod(c), for
+    # vdom(c) on the left or for hdom(c) on the right would lose it. Reading
+    # vcod(c) for vdom(c) on the left cannot be killed, as in ix.g above.
+    g = _input("chain2_squares.dig.json", (("v_restrict", (2, 2), value),))
+    note = "ix.g readings disagree at cell 2, horizontal arrow cell 4"
+    assert validate_dig(g, strict_ix=True).notes == [note]

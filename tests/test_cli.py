@@ -744,8 +744,10 @@ def test_each_command_checks_each_value_once(tmp_path, monkeypatch):
     single.write_text(format_table(load_pair("clifford3_pair.cay").hop))
     got = counted_run("esn", "to-groupoid", str(single), "--roundtrip")
     assert got["validate_ig"] == 1
+    assert got["analyze_inverse"] == 1
     got = counted_run("esn", "to-semigroup", fx("partial_bijections_2.json"), "--roundtrip")
     assert got["analyze_inverse"] <= 1
+    assert got["validate_ig"] == 1
     got = counted_run("check", fx("brandt_b2.cay"), "--inverse")
     assert got["analyze_inverse"] <= 1 and got["is_associative"] <= 1
     # B2 is not Clifford, so this run fails its last check
@@ -754,6 +756,30 @@ def test_each_command_checks_each_value_once(tmp_path, monkeypatch):
     assert got["analyze_inverse"] <= 1 and got["is_associative"] <= 2
     got = counted_run("check", fx("clifford3_pair.cay"), "--double-inverse")
     assert got["is_associative"] <= 2
+
+
+def test_an_esn_construction_fault_fails_the_roundtrip(tmp_path, monkeypatch):
+    # a construction that returns another valid groupoid is a failed check
+    # (exit 1), witnessed by the least differing cell or the first differing field
+    from esnlab import esn
+    from esnlab.fixtures import load_pair, load_table
+    from esnlab.inverse import analyze_inverse
+    from esnlab.tables import format_table
+
+    clifford3 = analyze_inverse(load_pair("clifford3_pair.cay").hop)
+    single, groupoid = tmp_path / "clifford3.cay", tmp_path / "clifford3.json"
+    single.write_text(format_table(clifford3.table))
+    groupoid.write_text(json.dumps(esn.groupoid_to_json(esn.ig_from_is(clifford3))))
+    chain3 = esn.groupoid_of(analyze_inverse(load_table("chain3.cay")))
+    monkeypatch.setattr(esn, "groupoid_of", lambda analysis: chain3)
+    for argv, witness in ((("to-groupoid", str(single)), (2, 3)),
+                          (("to-semigroup", str(groupoid)), ("objects",))):
+        code, out = run("esn", *argv, "--roundtrip")
+        assert code == 1 and f"FAIL roundtrip  witness={witness}" in out, out
+        code, out = run("esn", *argv, "--roundtrip", "--format", "json")
+        assert code == 1
+        assert json.loads(out)["checks"] == [
+            {"name": "roundtrip", "ok": False, "witness": list(witness)}]
 
 
 def test_groupoid_and_presheaf_entries_outside_their_carriers(tmp_path, capsys):

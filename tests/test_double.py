@@ -237,7 +237,7 @@ def test_validate_dig_flags_corrupt_restriction(clifford3):
 def test_dis_from_dig_recovers_tables(clifford3):
     for t in (cyclic_group(2), chain_semilattice(3), clifford3):
         d = DoubleSemigroup(t, t)
-        back = dis_from_dig(dig_from_dis(d))
+        back = dis_from_dig(dig_from_json(dig_to_json(dig_from_dis(d))))
         assert back.hop.rows == t.rows and back.vop.rows == t.rows
 
 
@@ -270,8 +270,9 @@ def test_dis_from_dig_rejects_broken(clifford3):
 def test_roundtrips_fixture_pairs(clifford3):
     for name in ("z2_pair.cay", "clifford3_pair.cay"):
         d = load_pair(name)
-        assert roundtrip_double(d)
-        assert roundtrip_dig(dig_from_dis(d))
+        g = dig_from_dis(d)
+        assert roundtrip_double(d, dis_from_dig(g))
+        assert roundtrip_dig(g, dig_from_dis(dis_from_dig(g)))
 
 
 def test_dig_equal_distinguishes(clifford3):

@@ -168,31 +168,34 @@ def test_is_from_ig_rejects_invalid(b2):
 
 
 def test_roundtrip_brandt(b2):
-    assert semigroup_roundtrip(b2)
-    assert groupoid_roundtrip(ig_from_is(analyze_inverse(b2)))
+    g = ig_from_is(analyze_inverse(b2))
+    assert semigroup_roundtrip(b2, g)
+    assert groupoid_roundtrip(g, is_from_ig(g))
 
 
 def test_roundtrip_order_one():
-    assert semigroup_roundtrip(parse_table("1\n1"))
+    t = parse_table("1\n1")
+    assert semigroup_roundtrip(t, ig_from_is(analyze_inverse(t)))
 
 
 def test_roundtrip_all_small_inverse_semigroups():
     for n in (1, 2, 3):
         for t in tables_matching(n, "inverse"):
-            assert semigroup_roundtrip(t)
-            assert groupoid_roundtrip(ig_from_is(analyze_inverse(t)))
+            g = ig_from_is(analyze_inverse(t))
+            assert semigroup_roundtrip(t, g)
+            assert groupoid_roundtrip(g, is_from_ig(g))
 
 
 def test_groupoid_fixture_roundtrip():
     g = load_groupoid("partial_bijections_2.json")
-    assert groupoid_roundtrip(g)
+    assert groupoid_roundtrip(g, is_from_ig(g))
     # objects listed out of order are still a valid groupoid, but the ESN
     # construction lists them in order: the witness is the first field that differs
     doc = groupoid_to_json(g)
     doc["objects"].reverse()
     reordered = groupoid_from_json(doc)
     assert reordered.report.ok
-    assert groupoid_roundtrip(reordered) == Verdict(False, ("objects",))
+    assert groupoid_roundtrip(reordered, is_from_ig(reordered)) == Verdict(False, ("objects",))
 
 
 def test_groupoid_json_io(b2):

@@ -21,7 +21,7 @@ from esnlab.inverse import (
     is_clifford,
     natural_partial_order,
 )
-from esnlab.tables import is_associative
+from esnlab.tables import idempotents, is_associative
 
 
 def test_analyze_brandt(b2):
@@ -110,7 +110,7 @@ def test_natural_order_group_is_equality():
 
 
 def test_natural_order_standalone(b2):
-    pairs = natural_partial_order(b2)
+    pairs = natural_partial_order(b2, idempotents(b2))
     assert pairs == analyze_inverse(b2).leq
 
 
@@ -123,10 +123,10 @@ def test_natural_partial_order_matches_the_oracle_up_to_order_3():
         for t in tables_matching(n, "all"):
             rel, is_order = natural_order_oracle(t)
             if is_order:
-                assert natural_partial_order(t) == rel
+                assert natural_partial_order(t, idempotents(t)) == rel
             else:
                 with pytest.raises(OrderAxiomViolation):
-                    natural_partial_order(t)
+                    natural_partial_order(t, idempotents(t))
                 raised += 1
     assert raised == 67
 

@@ -1,9 +1,9 @@
-"""Mutation sweep of the cell rows of ``esnlab.double``.
+"""Mutation sweep of the cell rows of ``esnlab.double`` and its ix.g readings row.
 
     python3 tools/mutation_sweep.py
 
 Each mutant exchanges one read of ``e.vdom``, ``e.vcod``, ``e.hdom`` or
-``e.hcod`` in ``_CELL_ROWS`` for one of the other three. It is written into a
+``e.hcod`` in ``_CELL_ROWS`` or ``_IX_G_READINGS`` for one of the other three. It is written into a
 temporary copy of ``src`` and ``tests``, never into the tree, and the copy's
 tests run with ``pytest -x -q`` and ``PYTHONDONTWRITEBYTECODE=1`` (a rewrite of
 the same size within one second would otherwise reuse stale bytecode) over
@@ -33,25 +33,26 @@ FIRST = ("test_cell_rows.py", "test_double.py")
 TAG = re.compile(r'(?:Row|_axiom)\(\s*"([^"]+)"')
 
 
-def cell_rows(source: str) -> tuple[int, int]:
-    """The span of the ``_CELL_ROWS`` table in the source."""
-    start = source.index("\n_CELL_ROWS = ")
-    return start, source.index("\n)\n", start)
+def swept(source: str) -> tuple[tuple[int, int], ...]:
+    """The spans of the ``_CELL_ROWS`` table and the ``_IX_G_READINGS`` row in
+    the source."""
+    rows = source.index("\n_CELL_ROWS = ")
+    readings = source.index("\n_IX_G_READINGS = ")
+    return (rows, source.index("\n)\n", rows)), (readings, source.index("\n\n", readings))
 
 
 def mutants(source: str):
     """(row tag, line:column of the read, old name, new name, mutated source)
     for each swap."""
-    start, end = cell_rows(source)
-    for match in READ.finditer(source, start, end):
-        tags = TAG.findall(source, start, match.start())
-        line = source.count("\n", 0, match.start()) + 1
-        column = match.start() - source.rfind("\n", 0, match.start())
-        at = f"{line}:{column}"
-        for name in NAMES:
-            if name != match[1]:
-                mutated = source[: match.start(1)] + name + source[match.end(1):]
-                yield tags[-1], at, match[1], name, mutated
+    for start, end in swept(source):
+        for match in READ.finditer(source, start, end):
+            tags = TAG.findall(source, start, match.start())
+            line = source.count("\n", 0, match.start()) + 1
+            column = match.start() - source.rfind("\n", 0, match.start())
+            for name in NAMES:
+                if name != match[1]:
+                    mutated = source[: match.start(1)] + name + source[match.end(1):]
+                    yield tags[-1], f"{line}:{column}", match[1], name, mutated
 
 
 def test_files() -> list[str]:

@@ -14,7 +14,10 @@ still tied with the table waits in the bucket of the cell its comparison
 needs next, so setting a cell advances one bucket. Labeled tables are counted
 as the sum of n!/|Aut(T)| over the survivors, the automorphisms being the
 relabelings still tied with a complete table. Every inverse filter also
-refuses a partial table as soon as two of its idempotents fail to commute.
+refuses a partial table as soon as two of its idempotents fail to commute, or
+a completed row or column shows an element that cannot be regular, as a
+semigroup is inverse iff it is regular and its idempotents commute (Howie,
+*Fundamentals of Semigroup Theory*, 1995, Thm 5.1.1).
 Where every labeled table is needed a survivor's orbit is expanded, and
 classes are reported by their row-major canonical form. The block order and
 the root buckets are built once per order. A pool task extends one kept
@@ -24,7 +27,7 @@ The pair search is isomorph-free in its first table. It backtracks the second
 table, with no symmetry to break, only under the least first table h of each
 class. An interchange quadruple reads three cells of the second table, which h
 fixes, so each is filed once under the last of them in block order and checked
-once, when that cell is set. The idempotent prune applies to an inverse second
+once, when that cell is set. Both inverse prunes apply to an inverse second
 table as to a first. The second tables of a relabeled first table
 are the relabeled second tables, so the labeled pairs number the sum of
 n!/|Aut(h)| times the second tables of h. A pair's class is keyed by the
@@ -61,15 +64,18 @@ from .tables import (
 SINGLE_CAP = 5
 PAIR_CAPS = {"semigroup": 4, "inverse": 5}
 FILTERS = ("all", "inverse", "commutative-inverse", "noncommutative-inverse")
-# cells a pool task's prefix sets: at order 5 the all-zero 4-cell prefix holds over half the work
+# cells a pool task's prefix sets: at order 5 the all-zero 4-cell prefix holds over half the
+# work of `all` and half that of an inverse filter, the largest 6-cell one 41 % and 31 %
 _SPLIT_DEPTH = {3: 4, 4: 4, 5: 6}
 
 
 @cache
 def _lex_plan(n):
-    """The cells in block order, their (row, column), each cell's position, and
-    the root's lex-leader buckets: (img, src, wait, 0) per relabeling but the
-    identity, src in block order, filed under wait[0]; see _search_tables."""
+    """The cells in block order, their (row, column), each cell's position, the
+    root's lex-leader buckets: (img, src, wait, 0) per relabeling but the
+    identity, src in block order, filed under wait[0], see _search_tables; and
+    per position an (a, row, col) for each element a whose row or column that
+    position's cell completes, row and col saying which of the two are set."""
     order = tuple(sorted(range(n * n), key=lambda k: (max(k // n, k % n), k // n, k % n)))
     pos = {k: p for p, k in enumerate(order)}
     buckets = [[] for _ in range(n * n + 1)]
@@ -77,7 +83,11 @@ def _lex_plan(n):
         src = tuple(src[k] for k in order)
         wait = tuple(max(p, pos[k]) for p, k in enumerate(src)) + (n * n,)
         buckets[wait[0]].append((img, src, wait, 0))
-    return order, tuple((k // n, k % n) for k in order), pos, tuple(map(tuple, buckets))
+    row_done = [max(pos[a * n + x] for x in range(n)) for a in range(n)]
+    col_done = [max(pos[x * n + a] for x in range(n)) for a in range(n)]
+    complete = tuple(tuple((a, row_done[a] <= p, col_done[a] <= p) for a in range(n)
+                           if p in (row_done[a], col_done[a])) for p in range(n * n))
+    return order, tuple((k // n, k % n) for k in order), pos, tuple(map(tuple, buckets)), complete
 
 
 def _matches(T, n, filt):
@@ -143,6 +153,21 @@ def _idempotents_commute(T, n, a, b):
     return True
 
 
+def _regular_where_complete(T, n, complete):
+    """Whether each (a, row, col) of complete has a in its own row if row, in
+    its own column if col, and some x with (a·x)·a = a if both, which every
+    completion of the partial table T then fixes. One that fails has no
+    regular completion: a = a·a′·a in a regular semigroup."""
+    for a, row, col in complete:
+        an = a * n
+        if row and col:
+            if all(T[T[an + x] * n + a] != a for x in range(n)):
+                return False
+        elif a not in (T[an:an + n] if row else T[a::n]):
+            return False
+    return True
+
+
 def _orbit(T, aut, rel):
     """The distinct relabelings of T, sorted, each with one relabeling (img,
     src) in rel that gives it; there are n!/|Aut(T)| of them."""
@@ -177,8 +202,9 @@ def _search_tables(n, prefix, emit, depth=None, prune=False, H=None):
     """Backtrack the associative tables extending `prefix` (values for the first
     len(prefix) cells in block order), calling emit(flat_tuple, aut) per
     assignment of the first `depth` cells (all by default; unassigned cells
-    read -1). With prune, a partial table in which two idempotents fail to
-    commute is refused, as it has no inverse completion.
+    read -1). With prune, a partial table with no inverse completion is
+    refused: one in which two idempotents fail to commute, or a completed row
+    or column shows an element that cannot be regular (Howie's Thm 5.1.1).
 
     Without H, the tables kept are the block-order least of their isomorphism
     class, and aut is |Aut(T)| at full depth. Given a first table H, they are
@@ -196,7 +222,7 @@ def _search_tables(n, prefix, emit, depth=None, prune=False, H=None):
     with a complete table: its automorphisms."""
     size = n * n
     depth = size if depth is None else depth
-    order, cells, pos, seed = _lex_plan(n)
+    order, cells, pos, seed, complete = _lex_plan(n)
     buckets = [list(b) if H is None else [] for b in seed]
     quads = [[] for _ in range(size)]  # the cells (k1, k2, k3) of each quadruple, by position
     if H is not None:
@@ -222,10 +248,12 @@ def _search_tables(n, prefix, emit, depth=None, prune=False, H=None):
         a, b = cells[d]
         k = order[d]
         qs = quads[d]
+        regular = complete[d] if prune else ()
         for c in (prefix[d],) if d < len(prefix) else range(n):
             T[k] = c
             if (qs and not interchange_ok(qs) or not _assoc_ok(T, occ, n, a, b, c)
-                    or prune and not _idempotents_commute(T, n, a, b)):
+                    or prune and not _idempotents_commute(T, n, a, b)
+                    or regular and not _regular_where_complete(T, n, regular)):
                 continue
             moved = []
             for img, src, wait, p in buckets[d]:
@@ -257,7 +285,10 @@ def _prefixes(n, depth, filt):
     """The assignments of the first `depth` cells that the search for the
     filter keeps: lex-leader pruned, and for an inverse filter pruned on
     idempotents that fail to commute, which at depth 4 leaves 23 of order 5
-    against 28, and at depth 6, the order-5 split, 51 against 63."""
+    against 28, and at depth 6, the order-5 split, 51 against 63; and on
+    elements that cannot be regular (Howie's Thm 5.1.1), which no row set
+    within the split shows, but which leaves 336 of order 5 at depth 18
+    against 690, and the 52 classes at depth 25 against 852."""
     order = _lex_plan(n)[0][:depth]
     out = []
     _search_tables(n, (), lambda T, aut: out.append(tuple(T[k] for k in order)), depth,

@@ -28,6 +28,7 @@ from esnlab.search import (
     _idempotents_commute,
     _lex_plan,
     _prefixes,
+    _regular_where_complete,
     _search_tables,
     canonical_pair,
     enumerate_semigroups,
@@ -251,6 +252,31 @@ def test_idempotent_prune_keeps_every_prefix_of_an_inverse_table():
                 assert _idempotents_commute(T, n, k // n, k % n), (t.rows, k)
     # and not vacuous: the left-zero band's two idempotents do not commute
     assert not _idempotents_commute(list(left_projection(2).flat), 2, 1, 1)
+
+
+def test_regularity_prune_keeps_every_prefix_of_an_inverse_table():
+    # sound: no prefix in block order of a labeled inverse table is refused
+    for n in range(1, 6):
+        order, complete = _lex_plan(n)[0], _lex_plan(n)[4]
+        for t in tables_matching(n, "inverse"):
+            T = [-1] * (n * n)
+            for p, k in enumerate(order):
+                T[k] = t.flat[k]
+                assert _regular_where_complete(T, n, complete[p]), (t.rows, k)
+    # and not vacuous: in the null semigroup 1 1 / 1 1, element 2 is not in its
+    # own row, so the complete table is refused at its last cell
+    null = list(table(((1, 1), (1, 1))).flat)
+    assert _lex_plan(2)[4][3] == ((1, True, True),)
+    assert not _regular_where_complete(null, 2, _lex_plan(2)[4][3])
+    assert not _regular_where_complete(null, 2, ((1, True, False),))
+
+
+def test_regularity_prune_cuts_the_inverse_prefixes():
+    # idempotents alone keep 1,124, 690 and 852 prefixes of order 5 at these
+    # lengths, and 92 of order 4 at full length; from the first completed row
+    # on, the regularity prune cuts them, to the classes themselves at the end
+    assert [len(_prefixes(5, d, "inverse")) for d in (17, 18, 25)] == [1124, 336, 52]
+    assert len(_prefixes(4, 16, "inverse")) == 16
 
 
 def test_second_table_search_rejects_non_semigroup():

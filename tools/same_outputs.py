@@ -9,7 +9,11 @@ PARENT_SRC is the ``src`` directory of the tree to compare with, such as a
   (``bench/theorem_inputs.py``), in json and in text;
 - ``golden-suite``, in text and in json;
 - every bundled fixture and every ``tests/data`` file under each of the
-  command forms of ``FORMS``, in text, json and dot.
+  command forms of ``FORMS``, in text, json and dot;
+- ``search`` at every order up to ``SINGLE_CAP`` under each class of
+  ``SEARCH_CLASSES`` with ``--jobs 1`` and ``--jobs 2``, and ``search --pairs``
+  of each class at every order up to its cap in ``PAIR_CAPS``, in text and
+  json.
 
 The inputs are written once, to a temporary directory, and both trees read
 the same files. Each tree runs every op through ``esnlab.cli.main`` in a
@@ -52,6 +56,13 @@ FORMS = (
     ("esn", "to-semigroup", "{}"),
     ("esn", "to-semigroup", "{}", "--roundtrip"),
 )
+# the single-table search forms: each class, and inverse by commutativity
+SEARCH_CLASSES = (
+    ("--class", "semigroup"),
+    ("--class", "inverse"),
+    ("--class", "inverse", "--commutative"),
+    ("--class", "inverse", "--noncommutative"),
+)
 TIMING = re.compile(r'"timing_ms": \d+')
 
 
@@ -76,6 +87,15 @@ def ops(workdir: Path) -> list[list[str]]:
         for form in FORMS:
             argv = [str(path) if word == "{}" else word for word in form]
             out += [[*argv, "--format", fmt] for fmt in FORMATS]
+    sys.path.insert(0, str(ROOT / "src"))
+    from esnlab.search import PAIR_CAPS, SINGLE_CAP
+
+    searches = [["search", "--order", str(n), *klass, "--jobs", jobs]
+                for n in range(1, SINGLE_CAP + 1) for klass in SEARCH_CLASSES
+                for jobs in ("1", "2")]
+    searches += [["search", "--order", str(n), "--class", klass, "--pairs"]
+                 for klass, cap in PAIR_CAPS.items() for n in range(1, cap + 1)]
+    out += [[*argv, "--format", fmt] for argv in searches for fmt in ("text", "json")]
     return out
 
 
